@@ -211,6 +211,13 @@ class WorkerSupervisor(SupervisorCore):
         env["PYTHONPATH"] = (
             src_root + os.pathsep + existing_path if existing_path else src_root
         )
+        # A worker builds and frees a few hundred KiB of ring batch per
+        # wakeup.  glibc maps and unmaps every block above its threshold
+        # (128 KiB, raised only if a larger block happens to be freed),
+        # so left adaptive the same fleet runs with or without a page
+        # fault per 4 KiB moved depending on its start-up history.
+        env.setdefault("MALLOC_MMAP_THRESHOLD_", str(16 << 20))
+        env.setdefault("MALLOC_TRIM_THRESHOLD_", str(32 << 20))
         return env
 
     def on_registered(self, state: ChildState, fields: dict) -> None:

@@ -3,26 +3,46 @@
 The paper describes **one** engine design — control messages drained
 from the publicized port, data switched from receiver buffers to sender
 buffers in weighted round-robin order, bounded buffers producing back
-pressure, sources paced by flow control — and realizes it over
-different transports.  This module is that single design:
-:class:`EngineCore` owns every piece of switching semantics, and a
-concrete engine (:class:`repro.sim.engine.SimEngine` over the
+pressure, sources paced by flow control, the engine (not the transport)
+keeping the connection table and running the domino teardown — and
+realizes it over different transports.  This module is that single
+design.  :class:`EngineCore` owns
+
+- every piece of switching semantics;
+- the **link table**: per destination an :class:`OutLink` (bounded send
+  queue + :class:`LinkStats`), created at the first ``send()`` so
+  messages stage in order while the backend is still dialing, and per
+  upstream a :class:`ReceiverPort` (buffer + stats);
+- **link teardown**: :meth:`EngineCore._drop_downstream` and
+  :meth:`EngineCore._drop_upstream` are the only places a link leaves
+  the table — every failure, disconnect and shutdown path of both
+  backends goes through them, so whatever a dying link still buffers is
+  counted in ``lost_messages`` exactly once;
+- the **task set**: :meth:`EngineCore._launch` tracks every background
+  task in a self-pruning set that shutdown cancels in one call.
+
+A concrete engine (:class:`repro.sim.engine.SimEngine` over the
 discrete-event kernel, :class:`repro.net.engine.AsyncioEngine` over
-asyncio TCP) only supplies the *ports* the core is parameterized by:
+asyncio TCP) meets the core at one seam and nothing else:
 
-- the **Clock port** — :meth:`EngineCore.now`;
-- the **ObserverSink port** — :meth:`EngineCore.send_to_observer`;
-- the **Transport port** — outbound routing/queues, connection
-  management, task spawning and sleeping (everything prefixed with an
-  underscore in the abstract list below).
+- the **Clock** — :meth:`now`, :meth:`_sleep` (a zero delay is the
+  engine loop's yield between busy rounds), :meth:`_call_later`,
+  :meth:`_spawn` (the only place a backend creates a task);
+- the **Transport** — :meth:`_open_link` / :meth:`_close_link` (attach
+  or release whatever carries a table entry), :meth:`send_to_observer`,
+  :meth:`_request_shutdown`;
+- four **pacing values** — ``CREDIT_SCALE``, ``ROUNDS_PER_WAKEUP``,
+  ``SOURCE_BURST``, ``SOURCE_INTERVAL`` — set per backend.
 
-Backends must *not* reimplement anything the core owns — the method
-list is frozen by ``tests/test_engine_parity_surface.py``, which walks
-both backends' ASTs and fails if a core-owned method reappears there.
-That guard is what keeps the two engines from drifting apart again.
+Backends must *not* reimplement anything the core owns:
+``tests/test_engine_parity_surface.py`` lists these twelve override
+points once, asserts the count, walks both backends' ASTs for
+core-owned methods, and fails if a backend creates a task anywhere but
+in ``_spawn``.
 
 Synchronization primitives are duck-typed rather than imported: the
-core works against any bounded FIFO with the :class:`MessageQueue`
+backend hands the constructor a queue factory and an event factory, and
+the core works against any bounded FIFO with the :class:`MessageQueue`
 surface and any level-triggered flag with the :class:`WakeEvent`
 surface (``SimQueue``/``SimEvent`` in the simulator,
 ``AsyncBoundedQueue``/``asyncio.Event`` live).
@@ -31,7 +51,7 @@ surface (``SimQueue``/``SimEvent`` in the simulator,
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Coroutine, Iterable, Protocol
+from typing import Any, Callable, Coroutine, Iterable, Protocol
 
 from repro.core.algorithm import Algorithm, Disposition
 from repro.core.bandwidth import NodeThrottle
@@ -41,6 +61,10 @@ from repro.core.msgtypes import MsgType, is_engine_type
 from repro.core.stats import LinkStats, LinkStatsSnapshot
 from repro.core.switch import PendingForward, ReceiverPort, SwitchScheduler
 from repro.telemetry.tracing import EventType
+
+#: pause between emissions of a source that has no downstream link and
+#: a zero ``SOURCE_INTERVAL`` — nobody to talk to; do not spin
+IDLE_SOURCE_PACING = 0.01
 
 
 class MessageQueue(Protocol):
@@ -54,6 +78,8 @@ class MessageQueue(Protocol):
     def put_nowait(self, item: Message) -> bool: ...
     def put_force(self, item: Message) -> None: ...
     def get_nowait(self) -> Message: ...
+    def drain(self) -> list[Message]: ...
+    def close(self) -> None: ...
 
 
 class WakeEvent(Protocol):
@@ -64,35 +90,79 @@ class WakeEvent(Protocol):
     async def wait(self) -> Any: ...
 
 
+class OutLink:
+    """Core-side state of one outbound link: send queue and statistics.
+
+    Exists from the first ``send()``/connect toward ``dest`` until
+    :meth:`EngineCore._drop_downstream`; the backend's transport drains
+    ``queue`` once attached.
+    """
+
+    __slots__ = ("dest", "label", "queue", "stats")
+
+    def __init__(self, dest: NodeId, queue: MessageQueue) -> None:
+        self.dest = dest
+        #: cached ``str(dest)`` for report keys and telemetry labels
+        self.label = str(dest)
+        self.queue = queue
+        self.stats = LinkStats()
+
+
 class EngineCore(ABC):
     """One overlay node's switching semantics, shared by every transport.
 
-    A backend constructs the core with its own control queue and wake
-    events (whose blocking flavour matches the backend's scheduler) and
-    implements the abstract Transport/Clock/ObserverSink methods.  The
-    core then runs the engine loop, the weighted-round-robin switch,
-    pending-forward retries, engine-owned control handling, status
-    reporting, source pacing and all telemetry emission.
+    A backend constructs the core with factories for its own queue and
+    event types (whose blocking flavour matches the backend's
+    scheduler) and implements the abstract Clock/Transport methods.
+    The core then runs the engine loop, the weighted-round-robin
+    switch, pending-forward retries, engine-owned control handling,
+    status reporting, source pacing, the link table with its teardown,
+    the background-task set and all telemetry emission.
     """
+
+    # Pacing values, set per backend.  The defaults keep per-message
+    # granularity (the simulator's figures observe the fine-grained
+    # interleaving and virtual-clock wakeups cost nothing); the asyncio
+    # backend raises the first three to amortize per-wakeup cost.
+    #: multiplier on port weights at each credit epoch.  Fairness between
+    #: upstreams is a ratio of weights, so scaling every allowance
+    #: equally leaves it intact; only the interleaving coarsens.
+    CREDIT_SCALE = 1
+    #: switch rounds one engine wakeup may run.  Bounded even when large:
+    #: the extra rounds consume the (bounded) receive buffers and cannot
+    #: refill them, since IO tasks only run after the engine yields.
+    ROUNDS_PER_WAKEUP = 1
+    #: messages a source emits per wakeup while a downstream link exists.
+    #: Flow control still applies per message, so a full send buffer
+    #: parks the whole wave until space frees up.
+    SOURCE_BURST = 1
+    #: pause between two source wakeups; zero only yields.  Virtual time
+    #: needs a positive floor, so the simulator sets its configured
+    #: ``source_interval`` here.
+    SOURCE_INTERVAL = 0.0
 
     def __init__(
         self,
         node_id: NodeId,
         algorithm: Algorithm,
         config: Any,
-        control: MessageQueue,
-        wake: WakeEvent,
-        send_space: WakeEvent,
+        new_queue: Callable[..., MessageQueue],
+        new_event: Callable[[], WakeEvent],
     ) -> None:
         self._node_id = node_id
         self.algorithm = algorithm
         self.config = config
         self.throttle = NodeThrottle(config.bandwidth)
         self._scheduler = SwitchScheduler()
-        self._control = control
-        self._wake = wake
-        self._send_space = send_space
+        self._new_queue = new_queue
+        self._control = new_queue()  # the publicized port (unbounded)
+        self._wake = new_event()
+        self._send_space = new_event()
         self._running = False
+        #: outbound link table, in creation order
+        self._out: dict[NodeId, OutLink] = {}
+        #: every unfinished background task, in launch order
+        self._tasks: dict[Any, None] = {}
         self._sources: dict[AppId, Any] = {}
         self._local_apps: set[AppId] = set()
         self._app_upstreams: dict[AppId, set[NodeId]] = {}
@@ -117,156 +187,62 @@ class EngineCore(ABC):
         if tel is not None:
             self._ins = tel.instruments_for(self._node_id)
 
-    # ------------------------------------------------------------------ Clock port
+    # ----------------------------------------------------------------------- Clock
 
     @abstractmethod
     def now(self) -> float:
         """Current time on this backend's clock (virtual or monotonic)."""
 
-    # ----------------------------------------------------------- ObserverSink port
-
-    @abstractmethod
-    def send_to_observer(self, msg: Message) -> None:
-        """Deliver a message to the observer over this backend's channel."""
-
-    # -------------------------------------------------------------- Transport port
-
-    @abstractmethod
-    def _dispatch(self, msg: Message, dest: NodeId) -> None:
-        """Route one message toward a non-local destination."""
-
-    @abstractmethod
-    def _outbound_queue(self, dest: NodeId) -> MessageQueue | None:
-        """The established outbound buffer toward ``dest``, if any.
-
-        A pure lookup — must not create connections as a side effect.
-        """
-
-    @abstractmethod
-    def downstreams(self) -> list[NodeId]:
-        """Peers this node holds an outgoing connection to."""
-
-    @abstractmethod
-    def disconnect(self, dest: NodeId) -> None:
-        """Gracefully tear down the connection to ``dest`` (if any)."""
-
-    @abstractmethod
-    def _request_connect(self, dest: NodeId) -> None:
-        """Begin establishing a persistent connection to ``dest``."""
-
-    @abstractmethod
-    def _request_shutdown(self) -> None:
-        """Begin this node's graceful termination."""
-
-    @abstractmethod
-    def _spawn(self, coro: Coroutine, name: str) -> Any:
-        """Schedule a coroutine as a cancellable task on the backend."""
-
     @abstractmethod
     async def _sleep(self, delay: float) -> None:
-        """Suspend the calling task for ``delay`` seconds."""
+        """Suspend the calling task for ``delay`` seconds.
+
+        The engine loop sleeps zero seconds between busy rounds to let
+        IO tasks run; on a virtual clock, where no time passing means
+        nothing can happen, that returns without suspending.
+        """
 
     @abstractmethod
     def _call_later(self, delay: float, callback: Any, *args: Any) -> None:
         """Invoke ``callback(*args)`` after ``delay`` seconds."""
 
-    async def _yield_control(self) -> None:
-        """Give IO tasks a chance to run between busy engine rounds.
+    @abstractmethod
+    def _spawn(self, coro: Coroutine, name: str) -> Any:
+        """Create a cancellable task running ``coro``.
 
-        The default keeps control (a no-op await): the cooperative sim
-        kernel needs no breathing room.  Preemptible backends override
-        this with a true reschedule.
+        The only place a backend creates a task, and only
+        :meth:`_launch` calls it.  The task must offer ``cancel()`` and
+        ``add_done_callback(fn)`` (``fn`` receives the task).
         """
 
-    def _on_engine_start(self) -> None:
-        """Backend hook run when the engine loop begins (boot handshakes)."""
+    # ------------------------------------------------------------------- Transport
 
-    def _flush_round(self) -> None:
-        """Backend hook run once after every switch round that made progress.
+    @abstractmethod
+    def _open_link(self, dest: NodeId) -> None:
+        """Begin attaching a transport behind the new ``_out[dest]``.
 
-        The batching contract is *one flush per destination per round*,
-        not one per message.  The default is a no-op because both
-        shipped backends already satisfy the contract without work here:
-        the sim kernel has no flush concept, and the asyncio backend's
-        per-peer sender tasks wake at ``_yield_control`` and drain the
-        whole send queue into a single ``writer.drain()``.  A backend
-        whose transport needs an explicit end-of-round flush (e.g. one
-        buffering frames in the engine task itself) overrides this.
+        May complete later (a dial task).  On failure — synchronous or
+        not — the backend calls ``_drop_downstream(dest, notify="down")``
+        so whatever was staged meanwhile is counted lost.
         """
 
-    def _source_pacing(self) -> float:
-        """Delay between source emissions once flow control is satisfied."""
-        return 0.0
+    @abstractmethod
+    def _close_link(self, peer: NodeId, outbound: bool) -> None:
+        """Release whatever transport carries the just-dropped link.
 
-    def _credit_scale(self) -> int:
-        """Multiplier applied to port weights at each credit epoch.
-
-        Fairness between upstreams is a ratio of weights, so scaling
-        every allowance equally leaves it intact; what changes is the
-        granularity — one epoch moves ``weight * scale`` messages per
-        port.  The asyncio backend scales epochs up to batch size; the
-        simulator keeps per-message granularity (default 1) because its
-        figures observe the fine-grained interleaving.
+        Called by :meth:`_drop_downstream` (``outbound=True``) and
+        :meth:`_drop_upstream` (``False``) after the table entry is
+        gone; must tolerate a transport that is already closed, still
+        dialing, or absent.
         """
-        return 1
-
-    def _rounds_per_wakeup(self) -> int:
-        """How many switch rounds one engine wakeup may run (default 1).
-
-        A credit epoch moves only ``weight`` messages per port, so with
-        one round per wakeup a relay forwards a single message per
-        scheduler pass no matter how many are buffered.  The asyncio
-        backend raises this so one wakeup sweeps the whole backlog into
-        the send queues and the per-peer sender flushes it as one
-        batch.  The simulator keeps the default: its figures depend on
-        the one-round-per-step interleaving, and virtual-clock wakeups
-        cost nothing anyway.  Weighted fairness is unaffected — rounds
-        replenish credits by weight, so the *ratio* between competing
-        upstreams holds regardless of how many rounds run back to back.
-        """
-        return 1
-
-    def _source_burst(self) -> int:
-        """How many messages the source emits per wakeup (default 1).
-
-        A backend whose scheduler round-robins many tasks (asyncio) can
-        raise this so each source wakeup emits a *wave*: downstream
-        sweeps, sender drains, and ring batches then carry the whole
-        wave per cycle, amortizing the fixed per-wakeup costs that
-        otherwise dominate when exactly one message trickles through the
-        pipeline per event-loop pass.  The simulator keeps the default —
-        its virtual clock makes wakeups free, and figure determinism
-        depends on the one-emission-per-step cadence.
-        """
-        return 1
 
     @abstractmethod
-    def _send_buffer_levels(self) -> dict[str, int]:
-        """Occupancy of every outbound buffer, keyed by ``str(dest)``."""
+    def send_to_observer(self, msg: Message) -> None:
+        """Deliver a message to the observer over this backend's channel."""
 
     @abstractmethod
-    def _recv_rates(self, now: float) -> dict[str, float]:
-        """Measured inbound B/s per upstream, keyed by ``str(peer)``."""
-
-    @abstractmethod
-    def _send_rates(self, now: float) -> dict[str, float]:
-        """Measured outbound B/s per downstream, keyed by ``str(dest)``."""
-
-    @abstractmethod
-    def _up_rate_reports(self, now: float) -> Iterable[tuple[str, float]]:
-        """(peer, rate) pairs for periodic UP_THROUGHPUT notifications."""
-
-    @abstractmethod
-    def _down_rate_reports(self, now: float) -> Iterable[tuple[str, float]]:
-        """(peer, rate) pairs for periodic DOWN_THROUGHPUT notifications."""
-
-    @abstractmethod
-    def _stats_in(self, peer: NodeId) -> LinkStats | None:
-        """Inbound link statistics for ``peer``, if tracked."""
-
-    @abstractmethod
-    def _stats_out(self, peer: NodeId) -> LinkStats | None:
-        """Outbound link statistics for ``peer``, if tracked."""
+    def _request_shutdown(self) -> None:
+        """Begin this node's graceful termination."""
 
     # ------------------------------------------------------------- EngineServices
 
@@ -296,38 +272,63 @@ class EngineCore(ABC):
             self._control.put_force(msg)
             self._wake.set()
             return
-        self._dispatch(msg, dest)
+        if self._ins is not None and msg.type == MsgType.DATA:
+            self._data_sends += 1
+        link = self._out.get(dest)
+        if link is None:
+            self._connect(dest, first=msg)
+        else:
+            self._stage(msg, link)
 
-    def _stage(self, msg: Message, dest: NodeId, queue: MessageQueue) -> None:
-        """Enqueue one outbound message on an established connection.
+    def _stage(self, msg: Message, link: OutLink) -> None:
+        """Enqueue one outbound message on a link's send queue.
 
         Data respects the queue bound (deferring on overflow so the
         switch retries next round); control traffic is forced past it.
         """
         if msg.type == MsgType.DATA:
-            self._track_downstream(msg.app, dest)
-            if not queue.put_nowait(msg):
-                self._defer_data(msg, dest)
+            self._track_downstream(msg.app, link.dest)
+            if not link.queue.put_nowait(msg):
+                self._defer_data(msg, link.dest)
         else:
-            queue.put_force(msg)
+            link.queue.put_force(msg)
 
     def upstreams(self) -> list[NodeId]:
         """Peers with a receiver port on this node."""
         return [port.peer for port in self._scheduler.ports]
 
+    def downstreams(self) -> list[NodeId]:
+        """Peers this node holds an outbound link to (attached or dialing)."""
+        return list(self._out)
+
+    def disconnect(self, dest: NodeId) -> None:
+        """Gracefully tear down the link to ``dest`` (if any).
+
+        A deliberate local action, so no BROKEN_LINK is raised here (the
+        remote side still observes the closed transport through its own
+        failure path); whatever the send queue still held is counted lost.
+        """
+        self._drop_downstream(dest)
+
     def link_stats(self, peer: NodeId) -> LinkStatsSnapshot | None:
         """QoS snapshot for the link to/from ``peer`` (outgoing preferred)."""
-        stats = self._stats_out(peer)
-        if stats is None:
-            stats = self._stats_in(peer)
+        stats = self._stats_out(peer) or self._stats_in(peer)
         return None if stats is None else stats.snapshot(self.now())
+
+    def _stats_in(self, peer: NodeId) -> LinkStats | None:
+        port = self._scheduler.get_port(peer)
+        return None if port is None else port.stats
+
+    def _stats_out(self, peer: NodeId) -> LinkStats | None:
+        link = self._out.get(peer)
+        return None if link is None else link.stats
 
     def start_source(self, app: AppId, payload_size: int) -> None:
         """Deploy a back-to-back application data source here."""
         if app in self._sources or not self._running:
             return
         self._local_apps.add(app)
-        self._sources[app] = self._spawn(
+        self._sources[app] = self._launch(
             self._source_loop(app, payload_size), name=f"{self._node_id}/source-{app}"
         )
 
@@ -374,8 +375,8 @@ class EngineCore(ABC):
     def buffer_levels(self) -> dict[str, int]:
         """Receiver/sender buffer occupancy (for the observer's display)."""
         levels = {f"recv:{port.peer}": len(port.buffer) for port in self._scheduler.ports}
-        for dest, depth in self._send_buffer_levels().items():
-            levels[f"send:{dest}"] = depth
+        for link in self._out.values():
+            levels[f"send:{link.label}"] = len(link.queue)
         return levels
 
     def queue_snapshot(self) -> dict[str, dict]:
@@ -402,19 +403,15 @@ class EngineCore(ABC):
     # --------------------------------------------------------------------- engine
 
     async def _engine_loop(self) -> None:
-        self._on_engine_start()
         self.algorithm.on_start()
         while self._running:
             progressed = self._drain_control()
             if self._switch_round():
                 progressed = True
             if progressed:
-                # Backend policy: keep switching while buffered work
-                # remains before flushing and yielding.  Bounded even
-                # with a large budget — the inner rounds consume the
-                # (bounded) receive buffers and cannot refill them,
-                # since IO tasks only run after the yield below.
-                extra = self._rounds_per_wakeup() - 1
+                # Keep switching while buffered work remains, then yield
+                # once: the senders flush the whole sweep as one batch.
+                extra = self.ROUNDS_PER_WAKEUP - 1
                 while extra > 0:
                     more = self._drain_control()
                     if self._switch_round():
@@ -422,8 +419,7 @@ class EngineCore(ABC):
                     if not more:
                         break
                     extra -= 1
-                self._flush_round()
-                await self._yield_control()
+                await self._sleep(0)  # let IO tasks breathe under load
             else:
                 # No await happened since the last state change we saw, so
                 # clear-then-wait cannot lose a wake-up (cooperative tasks).
@@ -448,7 +444,7 @@ class EngineCore(ABC):
         elif msg.type == MsgType.SET_BANDWIDTH:
             self._apply_bandwidth(msg)
         elif msg.type == MsgType.CONNECT:
-            self._request_connect(NodeId.parse(msg.fields()["dest"]))
+            self._connect(NodeId.parse(msg.fields()["dest"]))
         elif msg.type == MsgType.DISCONNECT:
             self.disconnect(NodeId.parse(msg.fields()["dest"]))
         elif msg.type == MsgType.REQUEST:
@@ -503,8 +499,12 @@ class EngineCore(ABC):
             downstreams=[str(d) for d in self.downstreams()],
             recv_buffers=self._recv_buffer_levels(),
             send_buffers=self._send_buffer_levels(),
-            recv_rates=self._recv_rates(now),
-            send_rates=self._send_rates(now),
+            recv_rates={
+                p.label: p.stats.throughput.rate(now) for p in self._scheduler.ports_view()
+            },
+            send_rates={
+                link.label: link.stats.throughput.rate(now) for link in self._out.values()
+            },
             lost_messages=self._lost_messages,
             lost_bytes=self._lost_bytes,
             apps=sorted(self._local_apps | set(self._app_upstreams)),
@@ -517,6 +517,9 @@ class EngineCore(ABC):
 
     def _recv_buffer_levels(self) -> dict[str, int]:
         return {p.label: len(p.buffer) for p in self._scheduler.ports_view()}
+
+    def _send_buffer_levels(self) -> dict[str, int]:
+        return {link.label: len(link.queue) for link in self._out.values()}
 
     def _refresh_buffer_gauges(self) -> None:
         if self._ins is None:
@@ -603,7 +606,7 @@ class EngineCore(ABC):
                         break
             has_backlog = has_backlog and all_spent
         if has_backlog:
-            scheduler.replenish_credits(self._credit_scale())
+            scheduler.replenish_credits(self.CREDIT_SCALE)
             if ins is not None:
                 ins.n_credit_epochs += 1
             progressed = True  # rerun the switch with fresh credits
@@ -645,11 +648,11 @@ class EngineCore(ABC):
         placed_any = False
         still_remaining: list[NodeId] = []
         for dest in forward.remaining:
-            queue = self._outbound_queue(dest)
-            if queue is None or queue.closed:
+            link = self._out.get(dest)
+            if link is None:
                 placed_any = True  # destination vanished; drop the obligation
                 continue
-            if queue.put_nowait(forward.msg):
+            if link.queue.put_nowait(forward.msg):
                 placed_any = True
             else:
                 still_remaining.append(dest)
@@ -679,9 +682,129 @@ class EngineCore(ABC):
         else:
             # No switching context (e.g. algorithm reacting to a control
             # message): queue unconditionally rather than drop.
-            queue = self._outbound_queue(dest)
-            if queue is not None and not queue.closed:
-                queue.put_force(msg)
+            link = self._out.get(dest)
+            if link is not None:
+                link.queue.put_force(msg)
+
+    # ----------------------------------------------------------------------- links
+
+    def _connect(self, dest: NodeId, first: Message | None = None) -> None:
+        """Ensure an outbound link to ``dest``; ``first`` is staged on a new one.
+
+        The link and its bounded send queue exist from here on, so
+        everything sent while the backend is still dialing stages in
+        order, is flow-controlled like any full sender buffer, and shows
+        in :meth:`queue_snapshot`.
+        """
+        if dest in self._out or not self._running:
+            return
+        link = self._add_downstream(dest)
+        if first is not None:
+            self._stage(first, link)
+        self._open_link(dest)
+
+    def _add_downstream(self, dest: NodeId) -> OutLink:
+        """Create the table entry (and bounded send queue) toward ``dest``."""
+        link = self._out[dest] = OutLink(dest, self._new_queue(self.config.buffer_capacity))
+        return link
+
+    def _add_upstream(self, peer: NodeId, announce: bool = True) -> ReceiverPort:
+        """Register the receiver port for a new inbound link."""
+        port = ReceiverPort(peer=peer, buffer=self._new_queue(self.config.buffer_capacity))
+        self._scheduler.add_port(port)
+        if announce:
+            self._enqueue_notification(Message.with_fields(
+                MsgType.NEW_UPSTREAM, self._node_id, CONTROL_APP, peer=port.label
+            ))
+        return port
+
+    def _drop_downstream(
+        self, dest: NodeId, notify: str | None = None, undelivered: Iterable[Message] = ()
+    ) -> None:
+        """The one way an outbound link leaves the table.
+
+        Failure, disconnect and shutdown paths of both backends all end
+        here: the transport is released, ``undelivered`` (what the
+        transport had taken but not sent) plus everything still staged
+        is counted lost, and every obligation toward ``dest`` is pruned
+        so nothing stays parked on a link that no longer exists.
+        ``notify`` names the BROKEN_LINK direction for failures; a
+        deliberate local teardown passes ``None``.
+        """
+        link = self._out.pop(dest, None)
+        if link is None:
+            return
+        self._close_link(dest, outbound=True)
+        for msg in (*undelivered, *link.queue.drain()):
+            self._record_loss(msg, link.stats)
+        link.queue.close()
+        self.throttle.drop_link(dest)
+        for port in self._scheduler.ports:
+            port.discard_dest(dest)
+        if self._source_pending is not None:
+            for forward in self._source_pending:
+                forward.remaining = [d for d in forward.remaining if d != dest]
+        for peers in self._app_downstreams.values():
+            peers.discard(dest)
+        if notify is not None:
+            self._notify_broken_link(dest, notify)
+        self._send_space.set()
+        self._wake.set()
+
+    def _drop_upstream(self, peer: NodeId, notify: str | None = None) -> None:
+        """The one way an inbound link leaves the table.
+
+        Whatever the receiver buffer still holds is counted lost.  A
+        failure (``notify`` given) also raises BROKEN_LINK and runs the
+        domino: every application fed exclusively through ``peer`` has
+        lost its source.
+        """
+        port = self._scheduler.remove_port(peer)
+        if port is None:
+            return
+        self._close_link(peer, outbound=False)
+        for msg in port.buffer.drain():
+            self._record_loss(msg, port.stats)
+        port.buffer.close()
+        if notify is not None:
+            self._notify_broken_link(peer, notify)
+            self._domino_upstream_lost(peer)
+        self._wake.set()
+
+    # ----------------------------------------------------------------------- tasks
+
+    def _launch(self, coro: Coroutine, name: str) -> Any:
+        """Run ``coro`` as a background task owned by this engine.
+
+        Finished tasks prune themselves, so the set holds exactly the
+        unfinished ones and :meth:`_teardown` cancels them in one call.
+        """
+        task = self._spawn(coro, name)
+        self._tasks[task] = None
+        task.add_done_callback(self._task_done)
+        return task
+
+    def _task_done(self, task: Any) -> None:
+        self._tasks.pop(task, None)
+
+    def _teardown(self, keep: Any = None) -> list:
+        """Drop every link and cancel every task (``stop``/``terminate``).
+
+        Returns the cancelled tasks so an awaiting backend can reap
+        them; ``keep`` is the task running the shutdown itself.
+        """
+        self._sources.clear()
+        for dest in list(self._out):
+            self._drop_downstream(dest)
+        for port in self._scheduler.ports:
+            self._drop_upstream(port.peer)
+        self._wake.set()
+        self._send_space.set()
+        tasks = [task for task in self._tasks if task is not keep]
+        self._tasks.clear()
+        for task in tasks:
+            task.cancel()
+        return tasks
 
     # --------------------------------------------------------------------- source
 
@@ -689,10 +812,7 @@ class EngineCore(ABC):
         """Produce back-to-back data messages, flow-controlled by send buffers."""
         seq = 0
         while self._running and app in self._local_apps:
-            # Emit a burst per wakeup (backend policy, default 1); flow
-            # control still applies per message, so a full send buffer
-            # parks the whole wave until space frees up.
-            for _ in range(self._source_burst()):
+            for _ in range(self.SOURCE_BURST if self._out else 1):
                 if not (self._running and app in self._local_apps):
                     break
                 payload = self.algorithm.produce_payload(app, seq, payload_size)
@@ -715,8 +835,11 @@ class EngineCore(ABC):
                 finally:
                     self._source_pending = None
             # Pace the producer: bounds event volume when sends are never
-            # flow-controlled (see the backend's pacing policy).
-            await self._sleep(self._source_pacing())
+            # flow-controlled.
+            if self._out or self.SOURCE_INTERVAL > 0:
+                await self._sleep(self.SOURCE_INTERVAL)
+            else:
+                await self._sleep(IDLE_SOURCE_PACING)
 
     def _broadcast_broken_source(self, app: AppId) -> None:
         downstreams = self._app_downstreams.pop(app, set())
@@ -726,9 +849,9 @@ class EngineCore(ABC):
             MsgType.BROKEN_SOURCE, self._node_id, app, app=app, origin=str(self._node_id)
         )
         for dest in downstreams:
-            queue = self._outbound_queue(dest)
-            if queue is not None and not queue.closed:
-                queue.put_force(notice.clone())
+            link = self._out.get(dest)
+            if link is not None:
+                link.queue.put_force(notice.clone())
 
     def _propagate_broken_source(self, msg: Message, peer: NodeId) -> None:
         """Domino effect: the path through ``peer`` lost its source.
@@ -765,15 +888,15 @@ class EngineCore(ABC):
                 return
             self._refresh_buffer_gauges()
             now = self.now()
-            for peer, rate in self._up_rate_reports(now):
+            for port in self._scheduler.ports_view():
                 self._enqueue_notification(Message.with_fields(
                     MsgType.UP_THROUGHPUT, self._node_id, CONTROL_APP,
-                    peer=peer, rate=rate,
+                    peer=port.label, rate=port.stats.throughput.rate(now),
                 ))
-            for peer, rate in self._down_rate_reports(now):
+            for link in self._out.values():
                 self._enqueue_notification(Message.with_fields(
                     MsgType.DOWN_THROUGHPUT, self._node_id, CONTROL_APP,
-                    peer=peer, rate=rate,
+                    peer=link.label, rate=link.stats.throughput.rate(now),
                 ))
 
     def _send_boot(self) -> None:
@@ -797,8 +920,9 @@ class EngineCore(ABC):
             peer=str(peer), direction=direction,
         ))
 
-    def _record_loss(self, msg: Message) -> None:
-        """Cumulative node-level loss accounting (survives link teardown)."""
+    def _record_loss(self, msg: Message, stats: LinkStats) -> None:
+        """Count ``msg`` lost on its link and on the node (survives teardown)."""
+        stats.loss.record(msg.size)
         self._lost_messages += 1
         self._lost_bytes += msg.size
         if self._ins is not None:

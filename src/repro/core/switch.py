@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.buffer import CircularBuffer
 from repro.core.ids import NodeId
 from repro.core.message import Message
+from repro.core.stats import LinkStats
 
 
 @dataclass
@@ -70,6 +71,8 @@ class ReceiverPort:
     _pending_counted: bool = field(init=False, default=False, repr=False)
     #: messages the algorithm HOLDs are charged here for observability
     held: int = 0
+    #: inbound link statistics (throughput in, loss at teardown)
+    stats: LinkStats = field(default_factory=LinkStats)
     #: cumulative messages taken off this port by switch rounds
     switched: int = 0
     #: cumulative sends from this port deferred on a full sender buffer

@@ -2,15 +2,17 @@
 
 All switching semantics — control draining, the weighted-round-robin
 switch, pending-forward retries, probe/bandwidth/status handling, source
-pacing, telemetry — live in :class:`repro.core.engine_core.EngineCore`.
-This module supplies what is transport-specific: TCP server/dial
-machinery, one receiver task and one sender task per persistent
-full-duplex peer connection, and the resilience layer
-(:mod:`repro.net.resilience`): peer dials retry with bounded, jittered
-exponential backoff; a watchdog walks every peer link through the
-``LIVE -> SUSPECT -> PROBING -> DEAD`` ladder so silently stalled links
-are confirmed dead and torn down through the very same ``_peer_failed``
-domino as loud socket errors; and the observer link is supervised — a
+pacing, telemetry — and the link table with its teardown live in
+:class:`repro.core.engine_core.EngineCore`.  This module supplies the
+Clock (monotonic time, asyncio tasks) and the Transport: TCP server/dial
+machinery (one dial task per destination, attaching to the send queue
+the core created at the first ``send()``), one receiver task and one
+sender task per persistent full-duplex peer connection, and the
+resilience layer (:mod:`repro.net.resilience`): peer dials retry with
+bounded, jittered exponential backoff; a watchdog walks every peer link
+through the ``LIVE -> SUSPECT -> PROBING -> DEAD`` ladder so silently
+stalled links are confirmed dead and torn down through the very same
+``_peer_failed`` as loud socket errors; and the observer link is supervised — a
 bounded outbox buffers status/trace messages across observer reconnects
 (drop-oldest on overflow, every drop counted).  Fault injection lives in
 :mod:`repro.net.chaos`.
@@ -31,7 +33,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Any, Coroutine, Iterable
+from typing import TYPE_CHECKING, Any, Coroutine, Sequence
 
 from repro.core.algorithm import Algorithm
 from repro.core.bandwidth import BandwidthSpec
@@ -39,7 +41,6 @@ from repro.core.engine_core import EngineCore
 from repro.core.ids import CONTROL_APP, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.core.stats import LinkStats
 from repro.core.switch import ReceiverPort
 from repro.errors import BufferClosedError
 from repro.net.framing import (
@@ -96,13 +97,6 @@ class NetEngineConfig:
     #: it for cross-worker links.  Ignored while chaos is installed —
     #: fault injection targets the socket layer.
     shm_ring_bytes: int = 0
-    #: messages the source emits per wakeup.  asyncio round-robins every
-    #: runnable task once per loop cycle, so a burst of K turns each
-    #: cycle's switch sweeps, sender drains, and ring batches into
-    #: K-frame waves instead of single-message trickles — the fixed
-    #: per-wakeup costs amortize across the wave.  Flow control still
-    #: bounds the in-flight total via the send buffers.
-    source_burst: int = 32
 
 
 @dataclass
@@ -116,10 +110,7 @@ class _Peer:
     node: NodeId
     reader: Any
     writer: Any
-    send_queue: AsyncBoundedQueue
     port: ReceiverPort
-    stats_out: LinkStats
-    stats_in: LinkStats
     sender_task: asyncio.Task | None = None
     receiver_task: asyncio.Task | None = None
     #: wall time of the last frame received on this link (watchdog input)
@@ -137,6 +128,13 @@ class _Peer:
 class AsyncioEngine(EngineCore):
     """One live overlay node (engine + algorithm) on real TCP sockets."""
 
+    # asyncio round-robins every runnable task once per loop cycle, so
+    # batching at each stage turns a cycle's switch sweep, sender drain
+    # and ring batch into one wave instead of single-message trickles.
+    CREDIT_SCALE = 64  # one credit epoch covers a whole batch
+    ROUNDS_PER_WAKEUP = 256  # effectively: sweep the backlog, then yield once
+    SOURCE_BURST = 32
+
     def __init__(
         self,
         node_id: NodeId,
@@ -146,17 +144,16 @@ class AsyncioEngine(EngineCore):
     ) -> None:
         super().__init__(
             node_id, algorithm, config or NetEngineConfig(),
-            control=AsyncBoundedQueue(),
-            wake=asyncio.Event(),
-            send_space=asyncio.Event(),
+            new_queue=AsyncBoundedQueue,
+            new_event=asyncio.Event,
         )
         self._observer_addr = observer_addr
+        #: attached transports; a key of ``_out`` is here or in ``_dialing``
         self._peers: dict[NodeId, _Peer] = {}
         self._server: asyncio.AbstractServer | None = None
-        self._tasks: list[asyncio.Task] = []
         self._observer_writer: asyncio.StreamWriter | None = None
 
-        # resilience: coalesced in-flight dials, seeded backoff policies,
+        # resilience: one in-flight dial per destination, seeded backoff policies,
         # and the bounded observer outbox (drop-oldest on overflow).
         res = self.config.resilience
         self._dialing: dict[NodeId, asyncio.Task] = {}
@@ -187,10 +184,10 @@ class AsyncioEngine(EngineCore):
         self._bind_instruments()
         if self._observer_addr is not None:
             await self._connect_observer()
-        self._tasks.append(asyncio.ensure_future(self._engine_loop()))
-        self._tasks.append(asyncio.ensure_future(self._report_loop()))
+        self._launch(self._engine_loop(), name=f"{self._node_id}/engine")
+        self._launch(self._report_loop(), name=f"{self._node_id}/report")
         if self.config.resilience.inactivity_timeout is not None:
-            self._tasks.append(asyncio.ensure_future(self._watchdog_loop()))
+            self._launch(self._watchdog_loop(), name=f"{self._node_id}/watchdog")
 
     async def stop(self) -> None:
         """Graceful termination: close all sockets, cancel all tasks."""
@@ -198,12 +195,7 @@ class AsyncioEngine(EngineCore):
             return
         self._running = False
         self.algorithm.on_stop()
-        for task in self._sources.values():
-            task.cancel()
-        self._sources.clear()
-        for peer in list(self._peers.values()):
-            self._close_peer(peer)
-        self._peers.clear()
+        tasks = self._teardown(keep=asyncio.current_task())
         if self._observer_writer is not None:
             self._observer_writer.close()
             self._observer_writer = None
@@ -211,20 +203,29 @@ class AsyncioEngine(EngineCore):
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self._wake.set()
-        self._send_space.set()
         self._outbox_event.set()
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks.clear()
-        self._dialing.clear()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
-    # ------------------------------------------------------ Clock / ObserverSink
+    # ----------------------------------------------------------------------- Clock
 
     def now(self) -> float:
         """Wall-clock seconds (monotonic)."""
         return time.monotonic()
+
+    def _spawn(self, coro: Coroutine, name: str) -> asyncio.Task:
+        # ensure_future, not create_task: synchronous callers (tests
+        # driving an engine between loop runs) have no *running* loop
+        task = asyncio.ensure_future(coro)
+        task.set_name(name)
+        return task
+
+    async def _sleep(self, delay: float) -> None:
+        await asyncio.sleep(delay)
+
+    def _call_later(self, delay: float, callback: Any, *args: Any) -> None:
+        asyncio.get_running_loop().call_later(delay, callback, *args)
+
+    # ------------------------------------------------------------------- Transport
 
     def send_to_observer(self, msg: Message) -> None:
         """Queue a message for the observer via the reconnect outbox.
@@ -241,38 +242,21 @@ class AsyncioEngine(EngineCore):
             self._ins.n_observer_drops += 1
         self._outbox_event.set()
 
-    # -------------------------------------------------------------- Transport port
+    def _open_link(self, dest: NodeId) -> None:
+        self._dialing[dest] = self._launch(self._dial(dest), name=f"{self._node_id}/dial-{dest}")
 
-    def _dispatch(self, msg: Message, dest: NodeId) -> None:
-        if self._ins is not None and msg.type == MsgType.DATA:
-            self._data_sends += 1
-        peer = self._peers.get(dest)
-        if peer is None:
-            # Connection establishment is asynchronous; buffer the message
-            # with the connect task so send() itself never blocks.
-            self._tasks.append(asyncio.ensure_future(self._connect_and_send(dest, msg)))
-            return
-        self._enqueue_to_peer(peer, msg)
+    def _close_link(self, peer: NodeId, outbound: bool) -> None:
+        dial = self._dialing.pop(peer, None)
+        if dial is not None:
+            dial.cancel()
+        entry = self._peers.get(peer)
+        if entry is not None:
+            self._release(entry)
+            # full duplex: the other half cannot outlive the transport
+            (self._drop_upstream if outbound else self._drop_downstream)(peer)
 
-    def _enqueue_to_peer(self, peer: _Peer, msg: Message) -> None:
-        if peer.send_queue.closed:
-            return
-        self._stage(msg, peer.node, peer.send_queue)
-
-    async def _connect_and_send(self, dest: NodeId, msg: Message) -> None:
-        peer = await self._ensure_peer(dest)
-        if peer is None:
-            self._notify_broken_link(dest, direction="down")
-            return
-        self._enqueue_to_peer(peer, msg)
-
-    def _outbound_queue(self, dest: NodeId) -> AsyncBoundedQueue | None:
-        peer = self._peers.get(dest)
-        return None if peer is None else peer.send_queue
-
-    def downstreams(self) -> list[NodeId]:
-        """Peers this node holds a persistent connection to."""
-        return list(self._peers)
+    def _request_shutdown(self) -> None:
+        self._launch(self.stop(), name=f"{self._node_id}/stop")
 
     def transport_mix(self) -> dict[str, int]:
         """Live peer links counted by transport kind.
@@ -286,151 +270,57 @@ class AsyncioEngine(EngineCore):
             mix[kind] = mix.get(kind, 0) + 1
         return mix
 
-    def _request_connect(self, dest: NodeId) -> None:
-        self._tasks.append(asyncio.ensure_future(self.connect(dest)))
-
-    def _request_shutdown(self) -> None:
-        asyncio.ensure_future(self.stop())
-
-    def _spawn(self, coro: Coroutine, name: str) -> asyncio.Task:
-        return asyncio.ensure_future(coro)
-
-    async def _sleep(self, delay: float) -> None:
-        await asyncio.sleep(delay)
-
-    def _call_later(self, delay: float, callback: Any, *args: Any) -> None:
-        asyncio.get_running_loop().call_later(delay, callback, *args)
-
-    async def _yield_control(self) -> None:
-        await asyncio.sleep(0)  # let IO tasks breathe under load
-
-    def _source_pacing(self) -> float:
-        return 0.0 if self._peers else 0.01  # nobody to talk to; do not spin
-
-    def _source_burst(self) -> int:
-        return self.config.source_burst if self._peers else 1
-
-    def _rounds_per_wakeup(self) -> int:
-        # Effectively "sweep the whole backlog, then flush + yield once":
-        # the inner rounds drain the bounded receive buffers and stop as
-        # soon as a round makes no progress, so a generous budget costs
-        # nothing when idle yet turns each wakeup into a full-batch sweep
-        # under load.
-        return 256
-
-    def _credit_scale(self) -> int:
-        # One credit epoch covers a whole batch instead of one message;
-        # DRR fairness ratios are preserved (every weight scales alike),
-        # only the interleaving granularity coarsens.
-        return 64
-
-    def _send_buffer_levels(self) -> dict[str, int]:
-        return {str(n): len(p.send_queue) for n, p in self._peers.items()}
-
-    def _recv_rates(self, now: float) -> dict[str, float]:
-        return {str(n): p.stats_in.throughput.rate(now) for n, p in self._peers.items()}
-
-    def _send_rates(self, now: float) -> dict[str, float]:
-        return {str(n): p.stats_out.throughput.rate(now) for n, p in self._peers.items()}
-
-    def _up_rate_reports(self, now: float) -> Iterable[tuple[str, float]]:
-        for node, peer in list(self._peers.items()):
-            yield str(node), peer.stats_in.throughput.rate(now)
-
-    def _down_rate_reports(self, now: float) -> Iterable[tuple[str, float]]:
-        for node, peer in list(self._peers.items()):
-            yield str(node), peer.stats_out.throughput.rate(now)
-
-    def _stats_in(self, peer: NodeId) -> LinkStats | None:
-        entry = self._peers.get(peer)
-        return None if entry is None else entry.stats_in
-
-    def _stats_out(self, peer: NodeId) -> LinkStats | None:
-        entry = self._peers.get(peer)
-        return None if entry is None else entry.stats_out
-
     # ----------------------------------------------------------------- connections
 
     async def connect(self, dest: NodeId) -> bool:
         """Ensure a persistent connection to ``dest`` exists."""
-        return await self._ensure_peer(dest) is not None
+        self._connect(dest)
+        dial = self._dialing.get(dest)
+        if dial is not None:
+            # wait() neither cancels the dial when this caller is
+            # cancelled nor raises when the dial is
+            await asyncio.wait([dial])
+        return dest in self._peers
 
-    def disconnect(self, dest: NodeId) -> None:
-        """Gracefully tear down the connection to ``dest`` (if any).
+    async def _dial(self, dest: NodeId) -> None:
+        """The one supervised connect behind ``_out[dest]``.
 
-        Unlike :meth:`_peer_failed`, this is a deliberate local action:
-        no BROKEN_LINK notification is raised here (the remote side still
-        observes the closed transport through its own failure path).
+        Bounded retries with jittered backoff; success attaches the
+        transport to the link the core already created (draining what
+        was staged meanwhile, in order), exhaustion drops the link so
+        the staged messages are counted lost.
         """
-        peer = self._peers.pop(dest, None)
-        if peer is None:
-            return
-        for msg in peer.send_queue.drain():
-            peer.stats_out.loss.record(msg.size)
-            self._record_loss(msg)
-        self._close_peer(peer)
-        self.throttle.drop_link(dest)
-        for port in self._scheduler.ports:
-            port.discard_dest(dest)
-        if self._source_pending is not None:
-            for forward in self._source_pending:
-                forward.remaining = [d for d in forward.remaining if d != dest]
-        for app in list(self._app_downstreams):
-            self._app_downstreams[app].discard(dest)
-        self._send_space.set()
-        self._wake.set()
-
-    async def _ensure_peer(self, dest: NodeId) -> _Peer | None:
-        peer = self._peers.get(dest)
-        if peer is not None:
-            return peer
-        # Coalesce concurrent dials to one supervised attempt sequence:
-        # shield() keeps the dial alive if an individual caller is
-        # cancelled (stop() cancels the task itself).
-        task = self._dialing.get(dest)
-        if task is None or task.done():
-            task = asyncio.ensure_future(self._dial(dest))
-            self._dialing[dest] = task
-            self._tasks.append(task)
-        return await asyncio.shield(task)
-
-    async def _dial(self, dest: NodeId) -> _Peer | None:
-        """One supervised connect: bounded retries with jittered backoff."""
         res = self.config.resilience
-        attempts = max(1, res.connect_retries)
         try:
-            for attempt in range(attempts):
+            for attempt in range(max(1, res.connect_retries)):
                 if attempt:
                     await asyncio.sleep(self._peer_backoff.delay(attempt - 1))
-                if not self._running:
-                    return None
-                existing = self._peers.get(dest)
-                if existing is not None:  # an inbound connection won meanwhile
-                    return existing
+                if not self._running or dest in self._peers:
+                    return  # stopped, or an inbound connection won meanwhile
                 try:
                     reader, writer = await self._open_connection(dest)
                 except (OSError, asyncio.TimeoutError):
                     if self._ins is not None:
                         self._ins.n_connect_failures += 1
                     continue
+                existing = self._peers.get(dest)
                 if not self._running:  # stopped while the dial was in flight
                     writer.close()
-                    return None
-                existing = self._peers.get(dest)
-                if existing is not None:
+                elif existing is None:
+                    self._register_peer(dest, reader, writer, announce=False)
+                elif self._node_id < dest:
                     # Simultaneous connect: both sides dialed each other.
                     # Deterministic tie-break — the connection dialed by
                     # the lower NodeId is canonical on both ends.
-                    if self._node_id < dest:
-                        self._adopt_connection(existing, reader, writer)
-                    else:
-                        writer.close()
-                    return existing
-                return self._register_peer(dest, reader, writer)
-            return None
+                    self._adopt_connection(existing, reader, writer)
+                else:
+                    writer.close()
+                return
         finally:
             if self._dialing.get(dest) is asyncio.current_task():
                 del self._dialing[dest]
+                if self._running and dest not in self._peers:
+                    self._drop_downstream(dest, notify="down")
 
     async def _open_connection(self, dest: NodeId) -> tuple[Any, Any]:
         loopback = self.config.loopback
@@ -511,30 +401,25 @@ class AsyncioEngine(EngineCore):
             else:
                 writer.close()
             return
-        self._register_peer(peer_id, reader, writer)
-        self._enqueue_notification(
-            Message.with_fields(MsgType.NEW_UPSTREAM, self._node_id, CONTROL_APP, peer=str(peer_id))
-        )
+        self._register_peer(peer_id, reader, writer, announce=True)
 
-    def _register_peer(self, node: NodeId, reader: Any, writer: Any) -> _Peer:
-        buffer: AsyncBoundedQueue[Message] = AsyncBoundedQueue(self.config.buffer_capacity)
-        port = ReceiverPort(peer=node, buffer=buffer)  # type: ignore[arg-type]
-        peer = _Peer(
+    def _register_peer(self, node: NodeId, reader: Any, writer: Any, announce: bool) -> None:
+        """Attach a transport: it carries both directions of the link."""
+        if node not in self._out:  # inbound: the link is our way back, too
+            self._add_downstream(node)
+        peer = self._peers[node] = _Peer(
             node=node,
             reader=reader,
             writer=writer,
-            send_queue=AsyncBoundedQueue(self.config.buffer_capacity),
-            port=port,
-            stats_out=LinkStats(),
-            stats_in=LinkStats(),
+            port=self._add_upstream(node, announce),
             last_recv_at=self.now(),
         )
-        self._peers[node] = peer
-        self._scheduler.add_port(port)
-        peer.sender_task = asyncio.ensure_future(self._sender_loop(peer, peer.epoch))
-        peer.receiver_task = asyncio.ensure_future(self._receiver_loop(peer, peer.epoch))
-        self._tasks.extend([peer.sender_task, peer.receiver_task])
-        return peer
+        self._start_io(peer)
+
+    def _start_io(self, peer: _Peer) -> None:
+        name, epoch = f"{self._node_id}/{peer.node}", peer.epoch
+        peer.sender_task = self._launch(self._sender_loop(peer, epoch), name=f"{name}/send")
+        peer.receiver_task = self._launch(self._receiver_loop(peer, epoch), name=f"{name}/recv")
 
     def _adopt_connection(self, peer: _Peer, reader: Any, writer: Any) -> None:
         """Swap ``peer``'s transport for the canonical connection.
@@ -547,50 +432,31 @@ class AsyncioEngine(EngineCore):
         tearing down the adopted link on their way out.
         """
         peer.epoch += 1
-        for task in (peer.sender_task, peer.receiver_task):
-            if task is not None:
-                task.cancel()
+        peer.sender_task.cancel()
+        peer.receiver_task.cancel()
         peer.writer.close()
         peer.reader = reader
         peer.writer = writer
         peer.last_recv_at = self.now()
         peer.health = LinkHealth.LIVE
         peer.probe_deadline = None
-        peer.sender_task = asyncio.ensure_future(self._sender_loop(peer, peer.epoch))
-        peer.receiver_task = asyncio.ensure_future(self._receiver_loop(peer, peer.epoch))
-        self._tasks.extend([peer.sender_task, peer.receiver_task])
+        self._start_io(peer)
 
-    def _close_peer(self, peer: _Peer) -> None:
-        peer.send_queue.close()
+    def _release(self, peer: _Peer) -> None:
+        """Close ``peer``'s transport and stop its IO tasks."""
+        del self._peers[peer.node]
         peer.writer.close()
-        if peer.sender_task is not None:
-            peer.sender_task.cancel()
-        if peer.receiver_task is not None:
-            peer.receiver_task.cancel()
-        self._scheduler.remove_port(peer.node)
+        peer.sender_task.cancel()
+        peer.receiver_task.cancel()
 
-    def _peer_failed(self, peer: _Peer) -> None:
+    def _peer_failed(self, peer: _Peer, undelivered: Sequence[Message] = ()) -> None:
+        """The transport died: both halves of the link fail together."""
         if self._peers.get(peer.node) is not peer:
             return
-        del self._peers[peer.node]
-        for msg in peer.send_queue.drain():
-            peer.stats_out.loss.record(msg.size)
-            self._record_loss(msg)
-        self._close_peer(peer)
-        self.throttle.drop_link(peer.node)
-        for port in self._scheduler.ports:
-            port.discard_dest(peer.node)
-        if self._source_pending is not None:
-            for forward in self._source_pending:
-                forward.remaining = [d for d in forward.remaining if d != peer.node]
-        for app in list(self._app_downstreams):
-            self._app_downstreams[app].discard(peer.node)
-        self._notify_broken_link(peer.node, direction="both")
-        # Domino effect: a full-duplex peer was also an upstream, so any
-        # application fed exclusively through it has lost its source.
-        self._domino_upstream_lost(peer.node)
-        self._send_space.set()
-        self._wake.set()
+        self._release(peer)
+        self._drop_downstream(peer.node, undelivered=undelivered)
+        # a full-duplex peer was also an upstream: one BROKEN_LINK, one domino
+        self._drop_upstream(peer.node, notify="both")
 
     # ------------------------------------------------------------------- observer
 
@@ -608,9 +474,9 @@ class AsyncioEngine(EngineCore):
             self._observer_addr, self._node_id, timeout=self.config.connect_timeout
         )
         self._observer_writer = writer
-        self._tasks.append(asyncio.ensure_future(self._observer_reader(reader, writer)))
+        self._launch(self._observer_reader(reader, writer), name=f"{self._node_id}/observer-read")
         self._send_boot()
-        self._tasks.append(asyncio.ensure_future(self._observer_loop()))
+        self._launch(self._observer_loop(), name=f"{self._node_id}/observer")
 
     def _drop_observer_writer(self, writer: asyncio.StreamWriter) -> None:
         """Forget a failed observer link and wake the supervisor."""
@@ -668,8 +534,8 @@ class AsyncioEngine(EngineCore):
                     continue
                 attempt = 0
                 self._observer_writer = writer
-                self._tasks.append(
-                    asyncio.ensure_future(self._observer_reader(reader, writer))
+                self._launch(
+                    self._observer_reader(reader, writer), name=f"{self._node_id}/observer-read"
                 )
                 if self._ins is not None:
                     self._ins.n_observer_reconnects += 1
@@ -719,7 +585,8 @@ class AsyncioEngine(EngineCore):
         flushed before the sleep so pacing never holds released bytes
         hostage.
         """
-        queue = peer.send_queue
+        link = self._out[peer.node]
+        queue = link.queue
         throttle = self.throttle
         writer = peer.writer
         batch: list[Message] = []
@@ -750,16 +617,14 @@ class AsyncioEngine(EngineCore):
                     flushed = len(batch)
                 except (ConnectionError, OSError):
                     if self._running and peer.epoch == epoch:
-                        for msg in batch[flushed:]:
-                            peer.stats_out.loss.record(msg.size)
-                        self._peer_failed(peer)
+                        self._peer_failed(peer, undelivered=batch[flushed:])
                     return
                 now = self.now()
                 ins = self._ins
                 nbytes = 0
                 for msg in batch:
                     nbytes += msg.size
-                peer.stats_out.throughput.record_bulk(nbytes, len(batch), now)
+                link.stats.throughput.record_bulk(nbytes, len(batch), now)
                 if ins is not None:
                     for msg in batch:
                         if msg.type == MsgType.DATA:
@@ -780,7 +645,7 @@ class AsyncioEngine(EngineCore):
         reader = peer.reader
         throttle = self.throttle
         buffer = peer.port.buffer
-        meter = peer.stats_in.throughput
+        meter = peer.port.stats.throughput
         # Batch surface (shm endpoints): after one awaited frame, every
         # other frame of the same burst is handed over synchronously.
         drain_frames = getattr(reader, "drain_frames", None)
@@ -915,13 +780,11 @@ class AsyncioEngine(EngineCore):
 
     def _send_liveness_probe(self, peer: _Peer, now: float) -> None:
         """SUSPECT -> PROBING: one probe, one deadline."""
-        if peer.send_queue.closed:
-            return
         probe = Message.with_fields(
             MsgType.HEARTBEAT, self._node_id, CONTROL_APP,
             probe="req", t0=now, origin=str(self._node_id), liveness=1,
         )
-        peer.send_queue.put_force(probe)
+        self._out[peer.node].queue.put_force(probe)
         peer.health = LinkHealth.PROBING
         peer.probe_deadline = now + self.config.resilience.probe_timeout
         if self._ins is not None:

@@ -363,7 +363,8 @@ class ShmEndpoint:
                     if out.writable == 0:
                         await self._park()
                 finally:
-                    out.park_producer(False)
+                    if not self._closed:  # close() released the ring memory
+                        out.park_producer(False)
         finally:
             data.release()
             del self._pending[:written]
@@ -433,7 +434,8 @@ class ShmEndpoint:
                 if self._in.readable == 0 and not self._eof:
                     await self._park()
             finally:
-                self._in.park_consumer(False)
+                if not self._closed:  # close() released the ring memory
+                    self._in.park_consumer(False)
 
     # --- shared stream surface -------------------------------------------------
 

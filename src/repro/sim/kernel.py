@@ -217,6 +217,10 @@ class Task:
             self._done_futures.append(future)
         return future
 
+    def add_done_callback(self, callback: Callable[["Task"], None]) -> None:
+        """Call ``callback(task)`` when this task finishes (asyncio's surface)."""
+        self.join().add_done_callback(lambda _future: callback(self))
+
     # --- control -----------------------------------------------------------------
 
     def cancel(self) -> None:

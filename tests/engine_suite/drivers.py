@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.core.bandwidth import BandwidthSpec
 from repro.net.engine import NetEngineConfig
 from repro.net.virtual import VirtualHost
 from repro.sim.engine import EngineConfig
@@ -38,10 +39,11 @@ class SimCluster:
         self.net = SimNetwork()
         self._engines = []
 
-    def add_node(self, algorithm):
-        node_id = self.net.add_node(
-            algorithm, config=EngineConfig(report_interval=REPORT_INTERVAL)
-        )
+    def add_node(self, algorithm, up: float | None = None):
+        """Add a node; ``up`` caps its total uplink in bytes/second."""
+        node_id = self.net.add_node(algorithm, config=EngineConfig(
+            report_interval=REPORT_INTERVAL, bandwidth=BandwidthSpec(up=up),
+        ))
         engine = self.net.engine(node_id)
         self._engines.append(engine)
         return engine
@@ -86,10 +88,11 @@ class NetCluster:
         self.host = VirtualHost()
         self._started = False
 
-    def add_node(self, algorithm):
-        return self.host.add_node(
-            algorithm, config=NetEngineConfig(report_interval=REPORT_INTERVAL)
-        )
+    def add_node(self, algorithm, up: float | None = None):
+        """Add a node; ``up`` caps its total uplink in bytes/second."""
+        return self.host.add_node(algorithm, config=NetEngineConfig(
+            report_interval=REPORT_INTERVAL, bandwidth=BandwidthSpec(up=up),
+        ))
 
     def start(self) -> None:
         self.loop.run_until_complete(self.host.start())

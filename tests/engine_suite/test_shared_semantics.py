@@ -159,3 +159,112 @@ def test_measure_round_trip(cluster):
     assert peer == echoer.node_id
     assert rtt >= 0.0
     assert send_rate >= 0.0
+
+
+class SeqSink(SinkAlgorithm):
+    """Sink that records the sequence number of every data message."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seqs: list[int] = []
+
+    def on_data(self, msg):
+        self.seqs.append(msg.seq)
+        return super().on_data(msg)
+
+
+def _lost_messages(engine) -> int:
+    return engine._status_report().fields()["lost_messages"]
+
+
+def test_lazy_dial_delivers_in_order_without_loss(cluster):
+    """Messages sent while a link is still being dialed keep their order.
+
+    The relay is never told to connect: its first forward opens the
+    link, and everything it forwards meanwhile must stage behind that
+    first message instead of overtaking it once the transport is up.
+    """
+    src_alg, relay_alg, sink_alg = CopyForwardAlgorithm(), CopyForwardAlgorithm(), SeqSink()
+    src, relay, sink = (cluster.add_node(alg) for alg in (src_alg, relay_alg, sink_alg))
+    cluster.start()
+    src_alg.set_downstreams([relay.node_id])
+    relay_alg.set_downstreams([sink.node_id])
+    cluster.connect(src, relay)
+    src.start_source(app=APP, payload_size=200)
+    cluster.settle(0.5)
+    src.stop_source(APP)
+    cluster.settle(0.3)  # drain
+    assert len(sink_alg.seqs) > 100
+    assert sink_alg.seqs == list(range(len(sink_alg.seqs))), (
+        f"{cluster.backend} reordered or dropped across the lazy dial"
+    )
+    assert len(sink_alg.seqs) == relay_alg.received
+    assert [_lost_messages(engine) for engine in (src, relay, sink)] == [0, 0, 0]
+
+
+def test_disconnect_under_live_source_wakes_it(cluster):
+    """disconnect() frees a source parked on the link's full send queue.
+
+    The uplink cap keeps the send queue full, so the source is blocked
+    on flow control when its only downstream is disconnected.  It must
+    wake, drop the obligation (counted lost with the rest of the queue)
+    and carry on — its next send re-dials the sink.
+    """
+    src_alg, sink_alg = RecordingSink(), SinkAlgorithm()
+    src, sink = cluster.add_node(src_alg, up=50_000.0), cluster.add_node(sink_alg)
+    cluster.start()
+    src_alg.set_downstreams([sink.node_id])
+    cluster.connect(src, sink)
+    src.start_source(app=APP, payload_size=1000)
+    cluster.settle(0.5)
+    queued = src.queue_snapshot()["send"][str(sink.node_id)]
+    assert queued >= src.config.buffer_capacity  # the source is flow-controlled
+    src.disconnect(sink.node_id)
+    assert src_alg.broken_links == []
+    assert _lost_messages(src) >= queued
+    cluster.settle(0.2)  # whatever was on the wire lands
+    before = sink_alg.received
+    cluster.settle(1.0)
+    assert sink_alg.received >= before + 10, (
+        f"{cluster.backend} source stayed parked after disconnect"
+    )
+    assert sink.node_id in src.downstreams()
+
+
+def test_dead_upstream_receive_buffer_is_counted_lost(cluster):
+    """What a dead upstream's receiver buffer still held is counted lost.
+
+    The relay's uplink is frozen (one message takes ~1000 s), so once
+    its send queue is full nothing leaves its receiver buffer; the
+    source trickles in at 100 msg/s and is killed while that buffer is
+    partly full.  The buffer is discarded with the port, and the STATUS
+    report has to account for every message in it.
+    """
+    src_alg, relay_alg, sink_alg = CopyForwardAlgorithm(), CopyForwardAlgorithm(), SinkAlgorithm()
+    src = cluster.add_node(src_alg, up=100_000.0)
+    relay = cluster.add_node(relay_alg, up=1.0)
+    sink = cluster.add_node(sink_alg)
+    cluster.start()
+    src_alg.set_downstreams([relay.node_id])
+    relay_alg.set_downstreams([sink.node_id])
+    cluster.connect(src, relay)
+    cluster.connect(relay, sink)
+    src.start_source(app=APP, payload_size=1000)
+
+    def buffered() -> int:
+        return relay.queue_snapshot()["recv"][str(src.node_id)][0]
+
+    for _ in range(100):
+        cluster.settle(0.05)
+        if buffered() >= 8:
+            break
+    held = buffered()
+    assert 8 <= held < relay.config.buffer_capacity
+    assert _lost_messages(relay) == 0
+    cluster.kill(src)
+    cluster.settle(0.5)
+    assert src.node_id not in relay.upstreams()
+    # whatever was still on the wire at the kill lands in the buffer first
+    assert held <= _lost_messages(relay) <= held + 8, (
+        f"{cluster.backend} discarded a receiver buffer without counting it"
+    )

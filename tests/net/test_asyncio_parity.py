@@ -50,7 +50,14 @@ def test_measure_probe_returns_rtt():
 
 
 def test_wrr_weights_split_on_asyncio_engine():
-    """The deficit-WRR behaviour (see sim ablation) holds on real sockets."""
+    """The deficit-WRR behaviour (see sim ablation) holds on real sockets.
+
+    The batched backend grants ``weight * CREDIT_SCALE`` per credit epoch
+    and one port spends its whole allowance before the other moves, so
+    the weight ratio shows at the sink over whole epochs, not inside one.
+    The uplink is sized so four epochs (1024 messages) pass in seconds,
+    and the per-app deliveries are counted at the sink across them.
+    """
 
     class PerAppSink(SinkAlgorithm):
         def __init__(self):
@@ -65,7 +72,7 @@ def test_wrr_weights_split_on_asyncio_engine():
         relay_alg = CopyForwardAlgorithm()
         sink = PerAppSink()
         config = NetEngineConfig(buffer_capacity=8,
-                                 bandwidth=BandwidthSpec(up=200_000.0))
+                                 bandwidth=BandwidthSpec(up=4_000_000.0))
         relay = await start(relay_alg, config=config)
         out = await start(sink)
         relay_alg.set_downstreams([out.node_id])
@@ -80,15 +87,23 @@ def test_wrr_weights_split_on_asyncio_engine():
         await asyncio.sleep(0.4)
         relay.set_port_weight(src1.node_id, 3)
         relay.set_port_weight(src2.node_id, 1)
-        baseline = dict(sink.per_app)
-        await asyncio.sleep(1.5)
-        delta = {app: sink.per_app.get(app, 0) - baseline.get(app, 0) for app in (1, 2)}
+
+        async def delivered_after_epochs(count):
+            target = relay._scheduler.epochs + count
+            while relay._scheduler.epochs < target:
+                await asyncio.sleep(0.002)
+            return dict(sink.per_app)
+
+        # The window opens and closes on an epoch boundary of the relay.
+        baseline = await asyncio.wait_for(delivered_after_epochs(1), timeout=20)
+        final = await asyncio.wait_for(delivered_after_epochs(4), timeout=20)
+        delta = {app: final.get(app, 0) - baseline.get(app, 0) for app in (1, 2)}
         for engine in (src1, src2, relay, out):
             await engine.stop()
         return delta
 
     delta = run(scenario())
-    assert delta[1] > 2.0 * delta[2], delta
+    assert delta[2] > 0 and delta[1] > 2.0 * delta[2], delta
 
 
 def test_hold_disposition_on_asyncio_engine():

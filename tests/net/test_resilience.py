@@ -154,6 +154,39 @@ def test_concurrent_sends_coalesce_to_one_dial():
     assert n_peers == 1
 
 
+def test_task_set_holds_only_unfinished_tasks():
+    """Across a failed dial, a redial and a simultaneous-connect adopt
+    the core's task set never keeps a finished task, and ``stop()``
+    leaves it empty."""
+
+    async def settled_tasks(engine):
+        await asyncio.sleep(0.05)  # done-callbacks run a loop pass later
+        return list(engine._tasks)
+
+    async def scenario():
+        a = await start(BrokenLinkRecorder(), NetEngineConfig(
+            resilience=fast_resilience(connect_retries=2)))
+        b_addr = next_addr()
+        assert not await a.connect(b_addr)  # nobody listens yet: dial fails
+        assert b_addr not in a.downstreams() and a._dialing == {}
+        baseline = len(await settled_tasks(a))  # engine + report loops
+
+        b = await start(BrokenLinkRecorder(), NetEngineConfig(resilience=fast_resilience()),
+                        addr=b_addr)
+        ok = await asyncio.gather(a.connect(b_addr), b.connect(a.node_id))  # redial + adopt
+        assert ok == [True, True]
+        await asyncio.sleep(0.2)  # let the losing socket close resolve
+        for engine in (a, b):
+            tasks = await settled_tasks(engine)
+            assert all(not task.done() for task in tasks)
+            assert len(tasks) == baseline + 2  # one sender, one receiver
+        for engine in (a, b):
+            await engine.stop()
+            assert engine._tasks == {} and engine._dialing == {}
+
+    run(scenario())
+
+
 # ------------------------------------------------------- simultaneous connect
 
 

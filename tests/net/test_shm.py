@@ -175,6 +175,30 @@ class TestShmEndpoint:
 
         run(scenario())
 
+    def test_close_while_parked_lets_the_cancel_through(self):
+        """``close()`` releases the ring memory; a reader or writer parked
+        at that moment and then cancelled (how the engine tears a peer
+        down) must end as cancelled, not trip over the released ring
+        while clearing its park flag."""
+
+        async def scenario():
+            a, b = await endpoint_pair(ring_bytes=4096)
+            reader = asyncio.ensure_future(a.recv_message())  # nothing to read
+            for i in range(4):  # twice the ring, nobody consuming
+                a.send_message(data_msg(i, b"z" * 2000))
+            writer = asyncio.ensure_future(a.drain())
+            await asyncio.sleep(0.05)
+            assert not reader.done() and not writer.done()  # both parked
+            a.close()
+            reader.cancel()
+            writer.cancel()
+            outcomes = await asyncio.gather(reader, writer, return_exceptions=True)
+            b.close()
+            return outcomes
+
+        outcomes = run(scenario())
+        assert [type(o) for o in outcomes] == [asyncio.CancelledError] * 2, outcomes
+
     def test_owner_close_unlinks_both_segments(self):
         async def scenario():
             a, b = await endpoint_pair()

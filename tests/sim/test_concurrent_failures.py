@@ -95,8 +95,8 @@ def test_two_upstreams_die_in_the_same_round_no_stale_state():
     net.run(6)
 
     # No stale NodeIds anywhere on the relay.
-    for mapping in (relay._senders, relay._upstream_links,
-                    relay._recv_stats, relay._last_recv_at):
+    for mapping in (relay._out, relay._senders, relay._upstream_links,
+                    relay._last_recv_at):
         assert a not in mapping and b not in mapping, mapping
     assert {p.peer for p in relay._scheduler.ports} == {s}
     assert a not in relay.throttle._links and b not in relay.throttle._links

@@ -207,3 +207,49 @@ def test_on_demand_measurement_returns_rtt_and_rate():
     assert peer == b
     # RTT is at least two one-way latencies of 20 ms.
     assert 0.04 <= rtt < 0.2
+
+
+def test_terminate_leaves_no_tracked_task():
+    """The core's task set holds only unfinished tasks, ``terminate()``
+    empties it in one call, and the kernel is left with no live task of
+    that node (asyncio twin: ``tests/net/test_resilience.py``)."""
+    net = SimNetwork()
+    src_alg = CopyForwardAlgorithm()
+    src, sink = net.add_node(src_alg), net.add_node(SinkAlgorithm())
+    src_alg.set_downstreams([sink])
+    net.start()
+    engine = net.engine(src)
+    engine.start_source(app=1, payload_size=100)
+    net.run(1.0)
+    engine.stop_source(1)
+    engine.disconnect(sink)  # the sender task ends and prunes itself
+    net.run(0.1)
+    assert engine._tasks and all(not task.finished for task in engine._tasks)
+    assert not any("send-" in task.name or "source-" in task.name for task in engine._tasks)
+    engine.terminate()
+    assert engine._tasks == {}
+    net.run(0.1)
+    assert not [t for t in net.kernel.live_tasks if t.name.startswith(f"{src}/")]
+
+
+def test_superseded_link_counts_the_message_in_hand():
+    """A re-dial supersedes the peer's previous link while its receiver
+    task still holds a message in latency: that message dies with the
+    old link and is counted, not silently dropped."""
+    net = SimNetwork(NetworkConfig(default_latency=0.05))
+    src_alg = CopyForwardAlgorithm()
+    src, sink = net.add_node(src_alg), net.add_node(SinkAlgorithm())
+    src_alg.set_downstreams([sink])
+    net.start()
+    sender, receiver = net.engine(src), net.engine(sink)
+    sender.start_source(app=1, payload_size=100)
+    net.run(1.0)
+    sender.stop_source(1)
+    old_link = receiver._upstream_links[src]
+    sender.disconnect(sink)
+    sender.connect(sink)  # before the old receiver task has noticed
+    assert receiver._upstream_links[src] is not old_link
+    assert receiver._lost_messages == 0  # the sink's buffer was empty
+    net.run(0.2)
+    assert receiver._lost_messages == 1
+    assert receiver._status_report().fields()["lost_messages"] == 1

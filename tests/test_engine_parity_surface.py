@@ -1,11 +1,14 @@
-"""Drift guard: backends must not reimplement EngineCore-owned methods.
+"""Drift guard: one seam between EngineCore and its backends.
 
 The two engines spent three PRs drifting apart before the shared core
-existed (``disconnect`` only on sim, loss counters only on sim, probe
-handling diverging).  This static check walks the AST of both backend
-modules and fails if either defines a method that :class:`EngineCore`
-owns concretely — the only legitimate overrides are the abstract
-Transport/Clock/ObserverSink port methods and the documented hooks.
+existed, and the seam then grew to 25 override points (18 abstract
+methods plus 7 policy hooks).  This static check pins it down:
+
+- the override points are listed **once**, here, and their number is
+  asserted, so the seam cannot regrow silently;
+- a backend may define nothing :class:`EngineCore` owns concretely;
+- a backend may create tasks only inside ``_spawn`` — every task is then
+  launched through the core's tracked, self-pruning set.
 """
 
 import ast
@@ -19,12 +22,21 @@ BACKENDS = {
     "AsyncioEngine": SRC / "net" / "engine.py",
 }
 
-#: overridable extension points, documented as such in EngineCore
-HOOKS = {"_yield_control", "_on_engine_start", "_source_pacing", "_source_burst",
-         "_rounds_per_wakeup", "_credit_scale", "_flush_round"}
+#: the Clock: time and tasks (``_sleep(0)`` is the engine loop's yield)
+CLOCK = {"now", "_sleep", "_call_later", "_spawn"}
+#: the Transport: links, the observer channel, shutdown
+TRANSPORT = {"_open_link", "_close_link", "send_to_observer", "_request_shutdown"}
+#: pacing values a backend sets: as plain class attributes, or from its
+#: config in ``__init__`` (the simulator's ``SOURCE_INTERVAL``)
+POLICY = {"CREDIT_SCALE", "ROUNDS_PER_WAKEUP", "SOURCE_BURST", "SOURCE_INTERVAL"}
+
+MAX_OVERRIDE_POINTS = 12
 
 #: backends define their own constructor (it calls super().__init__)
 ALWAYS_ALLOWED = {"__init__"}
+
+#: calls that create a task, by the attribute or name being called
+TASK_CREATORS = {"ensure_future", "create_task", "spawn"}
 
 
 def _class_def(tree: ast.Module, name: str) -> ast.ClassDef:
@@ -42,6 +54,26 @@ def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef | ast.AsyncFunction
     }
 
 
+def _class_attributes(cls: ast.ClassDef) -> set[str]:
+    names: set[str] = set()
+    for node in cls.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        )
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _policy_reads(cls: ast.ClassDef) -> set[str]:
+    """Upper-case ``self.X`` attributes the class reads or sets."""
+    return {
+        node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and node.attr.isupper()
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
 def _is_abstract(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     for deco in fn.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
@@ -51,20 +83,44 @@ def _is_abstract(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
+def _core() -> ast.ClassDef:
+    return _class_def(ast.parse(CORE_FILE.read_text()), "EngineCore")
+
+
+def _backend(cls_name: str) -> ast.ClassDef:
+    return _class_def(ast.parse(BACKENDS[cls_name].read_text()), cls_name)
+
+
 def core_owned_methods() -> set[str]:
-    """Concrete (non-abstract, non-hook) methods EngineCore owns."""
-    tree = ast.parse(CORE_FILE.read_text())
-    core = _class_def(tree, "EngineCore")
-    owned = {
-        name
-        for name, fn in _methods(core).items()
-        if not _is_abstract(fn)
-    }
-    return owned - HOOKS - ALWAYS_ALLOWED
+    """Concrete (non-abstract) methods EngineCore owns."""
+    return {
+        name for name, fn in _methods(_core()).items() if not _is_abstract(fn)
+    } - ALWAYS_ALLOWED
+
+
+def test_the_seam_is_listed_once_and_cannot_regrow():
+    """EngineCore's abstract methods and upper-case class attributes are
+    exactly the override points named above, and there are at most 12."""
+    core = _core()
+    abstract = {name for name, fn in _methods(core).items() if _is_abstract(fn)}
+    assert abstract == CLOCK | TRANSPORT
+    assert {name for name in _class_attributes(core) if name.isupper()} == POLICY
+    assert _policy_reads(core) == POLICY
+    assert len(CLOCK | TRANSPORT | POLICY) <= MAX_OVERRIDE_POINTS
+
+
+def test_the_core_does_not_probe_its_config_for_backend_fields():
+    """A policy that differs by backend is a named value on the seam, not
+    a ``getattr(config, ...)`` that asks which backend's config this is."""
+    probes = [
+        node for node in ast.walk(_core())
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("getattr", "hasattr")
+    ]
+    assert not probes, [ast.unparse(node) for node in probes]
 
 
 def test_core_owns_the_switching_semantics():
-    """Sanity: the extraction actually moved the semantics into the core."""
+    """Sanity: the semantics, the link table and the task set live in the core."""
     owned = core_owned_methods()
     for essential in (
         "send", "_stage", "_engine_loop", "_drain_control", "_engine_process",
@@ -72,32 +128,57 @@ def test_core_owns_the_switching_semantics():
         "_handle_probe", "_apply_bandwidth", "_status_report", "_source_loop",
         "_report_loop", "_broadcast_broken_source", "_propagate_broken_source",
         "start_source", "stop_source", "set_timer", "set_port_weight", "measure",
+        "downstreams", "disconnect", "_connect", "_add_upstream",
+        "_drop_downstream", "_drop_upstream", "_send_buffer_levels",
+        "_stats_in", "_stats_out", "_launch", "_teardown",
     ):
         assert essential in owned, f"EngineCore no longer owns {essential}"
 
 
 def test_backends_do_not_reimplement_core_methods():
+    """Nothing the core owns — or absorbed from the old hook list — is
+    defined by a backend, and a backend sets no class attribute beyond
+    the pacing values."""
     owned = core_owned_methods()
-    offenders = {}
-    for cls_name, path in BACKENDS.items():
-        tree = ast.parse(path.read_text())
-        backend = _class_def(tree, cls_name)
-        overlap = sorted(set(_methods(backend)) & owned)
-        if overlap:
-            offenders[cls_name] = overlap
-    assert not offenders, (
-        "backends redefine EngineCore-owned methods (the drift the shared "
-        f"core exists to prevent): {offenders}"
-    )
+    #: per-peer tables and policy hooks the core absorbed; they must not
+    #: come back under their old names either
+    retired = {
+        "_dispatch", "_outbound_queue", "_recv_rates", "_send_rates",
+        "_up_rate_reports", "_down_rate_reports", "_flush_round",
+        "_credit_scale", "_rounds_per_wakeup", "_source_burst", "_source_pacing",
+        "_on_engine_start", "_request_connect", "_yield_control",
+    }
+    for cls_name in BACKENDS:
+        backend = _backend(cls_name)
+        methods = set(_methods(backend))
+        assert not methods & owned, (
+            f"{cls_name} redefines EngineCore-owned methods (the drift the "
+            f"shared core exists to prevent): {sorted(methods & owned)}"
+        )
+        assert not methods & retired, f"{cls_name} regrew {sorted(methods & retired)}"
+        assert _class_attributes(backend) <= POLICY
+        assert _policy_reads(backend) <= POLICY
 
 
 def test_backends_implement_every_abstract_port_method():
-    """The inverse direction: each backend supplies the full port protocol."""
-    tree = ast.parse(CORE_FILE.read_text())
-    core = _class_def(tree, "EngineCore")
-    abstract = {name for name, fn in _methods(core).items() if _is_abstract(fn)}
-    assert abstract, "EngineCore lost its abstract port protocol"
+    """The inverse direction: each backend supplies the whole seam."""
+    for cls_name in BACKENDS:
+        missing = (CLOCK | TRANSPORT) - set(_methods(_backend(cls_name)))
+        assert not missing, f"{cls_name} does not implement {sorted(missing)}"
+
+
+def test_backends_create_tasks_only_in_spawn():
+    """``_spawn`` is the single task-creation site of a backend module."""
+    offenders = []
     for cls_name, path in BACKENDS.items():
-        backend = _class_def(ast.parse(path.read_text()), cls_name)
-        missing = sorted(abstract - set(_methods(backend)))
-        assert not missing, f"{cls_name} does not implement {missing}"
+        tree = ast.parse(path.read_text())
+        spawn = _methods(_class_def(tree, cls_name))["_spawn"]
+        inside = {id(node) for node in ast.walk(spawn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in TASK_CREATORS:
+                offenders.append(f"{path.name}:{node.lineno} {name}()")
+    assert not offenders, f"task created outside _spawn: {offenders}"
