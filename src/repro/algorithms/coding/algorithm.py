@@ -176,7 +176,12 @@ class DecodingSinkAlgorithm(Algorithm):
         self._forward_to = list(forward_to or [])
         self._max_open = max_open_generations
         self._decoders: dict[int, GenerationDecoder] = {}
-        self._completed: set[int] = set()
+        # Completed generations: every one below the watermark, plus
+        # the out-of-order completions ahead of it.  The window is
+        # bounded like the open decoders, so a sink's tracking state
+        # does not grow with the length of the stream.
+        self._done_below = 0
+        self._done_ahead: set[int] = set()
         self.effective = ThroughputMeter()
         self.raw = ThroughputMeter()
         self.decoded_generations = 0
@@ -195,13 +200,18 @@ class DecodingSinkAlgorithm(Algorithm):
             payload = CodedPayload.unpack(msg.payload)
         except DecodingError:
             return Disposition.DONE
-        if payload.k != self.k or payload.generation in self._completed:
+        generation = payload.generation
+        if (
+            payload.k != self.k
+            or generation < self._done_below
+            or generation in self._done_ahead
+        ):
             self.duplicate_payloads += 1
             return Disposition.DONE
-        decoder = self._decoders.get(payload.generation)
+        decoder = self._decoders.get(generation)
         if decoder is None:
             decoder = GenerationDecoder(self.k, len(payload.data))
-            self._decoders[payload.generation] = decoder
+            self._decoders[generation] = decoder
             while len(self._decoders) > self._max_open:
                 oldest = min(self._decoders)
                 del self._decoders[oldest]
@@ -214,11 +224,24 @@ class DecodingSinkAlgorithm(Algorithm):
             self.duplicate_payloads += 1
         if decoder.complete:
             originals = decoder.originals()  # exercises the full decode
-            del self._decoders[payload.generation]
-            self._completed.add(payload.generation)
+            del self._decoders[generation]
+            self._mark_done(generation)
             self.decoded_generations += 1
-            self.on_generation_decoded(payload.generation, originals)
+            self.on_generation_decoded(generation, originals)
         return Disposition.DONE
+
+    def _mark_done(self, generation: int) -> None:
+        ahead = self._done_ahead
+        ahead.add(generation)
+        if len(ahead) > self._max_open:
+            # A generation behind the window never completed: give it up,
+            # as the decoder eviction above gives up the oldest open one.
+            self._done_below = min(ahead)
+            for stale in [g for g in self._decoders if g < self._done_below]:
+                del self._decoders[stale]
+        while self._done_below in ahead:
+            ahead.remove(self._done_below)
+            self._done_below += 1
 
     def on_generation_decoded(self, generation: int, originals: list[bytes]) -> None:
         """Hook: a full generation decoded to its original payloads.

@@ -92,10 +92,6 @@ class _ChaosReader:
         if state.mode == _LinkChaos.RESET:
             raise ConnectionResetError("chaos: link reset")
 
-    async def readexactly(self, n: int) -> bytes:
-        await self._gate()
-        return await self._reader.readexactly(n)
-
     async def read(self, n: int = -1) -> bytes:
         await self._gate()
         return await self._reader.read(n)
@@ -125,6 +121,20 @@ class _ChaosWriter:
             _abort_writer(self._writer)
             return
         self._writer.write(data)
+
+    def writelines(self, parts) -> None:
+        """A burst: one transport write while the link is healthy.
+
+        Under a fault each part meets :meth:`write` on its own, so the
+        part that trips the truncation is cut in half and the rest of the
+        burst fails on the reset it leaves behind.
+        """
+        state = self._state
+        if state.mode == _LinkChaos.OK and not state.truncate_armed:
+            self._writer.writelines(parts)
+            return
+        for data in parts:
+            self.write(data)
 
     async def drain(self) -> None:
         state = self._state

@@ -21,7 +21,8 @@ Co-hosted peers (see :mod:`repro.net.virtual`) skip sockets entirely:
 when the config carries a loopback resolver, dials to nodes on the same
 host return in-process channel endpoints that move :class:`Message`
 objects by reference — the IO loops below never notice the difference
-because framing dispatches on the endpoint type.
+because every link, socket or not, reads and writes whole bursts through
+one endpoint surface (see the table in ``docs/architecture.md``).
 
 Because asyncio is single-threaded, the paper's headline guarantee holds
 natively: the algorithm runs without any thread-safe data structures.
@@ -42,9 +43,10 @@ from repro.core.ids import CONTROL_APP, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
 from repro.core.switch import ReceiverPort
-from repro.errors import BufferClosedError
+from repro.errors import BufferClosedError, CodecError
 from repro.net.framing import (
     MAX_FRAME_PAYLOAD,
+    FramedReader,
     expect_hello_fields,
     open_identified,
     read_message,
@@ -103,8 +105,9 @@ class NetEngineConfig:
 class _Peer:
     """One persistent, full-duplex connection to another overlay node.
 
-    ``reader``/``writer`` are either asyncio streams or in-process
-    loopback endpoints with the same duck-typed surface.
+    ``reader`` speaks ``recv_message`` + ``drain_frames`` and ``writer``
+    takes a burst through ``write_batch`` + ``drain`` — a framed TCP
+    stream, an in-process loopback endpoint or a shm ring endpoint.
     """
 
     node: NodeId
@@ -349,7 +352,7 @@ class AsyncioEngine(EngineCore):
         )
         if chaos is not None:
             reader, writer = chaos.wrap(self._node_id, dest, reader, writer)
-        return reader, writer
+        return FramedReader(reader), writer
 
     async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
@@ -385,7 +388,7 @@ class AsyncioEngine(EngineCore):
             return
         if self.config.chaos is not None:
             reader, writer = self.config.chaos.wrap(self._node_id, peer_id, reader, writer)
-        self.accept_transport(peer_id, reader, writer)
+        self.accept_transport(peer_id, FramedReader(reader), writer)
 
     def accept_transport(self, peer_id: NodeId, reader: Any, writer: Any) -> None:
         """Admit an identified inbound transport (socket or loopback)."""
@@ -642,27 +645,34 @@ class AsyncioEngine(EngineCore):
             raise
 
     async def _receiver_loop(self, peer: _Peer, epoch: int = 0) -> None:
+        """One reader per peer link, taking a whole burst per wakeup.
+
+        Every transport hands over what arrived since the last wakeup
+        through the same two calls: one awaited ``recv_message`` and a
+        synchronous ``drain_frames`` for the rest of the burst.  Back
+        pressure is the port buffer: the loop parks on ``buffer.put``
+        before it reads again, so a slow engine stops the reads.  What
+        is in hand when the link goes away — parsed, not yet placed —
+        is counted lost here; what the buffer holds is counted by
+        ``_drop_upstream``.
+        """
         reader = peer.reader
         throttle = self.throttle
-        buffer = peer.port.buffer
-        meter = peer.port.stats.throughput
-        # Batch surface (shm endpoints): after one awaited frame, every
-        # other frame of the same burst is handed over synchronously.
-        drain_frames = getattr(reader, "drain_frames", None)
+        port = peer.port
+        buffer = port.buffer
+        meter = port.stats.throughput
         data_type = MsgType.DATA
         batch: list[Message] = []
+        placed = 0  # leading messages of ``batch`` already handed on
         try:
             while self._running:
                 try:
-                    batch.append(await read_message(reader))
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
+                    batch.append(await reader.recv_message())
+                    batch += reader.drain_frames()
+                except (asyncio.IncompleteReadError, ConnectionError, OSError, CodecError):
                     if self._running and peer.epoch == epoch:
                         self._peer_failed(peer)
                     return
-                if drain_frames is not None:
-                    more = drain_frames()
-                    if more:
-                        batch.extend(more)
                 now = self.now()
                 # Any inbound frame proves the link alive: reset the
                 # failure-detection ladder before anything can block.
@@ -688,38 +698,31 @@ class AsyncioEngine(EngineCore):
                 if data_only and ins is None:
                     # Pure data burst: one bulk append per buffer-space
                     # window instead of per-message queue bookkeeping.
-                    try:
-                        placed = buffer.put_many_nowait(batch)
-                        peer.port.note_bytes(sum(m.size for m in batch[:placed]))
-                        while placed < len(batch):
-                            # Wake the engine *before* parking for space:
-                            # it is the one that frees the buffer.
-                            self._wake.set()
-                            await buffer.put(batch[placed])  # type: ignore[attr-defined]
-                            peer.port.note_bytes(batch[placed].size)
-                            placed += 1
-                            more = buffer.put_many_nowait(batch, placed)
-                            peer.port.note_bytes(
-                                sum(m.size for m in batch[placed:placed + more])
-                            )
-                            placed += more
-                    except BufferClosedError:
-                        return
+                    placed = buffer.put_many_nowait(batch)
+                    if placed == len(batch):
+                        port.note_bytes(nbytes)
+                    else:
+                        port.note_bytes(sum(m.size for m in batch[:placed]))
+                    while placed < len(batch):
+                        # Wake the engine *before* parking for space:
+                        # it is the one that frees the buffer.
+                        self._wake.set()
+                        await buffer.put(batch[placed])  # type: ignore[attr-defined]
+                        start, placed = placed, placed + 1
+                        placed += buffer.put_many_nowait(batch, placed)
+                        port.note_bytes(sum(m.size for m in batch[start:placed]))
                 else:
                     for msg in batch:
                         if msg._type == data_type:
-                            try:
-                                if not buffer.put_nowait(msg):
-                                    self._wake.set()  # engine frees the space
-                                    await buffer.put(msg)  # type: ignore[attr-defined]
-                            except BufferClosedError:
-                                return
-                            peer.port.note_bytes(msg.size)
+                            if not buffer.put_nowait(msg):
+                                self._wake.set()  # engine frees the space
+                                await buffer.put(msg)  # type: ignore[attr-defined]
+                            port.note_bytes(msg.size)
                             if ins is not None:
                                 now = self.now()
-                                label = peer.port.label
+                                label = port.label
                                 ins.enqueued[label] += 1
-                                peer.port.wait_times.append(now)
+                                port.wait_times.append(now)
                                 msg._hop_t0 = now  # this hop's clock starts here
                                 if ins.tracer.enabled:
                                     ins.trace_msg(now, EventType.ENQUEUE, msg, label)
@@ -727,10 +730,15 @@ class AsyncioEngine(EngineCore):
                             if msg.type == MsgType.BROKEN_SOURCE:
                                 self._propagate_broken_source(msg, peer.node)
                             self._control.put_force(msg)
+                        placed += 1
                 batch.clear()
+                placed = 0
                 self._wake.set()
-        except asyncio.CancelledError:
-            raise
+        except BufferClosedError:
+            pass  # the port was dropped under a parked put
+        finally:
+            for msg in batch[placed:]:
+                self._record_loss(msg, port.stats)
 
     # ------------------------------------------------------------------ watchdog
 

@@ -1,8 +1,12 @@
 """Reading and writing iOverlay messages on asyncio TCP streams.
 
 No extra framing layer is needed: the fixed 24-byte header already
-declares the payload size (Fig. 3 of the paper), so a frame is read as
-header-then-payload.  The first frame on every fresh connection must be
+declares the payload size (Fig. 3 of the paper), so frames are sliced
+straight out of the byte stream.  Data links move whole bursts — one
+read and one parse sweep per receiver wakeup (:class:`FramedReader`),
+one transport write per sender flush (:func:`write_batch`); links that
+are one frame at a time by protocol use :func:`read_message` and
+:func:`write_message`.  The first frame on every fresh connection must be
 a ``HELLO`` carrying the sender's publicized identity, because the
 ephemeral source port of an outgoing TCP connection does not identify
 the overlay node behind it.
@@ -25,14 +29,25 @@ _META_LEN = struct.Struct("!I")
 #: refuse frames whose declared payload exceeds this (protects the reader)
 MAX_FRAME_PAYLOAD = 64 * 1024 * 1024
 
+#: bytes a data link asks of its stream per wakeup.  Equal to the
+#: ``StreamReader`` default limit, so a receiver never holds more in
+#: hand than the stream had already buffered for it.
+CHUNK = 64 * 1024
+
+#: the payload-size field: the last four bytes of the header
+_PAYLOAD_LEN = struct.Struct("!I")
+_PAYLOAD_LEN_AT = HEADER_SIZE - _PAYLOAD_LEN.size
+
 
 async def read_message(reader: asyncio.StreamReader) -> Message:
     """Read one message; raises ``IncompleteReadError`` on EOF mid-frame
     and :class:`~repro.errors.CodecError` on malformed frames.
 
-    Dispatches on the endpoint type: in-process loopback endpoints
-    (:mod:`repro.net.virtual`) hand over the :class:`Message` object by
-    reference — no header is ever serialized for co-hosted peers.
+    For the links that are one frame at a time by protocol (HELLO and
+    shm negotiation, observer, proxy, cluster control); data links read
+    whole bursts through :class:`FramedReader`.  Endpoints
+    (:mod:`repro.net.virtual`, :mod:`repro.net.shm`) hand over their own
+    next message.
     """
     recv = getattr(reader, "recv_message", None)
     if recv is not None:
@@ -66,6 +81,115 @@ def write_message(writer: asyncio.StreamWriter, msg: Message) -> None:
     payload = msg.payload
     if payload:
         writer.write(payload)
+
+
+# --- burst reads --------------------------------------------------------------
+#
+# A data link hands its receiver everything that arrived since the last
+# wakeup: one read, one sweep over the bytes, one list of messages.
+
+
+def parse_frames(
+    buffer: bytes | bytearray | memoryview, max_payload: int = MAX_FRAME_PAYLOAD
+) -> tuple[list[Message], int]:
+    """Slice every complete frame out of ``buffer``.
+
+    Returns the messages and the number of bytes they covered; the rest
+    is a partial frame the caller carries over.  Each message is decoded
+    by ``Message.unpack``, so it keeps its wire frame cached for relays
+    and its payload unmaterialized.  A header declaring more than
+    ``max_payload`` bytes is refused before any of its body is awaited:
+    :class:`~repro.errors.CodecError` when it leads the buffer, and a
+    stop in front of it otherwise, so the frames ahead of it come out
+    the same however the stream was cut into buffers.
+    """
+    frames: list[Message] = []
+    pos = 0
+    with memoryview(buffer) as view:
+        end = view.nbytes
+        while end - pos >= HEADER_SIZE:
+            (payload_size,) = _PAYLOAD_LEN.unpack_from(view, pos + _PAYLOAD_LEN_AT)
+            if payload_size > max_payload:
+                if pos:
+                    break
+                raise CodecError(f"frame declares {payload_size} payload bytes; refusing")
+            total = HEADER_SIZE + payload_size
+            if end - pos < total:
+                break
+            # A buffer that is exactly one frame is decoded as the object
+            # it is: ``unpack`` keeps a ``bytes`` frame without copying.
+            frame = buffer if total == end and not pos else view[pos : pos + total]
+            frames.append(Message.unpack(frame, max_payload))
+            pos += total
+    return frames, pos
+
+
+class FrameAssembler:
+    """Byte chunks cut anywhere in, whole frames out (no IO of its own)."""
+
+    __slots__ = ("_max_payload", "_tail")
+
+    def __init__(self, max_payload: int = MAX_FRAME_PAYLOAD) -> None:
+        self._max_payload = max_payload
+        self._tail = bytearray()  # the partial frame awaiting its next chunk
+
+    def feed(self, chunk: bytes) -> list[Message]:
+        """Every frame ``chunk`` completes, oldest first."""
+        tail = self._tail
+        if not tail:
+            frames, used = parse_frames(chunk, self._max_payload)
+            if used < len(chunk):
+                with memoryview(chunk) as view:
+                    tail += view[used:]
+            return frames
+        tail += chunk
+        frames, used = parse_frames(tail, self._max_payload)
+        if used:
+            del tail[:used]
+        return frames
+
+    def eof_error(self) -> asyncio.IncompleteReadError:
+        """What ``readexactly`` would raise had the stream ended here.
+
+        ``partial`` is what arrived of the header or, once the header is
+        whole, of the payload it declares.
+        """
+        tail = bytes(self._tail)
+        if len(tail) < HEADER_SIZE:
+            return asyncio.IncompleteReadError(tail, HEADER_SIZE)
+        (payload_size,) = _PAYLOAD_LEN.unpack_from(tail, _PAYLOAD_LEN_AT)
+        return asyncio.IncompleteReadError(tail[HEADER_SIZE:], payload_size)
+
+
+class FramedReader:
+    """The read half of a data link over a ``StreamReader``.
+
+    Wraps the stream once the HELLO has been read.  ``recv_message``
+    awaits one ``read(CHUNK)`` per wakeup and ``drain_frames`` hands over
+    the rest of what that read carried — the endpoint surface the
+    loopback and shm links have.  EOF, clean or mid-frame, raises
+    ``IncompleteReadError`` with the partial bytes.
+    """
+
+    __slots__ = ("_reader", "_assembler", "_frames")
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._assembler = FrameAssembler()
+        self._frames: list[Message] = []
+
+    async def recv_message(self) -> Message:
+        while not self._frames:
+            chunk = await self._reader.read(CHUNK)
+            if not chunk:
+                raise self._assembler.eof_error()
+            self._frames = self._assembler.feed(chunk)
+        return self._frames.pop(0)
+
+    def drain_frames(self) -> list[Message]:
+        """The frames already read and not yet handed over."""
+        frames, self._frames = self._frames, []
+        return frames
 
 
 # --- vectorized batch writes --------------------------------------------------
@@ -107,31 +231,35 @@ def write_batch(writer: asyncio.StreamWriter, msgs: list[Message]) -> None:
 
     Messages with a cached wire frame go out as that single buffer (the
     relay fast path); everything else has its header batch-packed in one
-    vectorized call and its payload handed over by reference.
+    vectorized call and its payload handed over by reference.  The burst
+    reaches the transport in ONE ``writelines`` call, so a flush of N
+    frames is one send, not N.
     """
     send = getattr(writer, "send_message", None)
     if send is not None:  # loopback/shm endpoint: per-object handoff
         for msg in msgs:
             send(msg)
         return
-    fresh = [msg for msg in msgs if msg.cached_frame() is None]
-    if len(fresh) < 2:
+    if len(msgs) < 2:
         for msg in msgs:
             write_message(writer, msg)
         return
-    headers = pack_headers(fresh)
+    fresh = [msg for msg in msgs if msg.cached_frame() is None]
+    headers = pack_headers(fresh) if fresh else None
+    parts: list[bytes | memoryview] = []
     index = 0
     for msg in msgs:
         frame = msg.cached_frame()
         if frame is not None:
-            writer.write(frame)
+            parts.append(frame)
             continue
         offset = index * HEADER_SIZE
-        writer.write(headers[offset : offset + HEADER_SIZE])
+        parts.append(headers[offset : offset + HEADER_SIZE])
         index += 1
         payload = msg.payload
         if payload:
-            writer.write(payload)
+            parts.append(payload)
+    writer.writelines(parts)
 
 
 def hello_message(node: NodeId, **extra: object) -> Message:

@@ -53,9 +53,15 @@ from collections import deque
 from multiprocessing import resource_tracker, shared_memory
 
 from repro.core.ids import NodeId
-from repro.core.message import HEADER_SIZE, Message
+from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.errors import CodecError
+from repro.net.framing import (
+    FrameAssembler,
+    FramedReader,
+    hello_message,
+    read_message,
+    write_message,
+)
 
 #: default ring capacity per direction (bytes) when shm is enabled
 DEFAULT_RING_BYTES = 1 << 20
@@ -65,7 +71,6 @@ DEFAULT_RING_BYTES = 1 << 20
 PARK_POLL = 0.05
 
 _POS = struct.Struct("<Q")
-_PAYLOAD_LEN = struct.Struct("!I")  # big-endian, matches the wire header
 
 _HDR_TAIL = 0
 _HDR_HEAD = 8
@@ -253,18 +258,18 @@ class ShmEndpoint:
     """Both halves of one shm peer link: reader *and* writer object.
 
     Slots into the engine's ``_Peer.reader``/``_Peer.writer`` exactly
-    like :class:`repro.net.virtual.LoopbackEndpoint`:
-    :func:`~repro.net.framing.read_message` and
-    :func:`~repro.net.framing.write_message` dispatch here on the
-    ``recv_message``/``send_message`` attributes.
+    like :class:`repro.net.virtual.LoopbackEndpoint`: the receiver loop
+    calls ``recv_message`` + ``drain_frames`` on every link, and
+    :func:`~repro.net.framing.write_batch` dispatches here on the
+    ``send_message`` attribute.
 
     ``send_message`` only appends to a pending buffer; ``drain()``
     flushes the whole pending batch into the outbound ring — that is
     the writev-style "one flush per destination per wakeup" the batched
     sender loop relies on.  ``recv_message`` sweeps every available
-    byte out of the inbound ring per wakeup and parses frames from the
-    reassembly buffer, so a burst of N frames costs one ring sweep, not
-    N socket reads.
+    byte out of the inbound ring per wakeup through the frame sweep it
+    shares with TCP links (:class:`~repro.net.framing.FrameAssembler`),
+    so a burst of N frames costs one ring sweep.
     """
 
     transport_kind = "shm"
@@ -283,9 +288,8 @@ class ShmEndpoint:
         self._sock_reader = sock_reader
         self._sock_writer = sock_writer
         self._owns_rings = owns_rings
-        self._max_payload = max_payload
         self._pending = bytearray()
-        self._stream = bytearray()  # inbound bytes awaiting a full frame
+        self._assembler = FrameAssembler(max_payload)
         self._frames: deque[Message] = deque()
         self._closed = False
         self._eof = False
@@ -378,25 +382,7 @@ class ShmEndpoint:
             return False
         if self._in.producer_parked:
             self._ring_doorbell()  # we just freed space it waits for
-        stream = self._stream
-        stream += chunk
-        pos = 0
-        end = len(stream)
-        while end - pos >= HEADER_SIZE:
-            (payload_size,) = _PAYLOAD_LEN.unpack_from(stream, pos + 20)
-            if payload_size > self._max_payload:
-                raise CodecError(
-                    f"frame declares {payload_size} payload bytes; refusing"
-                )
-            total = HEADER_SIZE + payload_size
-            if end - pos < total:
-                break
-            self._frames.append(
-                Message.unpack(memoryview(stream)[pos : pos + total])
-            )
-            pos += total
-        if pos:
-            del stream[:pos]
+        self._frames.extend(self._assembler.feed(chunk))
         return True
 
     def drain_frames(self) -> list[Message]:
@@ -422,13 +408,13 @@ class ShmEndpoint:
             if frames:
                 return frames.popleft()
             if self._closed:
-                raise asyncio.IncompleteReadError(partial=b"", expected=HEADER_SIZE)
+                raise self._assembler.eof_error()
             if self._sweep():
                 continue
             if self._eof or self._in.producer_closed:
                 # Drained everything the producer published before it
                 # went away: surface the same EOF a socket reader would.
-                raise asyncio.IncompleteReadError(partial=b"", expected=HEADER_SIZE)
+                raise self._assembler.eof_error()
             self._in.park_consumer(True)
             try:
                 if self._in.readable == 0 and not self._eof:
@@ -504,10 +490,8 @@ async def dial_shm(
     acceptor answers with one SHM_ACK frame.  On acceptance both stream
     ends are replaced by a single :class:`ShmEndpoint`; on denial (or a
     missing/invalid ack) the rings are unlinked and the already-open
-    TCP connection is used exactly as :func:`open_identified` would.
+    TCP connection carries the data link, read in bursts like any other.
     """
-    from repro.net.framing import hello_message, read_message, write_message
-
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(dest.ip, dest.port), timeout
     )
@@ -516,7 +500,7 @@ async def dial_shm(
         write_message(writer, hello_message(identity, shm=offer))
         await writer.drain()
         if rings is None:
-            return reader, writer
+            return FramedReader(reader), writer
         ack = await asyncio.wait_for(read_message(reader), timeout)
         accepted = ack.type == MsgType.SHM_ACK and bool(ack.fields().get("ok"))
     except asyncio.TimeoutError:
@@ -540,7 +524,7 @@ async def dial_shm(
     if not accepted:
         rings[0].release(unlink=True)
         rings[1].release(unlink=True)
-        return reader, writer
+        return FramedReader(reader), writer
     endpoint = ShmEndpoint(
         ring_out=rings[0], ring_in=rings[1],
         sock_reader=reader, sock_writer=writer,
@@ -560,8 +544,6 @@ async def accept_shm(
     segment names would be meaningless here), or the segments cannot be
     attached.
     """
-    from repro.net.framing import write_message
-
     rings: tuple[RingBuffer, RingBuffer] | None = None
     if enabled and isinstance(offer, dict) and offer.get("cookie") == machine_cookie():
         try:

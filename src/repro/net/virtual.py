@@ -12,10 +12,10 @@ header serialization, no payload copies).  Peers outside the host are
 reached through the ordinary socket path, so a virtual host drops into
 a physical overlay transparently.
 
-Loopback endpoints speak the same duck-typed surface the engine's IO
-loops already use (``recv_message``/``send_message``/``drain``/
-``close``), and failure semantics mirror sockets: closing either side
-raises ``IncompleteReadError`` at the remote reader and
+Loopback endpoints speak the endpoint surface the engine's IO loops use
+on every link (``recv_message`` + ``drain_frames`` / ``send_message`` +
+``drain`` / ``close``), and failure semantics mirror sockets: closing
+either side raises ``IncompleteReadError`` at the remote reader and
 ``ConnectionError`` at writers, driving the exact ``_peer_failed``
 teardown a dead socket would.  Dialing a co-hosted node that is not
 running raises ``ConnectionRefusedError`` like a closed port.
@@ -82,6 +82,13 @@ class _LoopbackPipe:
             self._space.set()
         return msg
 
+    def take_all(self) -> list[Message]:
+        """Everything in flight, oldest first; the window reopens."""
+        items = list(self.items)
+        self.items.clear()
+        self._space.set()
+        return items
+
     def close(self) -> None:
         self.closed = True
         self._data.set()
@@ -92,9 +99,10 @@ class LoopbackEndpoint:
     """One side of a full-duplex in-process connection.
 
     Serves as both the ``reader`` and the ``writer`` object in the
-    engine's peer state — :func:`repro.net.framing.read_message` and
-    :func:`~repro.net.framing.write_message` dispatch here on the
-    presence of ``recv_message``/``send_message``.
+    engine's peer state: the receiver loop takes a burst with
+    ``recv_message`` + ``drain_frames``, and
+    :func:`repro.net.framing.write_batch` hands objects over through
+    ``send_message``.
     """
 
     __slots__ = ("_rx", "_tx")
@@ -108,6 +116,10 @@ class LoopbackEndpoint:
 
     async def recv_message(self) -> Message:
         return await self._rx.recv()
+
+    def drain_frames(self) -> list[Message]:
+        """The rest of the burst ``recv_message`` woke up for."""
+        return self._rx.take_all()
 
     def send_message(self, msg: Message) -> None:
         self._tx.send(msg)

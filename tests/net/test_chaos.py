@@ -11,6 +11,8 @@ import pytest
 
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.ids import NodeId
+from repro.core.message import Message
+from repro.core.msgtypes import MsgType
 from repro.errors import UnknownNodeError
 from repro.net.chaos import ChaosCluster, ChaosController
 from repro.net.engine import NetEngineConfig
@@ -223,6 +225,83 @@ def test_truncated_frame_tears_the_link_down(seed):
         recovered = await wait_until(lambda: sink_alg.received > after + 5,
                                      timeout=2.0)
         assert recovered  # clean redial; frames decode again
+        await converged(cluster)
+
+    run_converging(scenario())
+
+
+def stage_burst(engine, dest: NodeId, count: int, payload: bytes = b"b" * 32) -> None:
+    """Stage ``count`` frames in one go: the sender flushes them as one burst."""
+    for seq in range(count):
+        engine.send(Message(MsgType.DATA, engine.node_id, 1, payload, seq=seq), dest)
+
+
+def quiet_config(seed: int) -> NetEngineConfig:
+    """No watchdog: only the injected fault may bring the link down."""
+    return NetEngineConfig(
+        resilience=ResilienceConfig(seed=seed, connect_retries=3, backoff_base=0.02))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_truncation_inside_a_burst_write_fails_the_link_and_counts_the_burst(seed):
+    """A multi-frame flush is one transport write; truncated, it still ends
+    in ``_peer_failed`` on both sides and every frame of it is counted."""
+
+    async def scenario():
+        cluster = ChaosCluster(ChaosController(seed=seed))
+        src_alg, sink_alg = BrokenLinkRecorder(), BrokenLinkRecorder()
+        src = await cluster.add_node(src_alg, "src", quiet_config(seed))
+        sink = await cluster.add_node(sink_alg, "sink", quiet_config(seed))
+        assert await src.connect(sink.node_id)
+        await asyncio.sleep(0.05)
+        cluster.chaos.truncate_next(src.node_id, sink.node_id)
+        stage_burst(src, sink.node_id, 8)
+        torn = await wait_until(
+            lambda: bool(src_alg.broken) and bool(sink_alg.broken), timeout=2.0)
+        assert torn
+        assert cluster.chaos.n_truncations == 1
+        assert (str(sink.node_id), "both") in src_alg.broken
+        assert (str(src.node_id), "both") in sink_alg.broken
+        # half a header left before the reset: nothing arrived, and the
+        # sender counts the whole burst it could not flush
+        assert sink_alg.received == 0
+        assert src._lost_messages == 8
+        await converged(cluster)
+
+    run_converging(scenario())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cut_with_a_burst_in_hand_counts_the_frames_beyond_the_buffer(seed):
+    """The receiver holds a parsed burst, parked on a full port buffer, when
+    the link is reset: buffer *and* in-hand frames are counted lost."""
+
+    async def scenario():
+        cluster = ChaosCluster(ChaosController(seed=seed))
+        src_alg, sink_alg = BrokenLinkRecorder(), BrokenLinkRecorder()
+        src = await cluster.add_node(src_alg, "src", quiet_config(seed))
+        # The sink is parked, neither reading nor writing, so it is its
+        # watchdog's probe that runs into the reset.
+        sink = await cluster.add_node(sink_alg, "sink", NetEngineConfig(
+            buffer_capacity=4, resilience=ResilienceConfig(seed=seed, **FAST)))
+        sink._switch_round = lambda: False  # the switch stalls: the buffer fills
+        assert await src.connect(sink.node_id)
+        stage_burst(src, sink.node_id, 30)
+        parked = await wait_until(
+            lambda: sink._scheduler.ports and len(sink._scheduler.ports[0].buffer) == 4,
+            timeout=2.0)
+        assert parked
+        inbound = sink._scheduler.ports[0].stats.loss
+        await asyncio.sleep(0.05)
+        cluster.chaos.cut_link(src.node_id, sink.node_id)
+        torn = await wait_until(
+            lambda: bool(src_alg.broken) and bool(sink_alg.broken), timeout=2.0)
+        assert torn
+        await asyncio.sleep(0.05)  # the cancelled receiver unwinds and counts
+        assert sink_alg.received == 0
+        # 30 frames of 56 bytes ride one segment, so all of them were in
+        # the buffer or in hand; what a reset leaves in the kernel is not
+        assert 4 < inbound.messages <= 30
         await converged(cluster)
 
     run_converging(scenario())
