@@ -59,7 +59,7 @@ from repro.core.ids import CONTROL_APP, AppId, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType, is_engine_type
 from repro.core.stats import LinkStats, LinkStatsSnapshot
-from repro.core.switch import PendingForward, ReceiverPort, SwitchScheduler
+from repro.core.switch import PendingForward, ReceiverPort, SwitchScheduler, drop_dest
 from repro.telemetry.tracing import EventType
 
 #: pause between emissions of a source that has no downstream link and
@@ -403,28 +403,36 @@ class EngineCore(ABC):
     # --------------------------------------------------------------------- engine
 
     async def _engine_loop(self) -> None:
+        """Run passes while they find work; park the moment none is left.
+
+        Whatever can create work sets ``_wake``: a receiver placing
+        messages, a notification, a sender freeing the slot a blocked
+        port waits for (:meth:`_send_space_freed`), a link going away.
+        So a pass that leaves the control port empty and the scheduler
+        without work has nothing to re-look at, and a pass that moved
+        nothing can only be unblocked by one of those events.
+        """
         self.algorithm.on_start()
+        control = self._control
+        scheduler = self._scheduler
+        budget = self.ROUNDS_PER_WAKEUP
         while self._running:
             progressed = self._drain_control()
             if self._switch_round():
                 progressed = True
-            if progressed:
-                # Keep switching while buffered work remains, then yield
-                # once: the senders flush the whole sweep as one batch.
-                extra = self.ROUNDS_PER_WAKEUP - 1
-                while extra > 0:
-                    more = self._drain_control()
-                    if self._switch_round():
-                        more = True
-                    if not more:
-                        break
-                    extra -= 1
-                await self._sleep(0)  # let IO tasks breathe under load
-            else:
-                # No await happened since the last state change we saw, so
+            if not progressed or (control.is_empty and not scheduler.has_work()):
+                # No await happened since the state we just looked at, so
                 # clear-then-wait cannot lose a wake-up (cooperative tasks).
                 self._wake.clear()
                 await self._wake.wait()
+            elif budget > 1:
+                # Keep switching while buffered work remains, then yield
+                # once: the senders flush the whole sweep as one batch.
+                budget -= 1
+                continue
+            else:
+                await self._sleep(0)  # let IO tasks breathe under load
+            budget = self.ROUNDS_PER_WAKEUP
 
     def _drain_control(self) -> bool:
         progressed = False
@@ -534,19 +542,35 @@ class EngineCore(ABC):
         Credits are consumed as messages depart a port, so under output
         congestion — where every message traverses the pending path —
         competing upstreams still share the output in weight proportion.
-        When every port with work has exhausted its credit, a new credit
-        epoch starts and the pass reruns.
+        A new credit epoch opens at the head of the pass that needs it:
+        once every port that still has work has spent its credit.  (A
+        port with credit left keeps its claim on upcoming sender-buffer
+        slots, which is exactly what makes the weight ratio hold under
+        output congestion; a spent sibling then sits the pass out and is
+        counted as a credit stall.)
         """
         progressed = False
         ins = self._ins
+        scheduler = self._scheduler
+        if scheduler.has_work():  # O(1); false on an idle wake-up
+            spent = False
+            for port in scheduler.ports_view():
+                if port.has_work():
+                    spent = port.credit <= 0
+                    if not spent:
+                        break
+            if spent:
+                scheduler.replenish_credits(self.CREDIT_SCALE)
+                if ins is not None:
+                    ins.n_credit_epochs += 1
         moved = 0
-        for port in self._scheduler.rotation():
+        for port in scheduler.rotation():
             if not port.has_work():
                 continue
             if port.credit <= 0:
                 if ins is not None:
                     ins.credit_stalls[port.label] += 1
-                    epoch = self._scheduler.epochs
+                    epoch = scheduler.epochs
                     if ins.tracer.enabled and port.stall_epoch != epoch:
                         port.stall_epoch = epoch
                         ins.trace_port(self.now(), EventType.CREDIT_EXHAUSTED, port.label)
@@ -587,29 +611,6 @@ class EngineCore(ABC):
             ins.n_switch_rounds += 1
             if moved:
                 ins.observe_batch(float(moved))
-        # Epoch boundary: once every port that still has work has spent its
-        # credit, start a new epoch.  (Ports with credit left keep their
-        # claim on upcoming sender-buffer slots, which is exactly what makes
-        # the weight ratio hold under output congestion.)  The backlog must
-        # be explicitly non-empty: the scheduler's O(1) has_work() can read
-        # momentarily-stale counters, and a vacuous all() over zero backlog
-        # ports would fire a spurious epoch with progressed=True.
-        scheduler = self._scheduler
-        has_backlog = False
-        if scheduler.has_work():  # O(1) pre-filter; may be stale-positive
-            all_spent = True
-            for port in scheduler.ports_view():
-                if port.has_work():
-                    has_backlog = True
-                    if port.credit > 0:
-                        all_spent = False
-                        break
-            has_backlog = has_backlog and all_spent
-        if has_backlog:
-            scheduler.replenish_credits(self.CREDIT_SCALE)
-            if ins is not None:
-                ins.n_credit_epochs += 1
-            progressed = True  # rerun the switch with fresh credits
         return progressed
 
     def _peer_str(self, node: NodeId) -> str:
@@ -724,10 +725,11 @@ class EngineCore(ABC):
         """The one way an outbound link leaves the table.
 
         Failure, disconnect and shutdown paths of both backends all end
-        here: the transport is released, ``undelivered`` (what the
-        transport had taken but not sent) plus everything still staged
-        is counted lost, and every obligation toward ``dest`` is pruned
-        so nothing stays parked on a link that no longer exists.
+        here: the transport is released; ``undelivered`` (what the
+        transport had taken but not sent), everything still staged and
+        every pending forward's obligation toward ``dest`` are counted
+        lost, and those obligations are pruned so nothing stays parked
+        on a link that no longer exists.
         ``notify`` names the BROKEN_LINK direction for failures; a
         deliberate local teardown passes ``None``.
         """
@@ -735,15 +737,13 @@ class EngineCore(ABC):
         if link is None:
             return
         self._close_link(dest, outbound=True)
-        for msg in (*undelivered, *link.queue.drain()):
+        owed = [msg for port in self._scheduler.ports for msg in port.discard_dest(dest)]
+        if self._source_pending is not None:
+            owed += drop_dest(self._source_pending, dest)
+        for msg in (*undelivered, *link.queue.drain(), *owed):
             self._record_loss(msg, link.stats)
         link.queue.close()
         self.throttle.drop_link(dest)
-        for port in self._scheduler.ports:
-            port.discard_dest(dest)
-        if self._source_pending is not None:
-            for forward in self._source_pending:
-                forward.remaining = [d for d in forward.remaining if d != dest]
         for peers in self._app_downstreams.values():
             peers.discard(dest)
         if notify is not None:
@@ -751,19 +751,33 @@ class EngineCore(ABC):
         self._send_space.set()
         self._wake.set()
 
+    def _send_space_freed(self) -> None:
+        """A sender took messages off its queue: wake whoever waits for room.
+
+        Backends call this after every flush.  Sources parked on flow
+        control re-try; the engine is woken only if some port is blocked
+        on a pending forward — nothing else in a pass depends on sender
+        space, so any other wake-up would find no work.
+        """
+        self._send_space.set()
+        if self._scheduler.pending_ports():
+            self._wake.set()
+
     def _drop_upstream(self, peer: NodeId, notify: str | None = None) -> None:
         """The one way an inbound link leaves the table.
 
-        Whatever the receiver buffer still holds is counted lost.  A
-        failure (``notify`` given) also raises BROKEN_LINK and runs the
-        domino: every application fed exclusively through ``peer`` has
-        lost its source.
+        Whatever the receiver buffer still holds, and every delivery a
+        pending forward of the port still owed (nobody retries it now),
+        is counted lost.  A failure (``notify`` given) also raises
+        BROKEN_LINK and runs the domino: every application fed
+        exclusively through ``peer`` has lost its source.
         """
         port = self._scheduler.remove_port(peer)
         if port is None:
             return
         self._close_link(peer, outbound=False)
-        for msg in port.buffer.drain():
+        owed = [forward.msg for forward in port.pending for _ in forward.remaining]
+        for msg in (*port.buffer.drain(), *owed):
             self._record_loss(msg, port.stats)
         port.buffer.close()
         if notify is not None:

@@ -44,6 +44,16 @@ class PendingForward:
         return not self.remaining
 
 
+def drop_dest(forwards: list[PendingForward], dest: NodeId) -> list[Message]:
+    """Strike ``dest`` from ``forwards``; the messages that still owed it."""
+    owed = []
+    for forward in forwards:
+        if dest in forward.remaining:
+            forward.remaining = [node for node in forward.remaining if node != dest]
+            owed.append(forward.msg)
+    return owed
+
+
 @dataclass
 class ReceiverPort:
     """Engine-side state of one incoming connection.
@@ -140,11 +150,15 @@ class ReceiverPort:
             self._pending_counted = bool(self.pending)
             self.scheduler._pending_ports += 1 if self._pending_counted else -1
 
-    def discard_dest(self, dest: NodeId) -> None:
-        """Remove a (dead) destination from every pending forward."""
-        for forward in self.pending:
-            forward.remaining = [node for node in forward.remaining if node != dest]
+    def discard_dest(self, dest: NodeId) -> list[Message]:
+        """Remove a (dead) destination from every pending forward.
+
+        Returns the messages that still owed ``dest`` a delivery, so the
+        caller can count them lost with the link.
+        """
+        owed = drop_dest(self.pending, dest)
         self.prune_pending()
+        return owed
 
     def has_work(self) -> bool:
         """True if the buffer holds messages or a forward owes deliveries.
@@ -172,9 +186,8 @@ class SwitchScheduler:
 
     def __init__(self) -> None:
         self._ports: dict[NodeId, ReceiverPort] = {}
-        self._order: list[NodeId] = []
-        #: ports in registration order, parallel to ``_order`` — the
-        #: rotation source, kept so a pass never rebuilds dict lookups
+        #: ports in registration order — the rotation source, kept so a
+        #: pass never rebuilds dict lookups
         self._seq: list[ReceiverPort] = []
         #: reused output list handed out by :meth:`rotation`; valid until
         #: the next call (engines consume each pass before requesting
@@ -193,8 +206,6 @@ class SwitchScheduler:
         # Bind the listener once so attach/detach identity checks work
         # (each attribute access would otherwise build a fresh bound method).
         self._buffer_listener = self._on_buffer_delta
-        #: cumulative round-robin passes handed out (telemetry reads this)
-        self.rotations = 0
         #: cumulative credit epochs started (telemetry reads this)
         self.epochs = 0
 
@@ -209,7 +220,6 @@ class SwitchScheduler:
         port.credit = port.weight
         port.scheduler = self
         self._ports[port.peer] = port
-        self._order.append(port.peer)
         self._seq.append(port)
         if port.blocked:
             port._pending_counted = True
@@ -235,8 +245,7 @@ class SwitchScheduler:
     def remove_port(self, peer: NodeId) -> ReceiverPort | None:
         port = self._ports.pop(peer, None)
         if port is not None:
-            index = self._order.index(peer)
-            self._order.pop(index)
+            index = self._seq.index(port)
             self._seq.pop(index)
             if port._pending_counted:
                 self._pending_ports -= 1
@@ -256,10 +265,7 @@ class SwitchScheduler:
             self._pass.clear()
             if index < self._cursor:
                 self._cursor -= 1
-            if self._order:
-                self._cursor %= len(self._order)
-            else:
-                self._cursor = 0
+            self._cursor = self._cursor % len(self._seq) if self._seq else 0
         return port
 
     def get_port(self, peer: NodeId) -> ReceiverPort | None:
@@ -319,7 +325,6 @@ class SwitchScheduler:
         count = len(seq)
         if not count:
             return []
-        self.rotations += 1
         cursor = self._cursor
         ordered = self._pass
         if len(ordered) != count:
@@ -337,6 +342,16 @@ class SwitchScheduler:
         if self._unhooked:
             return any(port.has_work() for port in self._seq)
         return False
+
+    def pending_ports(self) -> int:
+        """Ports blocked on a pending forward (the exact tally, O(1)).
+
+        Such a port can only move again once a sender buffer frees a
+        slot (or its destination goes away), so this is what a sender
+        consults before waking the engine.  A forward completed in place
+        keeps its port counted until the next ``prune_pending``.
+        """
+        return self._pending_ports
 
     def total_buffered(self) -> int:
         """Total messages waiting across all receiver buffers (O(1))."""

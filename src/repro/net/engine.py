@@ -593,56 +593,52 @@ class AsyncioEngine(EngineCore):
         throttle = self.throttle
         writer = peer.writer
         batch: list[Message] = []
-        try:
-            while self._running:
-                try:
-                    batch.append(await queue.get())
-                except BufferClosedError:
-                    return
-                if not queue.is_empty:
-                    batch.extend(queue.drain())
-                flushed = 0  # messages safely handed to the transport
-                try:
-                    if throttle.active:
-                        for written, msg in enumerate(batch):
-                            delay = throttle.reserve_send(peer.node, msg.size, self.now())
-                            if delay > 0:
-                                if written > flushed:
-                                    await writer.drain()
-                                    flushed = written
-                                if self._ins is not None:
-                                    self._ins.on_throttle_stall("up", delay)
-                                await asyncio.sleep(delay)
-                            write_message(writer, msg)
-                    else:  # unconstrained: one vectorized stage for the burst
-                        write_batch(writer, batch)
-                    await writer.drain()
-                    flushed = len(batch)
-                except (ConnectionError, OSError):
-                    if self._running and peer.epoch == epoch:
-                        self._peer_failed(peer, undelivered=batch[flushed:])
-                    return
-                now = self.now()
-                ins = self._ins
-                nbytes = 0
+        while self._running:
+            try:
+                batch.append(await queue.get())
+            except BufferClosedError:
+                return
+            if not queue.is_empty:
+                batch.extend(queue.drain())
+            flushed = 0  # messages safely handed to the transport
+            try:
+                if throttle.active:
+                    for written, msg in enumerate(batch):
+                        delay = throttle.reserve_send(peer.node, msg.size, self.now())
+                        if delay > 0:
+                            if written > flushed:
+                                await writer.drain()
+                                flushed = written
+                            if self._ins is not None:
+                                self._ins.on_throttle_stall("up", delay)
+                            await asyncio.sleep(delay)
+                        write_message(writer, msg)
+                else:  # unconstrained: one vectorized stage for the burst
+                    write_batch(writer, batch)
+                await writer.drain()
+                flushed = len(batch)
+            except (ConnectionError, OSError):
+                if self._running and peer.epoch == epoch:
+                    self._peer_failed(peer, undelivered=batch[flushed:])
+                return
+            now = self.now()
+            ins = self._ins
+            nbytes = 0
+            for msg in batch:
+                nbytes += msg.size
+            link.stats.throughput.record_bulk(nbytes, len(batch), now)
+            if ins is not None:
                 for msg in batch:
-                    nbytes += msg.size
-                link.stats.throughput.record_bulk(nbytes, len(batch), now)
-                if ins is not None:
-                    for msg in batch:
-                        if msg.type == MsgType.DATA:
-                            label = peer.port.label
-                            ins.forwarded[label] += 1
-                            t0 = msg._hop_t0
-                            if t0 is not None:
-                                ins.observe_hop(now - t0 if now > t0 else 0.0)
-                            if ins.tracer.enabled:
-                                ins.trace_msg(now, EventType.FORWARD, msg, label)
-                batch.clear()
-                self._send_space.set()
-                self._wake.set()
-        except asyncio.CancelledError:
-            raise
+                    if msg.type == MsgType.DATA:
+                        label = peer.port.label
+                        ins.forwarded[label] += 1
+                        t0 = msg._hop_t0
+                        if t0 is not None:
+                            ins.observe_hop(now - t0 if now > t0 else 0.0)
+                        if ins.tracer.enabled:
+                            ins.trace_msg(now, EventType.FORWARD, msg, label)
+            batch.clear()
+            self._send_space_freed()
 
     async def _receiver_loop(self, peer: _Peer, epoch: int = 0) -> None:
         """One reader per peer link, taking a whole burst per wakeup.

@@ -26,6 +26,7 @@ from repro.core.engine_core import EngineCore, OutLink
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
+from repro.core.stats import LinkStats
 from repro.core.switch import ReceiverPort
 from repro.errors import BufferClosedError, LinkDownError
 from repro.sim.kernel import Kernel, Task
@@ -254,7 +255,7 @@ class SimEngine(EngineCore):
             if self._upstream_links.get(peer) is not link:
                 # Torn down (a re-dial superseded this link) while the
                 # message was in hand: it dies with the link, counted.
-                self._record_loss(msg, stats)
+                self._count_wire_lost(link, msg, stats)
                 return
             stats.throughput.record(msg.size, self.kernel.now)
             self._last_recv_at[peer] = self.kernel.now
@@ -262,7 +263,7 @@ class SimEngine(EngineCore):
                 try:
                     await port.buffer.put(msg)  # type: ignore[attr-defined]
                 except BufferClosedError:
-                    self._record_loss(msg, stats)
+                    self._count_wire_lost(link, msg, stats)
                     return
                 port.note_bytes(msg.size)
                 ins = self._ins
@@ -279,6 +280,13 @@ class SimEngine(EngineCore):
                     self._propagate_broken_source(msg, peer)
                 self._control.put_force(msg)
             self._wake.set()
+
+    def _count_wire_lost(self, link: SimLink, in_hand: Message, stats: LinkStats) -> None:
+        """This end of ``link`` is gone: the message in hand and whatever
+        the wire still carries will never be placed, so they are lost."""
+        self._record_loss(in_hand, stats)
+        for msg, _sent_at in link.inbox.drain():
+            self._record_loss(msg, stats)
 
     async def _watchdog_loop(self) -> None:
         """Detect upstream failures via long consecutive traffic inactivity."""
@@ -303,39 +311,44 @@ class SimEngine(EngineCore):
     # --------------------------------------------------------------------- senders
 
     async def _sender_loop(self, sender: _SenderLink, out: OutLink) -> None:
-        while self._running:
-            try:
-                msg = await out.queue.get()
-            except BufferClosedError:
-                return
-            sender.in_flight_since = self.kernel.now
-            delay = self.throttle.reserve_send(sender.dest, msg.size, self.kernel.now)
-            if delay > 0:
-                if self._ins is not None:
-                    self._ins.on_throttle_stall("up", delay)
-                await self.kernel.sleep(delay)
-            if self._ins is not None and sender.link.inbox.is_full:
-                self._ins.backpressure[out.label] += 1
-            try:
-                await sender.link.deliver(msg)
-            except LinkDownError:
-                if self._running and self._senders.get(sender.dest) is sender:
-                    self._drop_downstream(sender.dest, notify="down", undelivered=[msg])
-                return
-            sender.in_flight_since = None
-            out.stats.throughput.record(msg.size, self.kernel.now)
-            ins = self._ins
-            if ins is not None and msg.type == MsgType.DATA:
-                label = out.label
-                ins.forwarded[label] += 1
-                now = self.kernel.now
-                t0 = msg._hop_t0
-                if t0 is not None:
-                    ins.observe_hop(now - t0 if now > t0 else 0.0)
-                if ins.tracer.enabled:
-                    ins.trace_msg(now, EventType.FORWARD, msg, label)
-            self._send_space.set()
-            self._wake.set()
+        msg = None  # taken off the queue, not yet on the wire
+        try:
+            while self._running:
+                try:
+                    msg = await out.queue.get()
+                except BufferClosedError:
+                    return
+                sender.in_flight_since = self.kernel.now
+                delay = self.throttle.reserve_send(sender.dest, msg.size, self.kernel.now)
+                if delay > 0:
+                    if self._ins is not None:
+                        self._ins.on_throttle_stall("up", delay)
+                    await self.kernel.sleep(delay)
+                if self._ins is not None and sender.link.inbox.is_full:
+                    self._ins.backpressure[out.label] += 1
+                try:
+                    await sender.link.deliver(msg)
+                except LinkDownError:
+                    if self._running and self._senders.get(sender.dest) is sender:
+                        self._drop_downstream(sender.dest, notify="down")
+                    return
+                sender.in_flight_since = None
+                out.stats.throughput.record(msg.size, self.kernel.now)
+                ins = self._ins
+                if ins is not None and msg.type == MsgType.DATA:
+                    label = out.label
+                    ins.forwarded[label] += 1
+                    now = self.kernel.now
+                    t0 = msg._hop_t0
+                    if t0 is not None:
+                        ins.observe_hop(now - t0 if now > t0 else 0.0)
+                    if ins.tracer.enabled:
+                        ins.trace_msg(now, EventType.FORWARD, msg, label)
+                msg = None
+                self._send_space_freed()
+        finally:
+            if msg is not None:  # in hand when the link broke or was dropped
+                self._record_loss(msg, out.stats)
 
     def __repr__(self) -> str:
         state = "running" if self._running else ("terminated" if self._terminated else "new")

@@ -25,9 +25,22 @@ def pytest_generate_tests(metafunc):
 
 
 @pytest.fixture
-def cluster(backend_name):
-    driver = SimCluster() if backend_name == "sim" else NetCluster()
+def make_cluster(backend_name):
+    """Factory for tests that pick the seed or switch telemetry on."""
+    made = []
+
+    def make(**kwargs):
+        driver = (SimCluster if backend_name == "sim" else NetCluster)(**kwargs)
+        made.append(driver)
+        return driver
+
     try:
-        yield driver
+        yield make
     finally:
-        driver.close()
+        for driver in made:
+            driver.close()
+
+
+@pytest.fixture
+def cluster(make_cluster):
+    return make_cluster()

@@ -24,7 +24,7 @@ from repro.core.bandwidth import BandwidthSpec
 from repro.net.engine import NetEngineConfig
 from repro.net.virtual import VirtualHost
 from repro.sim.engine import EngineConfig
-from repro.sim.network import SimNetwork
+from repro.sim.network import NetworkConfig, SimNetwork
 
 #: short enough that the net leg stays fast, long enough for reports
 REPORT_INTERVAL = 0.2
@@ -35,14 +35,18 @@ class SimCluster:
 
     backend = "sim"
 
-    def __init__(self) -> None:
-        self.net = SimNetwork()
+    def __init__(self, seed: int = 0, telemetry=None) -> None:
+        self.net = SimNetwork(NetworkConfig(seed=seed))
+        self.telemetry = telemetry
         self._engines = []
 
-    def add_node(self, algorithm, up: float | None = None):
-        """Add a node; ``up`` caps its total uplink in bytes/second."""
+    def add_node(self, algorithm, up: float | None = None, down: float | None = None,
+                 capacity: int = 64):
+        """Add a node; ``up``/``down`` cap its links in bytes/second and
+        ``capacity`` is its per-buffer size in messages."""
         node_id = self.net.add_node(algorithm, config=EngineConfig(
-            report_interval=REPORT_INTERVAL, bandwidth=BandwidthSpec(up=up),
+            buffer_capacity=capacity, report_interval=REPORT_INTERVAL,
+            bandwidth=BandwidthSpec(up=up, down=down), telemetry=self.telemetry,
         ))
         engine = self.net.engine(node_id)
         self._engines.append(engine)
@@ -64,17 +68,18 @@ class SimCluster:
 
     def add_late_node(self, algorithm):
         """Add (and start) a node while the cluster is already running."""
-        node_id = self.net.add_node(
-            algorithm, config=EngineConfig(report_interval=REPORT_INTERVAL)
-        )
-        engine = self.net.engine(node_id)
-        self._engines.append(engine)
-        return engine
+        return self.add_node(algorithm)
 
     def close(self) -> None:
         for engine in self._engines:
             if engine.running:
                 engine.terminate()
+
+    def leaked_tasks(self) -> list[str]:
+        """Shut everything down; names of engine tasks still alive after."""
+        self.close()
+        self.net.run(0.01)  # cancellations land at the tasks' next step
+        return [t.name for t in self.net.kernel.live_tasks if t.name != "observer/poll"]
 
 
 class NetCluster:
@@ -82,16 +87,21 @@ class NetCluster:
 
     backend = "net"
 
-    def __init__(self) -> None:
+    def __init__(self, seed: int = 0, telemetry=None) -> None:
+        del seed  # wall-clock scheduling: nothing here draws random numbers
         self.loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self.loop)
         self.host = VirtualHost()
+        self.telemetry = telemetry
         self._started = False
 
-    def add_node(self, algorithm, up: float | None = None):
-        """Add a node; ``up`` caps its total uplink in bytes/second."""
+    def add_node(self, algorithm, up: float | None = None, down: float | None = None,
+                 capacity: int = 64):
+        """Add a node; ``up``/``down`` cap its links in bytes/second and
+        ``capacity`` is its per-buffer size in messages."""
         return self.host.add_node(algorithm, config=NetEngineConfig(
-            report_interval=REPORT_INTERVAL, bandwidth=BandwidthSpec(up=up),
+            buffer_capacity=capacity, report_interval=REPORT_INTERVAL,
+            bandwidth=BandwidthSpec(up=up, down=down), telemetry=self.telemetry,
         ))
 
     def start(self) -> None:
@@ -111,16 +121,23 @@ class NetCluster:
 
     def add_late_node(self, algorithm):
         """Add (and start) a node while the cluster is already running."""
-        engine = self.host.add_node(
-            algorithm, config=NetEngineConfig(report_interval=REPORT_INTERVAL)
-        )
+        engine = self.add_node(algorithm)
         self.loop.run_until_complete(self.host.start_node(engine))
         return engine
 
     def close(self) -> None:
+        if self.loop.is_closed():
+            return
         try:
             if self._started:
                 self.loop.run_until_complete(self.host.stop())
         finally:
             self.loop.close()
             asyncio.set_event_loop(None)
+
+    def leaked_tasks(self) -> list[str]:
+        """Shut everything down; names of tasks still alive after."""
+        self.loop.run_until_complete(self.host.stop())
+        self._started = False
+        self.loop.run_until_complete(asyncio.sleep(0))
+        return [task.get_name() for task in asyncio.all_tasks(self.loop)]

@@ -1,0 +1,119 @@
+"""The engine loop does work in proportion to messages, not wake-ups.
+
+Deterministic counts on the discrete-event backend (the benchmark's
+``sim_chain`` shape: 8 nodes, 5000-byte payloads, ``buffer_capacity``
+10, telemetry on) and one paced count on the asyncio backend.  Before
+the loop was progress-driven a relay ran four switch passes, one credit
+stall and 6.28 kernel events per message-hop.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
+from repro.core.message import Message
+from repro.core.msgtypes import MsgType
+from repro.net.engine import NetEngineConfig
+from repro.net.virtual import VirtualHost
+from repro.sim.engine import EngineConfig
+from repro.sim.network import NetworkConfig, SimNetwork
+from repro.telemetry import Telemetry
+
+APP = 1
+NODES = 8
+#: longer than any run here: no periodic report, poll or bootstrap refresh
+NEVER = 1e9
+
+
+def by_node(snapshot: dict, metric: str) -> dict[str, float]:
+    """A counter family summed over its other labels, per node."""
+    totals: dict[str, float] = {}
+    for series in snapshot.get(metric, {}).get("series", ()):
+        node = series["labels"]["node"]
+        totals[node] = totals.get(node, 0.0) + series["value"]
+    return totals
+
+
+def sim_chain(telemetry: Telemetry | None, quiet: bool) -> tuple[SimNetwork, list, SinkAlgorithm]:
+    """The benchmark's chain; ``quiet`` silences everything periodic."""
+    engine = EngineConfig(buffer_capacity=10)
+    config = NetworkConfig(engine=engine, seed=3, telemetry=telemetry)
+    if quiet:
+        engine.report_interval = config.observer_poll_interval = NEVER
+        engine.bootstrap_refresh = None
+    net = SimNetwork(config)
+    chain = [CopyForwardAlgorithm() for _ in range(NODES - 1)] + [SinkAlgorithm()]
+    ids = [net.add_node(algorithm, name=f"n{i}") for i, algorithm in enumerate(chain)]
+    for algorithm, downstream in zip(chain, ids[1:]):
+        algorithm.set_downstreams([downstream])
+    net.start()
+    net.observer.deploy_source(ids[0], app=APP, payload_size=5000)
+    return net, ids, chain[-1]
+
+
+def test_des_relay_runs_one_pass_per_message_and_never_stalls():
+    telemetry = Telemetry()
+    net, ids, sink = sim_chain(telemetry, quiet=True)
+    net.run(3.0)
+    snapshot = telemetry.snapshot()
+    rounds = by_node(snapshot, "ioverlay_engine_switch_rounds_total")
+    switched = by_node(snapshot, "ioverlay_engine_switched_messages_total")
+    epochs = by_node(snapshot, "ioverlay_engine_credit_epochs_total")
+    assert sink.received > 2000
+    for node in map(str, ids[1:]):  # every relay and the sink: one upstream each
+        assert switched[node] >= sink.received
+        # boot: the first look at start-up, the observer's bootstrap reply
+        # and NEW_UPSTREAM each wake the engine before any data is there
+        assert 0 <= rounds[node] - switched[node] <= 4, (node, rounds[node], switched[node])
+        # weight 1: an epoch per message, after the credit the port was born with
+        assert epochs[node] == switched[node] - 1
+    assert by_node(snapshot, "ioverlay_engine_credit_stalls_total") == {}
+    assert by_node(snapshot, "ioverlay_engine_defers_total") == {}
+
+
+def test_des_chain_costs_at_most_5_3_kernel_events_per_message_hop():
+    net, _ids, sink = sim_chain(telemetry=None, quiet=False)
+    net.run(1.0)
+    delivered, events = sink.received, net.kernel._sequence
+    net.run(2.0)
+    delivered, events = sink.received - delivered, net.kernel._sequence - events
+    assert delivered > 1500
+    assert events / (delivered * (NODES - 1)) <= 5.3
+
+
+def test_asyncio_paced_message_costs_one_pass_per_hop():
+    """Sent one at a time nothing batches: a message is one pass at each hop."""
+    paced = 50
+
+    async def scenario() -> tuple[list[int], list[int], int]:
+        telemetry = Telemetry()
+        host = VirtualHost()
+        algorithms = [CopyForwardAlgorithm() for _ in range(3)] + [SinkAlgorithm()]
+        engines = [
+            host.add_node(alg, config=NetEngineConfig(report_interval=NEVER, telemetry=telemetry))
+            for alg in algorithms
+        ]
+        await host.start()
+        try:
+            for algorithm, downstream in zip(algorithms, engines[1:]):
+                algorithm.set_downstreams([downstream.node_id])
+            await host.connect_chain()
+            await asyncio.sleep(0.05)  # NEW_UPSTREAM notices drained
+            hops = engines[1:]
+            before = [engine._ins.n_switch_rounds for engine in hops]
+            source = engines[0]
+            sink = algorithms[-1]
+            for seq in range(paced):
+                msg = Message(MsgType.DATA, source.node_id, APP, b"x" * 64, seq=seq)
+                source.send(msg, engines[1].node_id)
+                while sink.received <= seq:  # the next one leaves once this one is in
+                    await asyncio.sleep(0.001)
+            after = [engine._ins.n_switch_rounds for engine in hops]
+            return before, after, sink.received
+        finally:
+            await host.stop()
+
+    before, after, received = asyncio.run(scenario())
+    assert received == paced
+    assert [b - a for a, b in zip(before, after)] == [paced] * 3

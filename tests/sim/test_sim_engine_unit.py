@@ -234,8 +234,9 @@ def test_terminate_leaves_no_tracked_task():
 
 def test_superseded_link_counts_the_message_in_hand():
     """A re-dial supersedes the peer's previous link while its receiver
-    task still holds a message in latency: that message dies with the
-    old link and is counted, not silently dropped."""
+    task still holds a message in latency: that message, and the ones
+    still in the old link's socket buffer behind it, die with the old
+    link and are counted, not silently dropped."""
     net = SimNetwork(NetworkConfig(default_latency=0.05))
     src_alg = CopyForwardAlgorithm()
     src, sink = net.add_node(src_alg), net.add_node(SinkAlgorithm())
@@ -250,6 +251,8 @@ def test_superseded_link_counts_the_message_in_hand():
     sender.connect(sink)  # before the old receiver task has noticed
     assert receiver._upstream_links[src] is not old_link
     assert receiver._lost_messages == 0  # the sink's buffer was empty
+    on_the_wire = len(old_link.inbox)
+    assert on_the_wire == net.config.socket_buffer  # 50 ms of latency keeps it full
     net.run(0.2)
-    assert receiver._lost_messages == 1
-    assert receiver._status_report().fields()["lost_messages"] == 1
+    assert receiver._lost_messages == 1 + on_the_wire
+    assert receiver._status_report().fields()["lost_messages"] == 1 + on_the_wire
