@@ -10,29 +10,33 @@ supervision — the paper's observer-driven deployment of virtualized
 nodes across physical hosts (Sections 5-6), reproduced in miniature on
 one machine.
 
-- :mod:`repro.cluster.protocol` — the controller <-> worker control
-  channel (ordinary iOverlay frames, ``W_*`` verbs);
+- :mod:`repro.cluster.protocol` — the supervisor <-> child control
+  channel (ordinary iOverlay frames, one ``W_*`` verb family for every
+  tier);
+- :mod:`repro.cluster.supervise` — the supervision core:
+  spawn/reap/heartbeat/death-ladder/respawn over an abstract child
+  handle, with a consecutive-respawn budget and idempotent teardown;
+- :mod:`repro.cluster.tier` — the placement tier over that core: the
+  placed map, the ``place`` skeleton and the deploy/stop/inspect facade,
+  written once and instantiated twice;
+- :mod:`repro.cluster.controller` — the worker-level instantiation:
+  spawn/supervise the fleet, place nodes on workers, drive them through
+  the observer's DEPLOY/TERMINATE verbs, optionally respawn-and-redeploy;
+- :mod:`repro.cluster.federation` — the controller-level instantiation:
+  a :class:`RootController` places specs across child controllers
+  (two-stage placement, O(children) observer ingress), each child
+  running a full :class:`ClusterController` over its own worker fleet;
+- :mod:`repro.cluster.host` — the child end of a control channel (dial,
+  register, serve, heartbeat, drain, process entry), written once;
+- :mod:`repro.cluster.worker` / :mod:`repro.cluster.child` — the two
+  hosts (``python -m repro.cluster.worker`` / ``repro.cluster.child``):
+  a worker hosting nodes, a child controller hosting a fleet;
+- :mod:`repro.cluster.tasks` — the one task owner both halves use;
 - :mod:`repro.cluster.placement` — round-robin, bin-packing by declared
-  node weight, and explicit pinning;
-- :mod:`repro.cluster.worker` — the worker process (``python -m
-  repro.cluster.worker``): spawn/stop/inspect verbs, heartbeats with
-  process gauges, graceful signal handling;
-- :mod:`repro.cluster.controller` — spawn/supervise the fleet, place
-  nodes, drive them through the observer's DEPLOY/TERMINATE verbs,
-  re-run the failure domino bookkeeping when a worker dies, optionally
-  respawn-and-redeploy;
+  node weight, explicit pinning, and the controller-level policies;
 - :mod:`repro.cluster.scenarios` — deterministic chain/butterfly
   workloads used to prove cluster output is byte-identical to a
-  single-process run;
-- :mod:`repro.cluster.supervise` — the shared supervision core both
-  tiers run on: spawn/reap/heartbeat/death-ladder/respawn over an
-  abstract child handle, with a consecutive-respawn budget and
-  idempotent teardown;
-- :mod:`repro.cluster.federation` / :mod:`repro.cluster.child` — the
-  controller-of-controllers tier: a :class:`RootController` places
-  specs across child controllers (two-stage placement, ``C_*`` verbs,
-  O(children) observer ingress), each child running a full
-  :class:`ClusterController` over its own worker fleet.
+  single-process run.
 
 Cross-worker overlay traffic uses the ordinary socket path; traffic
 between nodes on the same worker keeps the zero-copy loopback fast

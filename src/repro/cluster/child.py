@@ -5,16 +5,17 @@
 placement, supervision, respawn — that answers to a federation root
 instead of owning the observer:
 
-- **bootstrap**: dial the root, send ``C_JOIN`` (name, pid, declared
-  worker count / capacity / weight), wait for ``C_WELCOME`` — it names
-  the root observer endpoint this shard aggregates into and, on a
-  respawn, the proxy port to re-bind — then boot the shard's
+- **bootstrap**: dial the root, send ``W_REGISTER`` (name, pid,
+  declared worker count / capacity / weight), wait for ``C_WELCOME`` —
+  it names the root observer endpoint this shard aggregates into and,
+  on a respawn, the proxy port to re-bind — then boot the shard's
   aggregation proxy and worker fleet and report ``C_EVENT ready``;
-- **serving**: ``C_PLACE`` / ``C_STOP_NODE`` / ``C_NODE_INFO`` /
-  ``C_SHUTDOWN`` map onto the local controller's place/stop/info/stop
-  verbs; each request is served in its own task so a slow worker spawn
-  never stalls the heartbeat stream;
-- **reporting**: periodic ``C_HEARTBEAT`` frames carry shard gauges
+- **serving**: the same request verbs a worker answers (``W_SPAWN`` /
+  ``W_STOP_NODE`` / ``W_NODE_INFO`` / ``W_SHUTDOWN``, over the shared
+  host half :class:`~repro.cluster.host.ControlHost`) map onto the
+  local controller's place/stop/info/stop; each request is served in
+  its own task so a slow worker spawn never stalls the heartbeat stream;
+- **reporting**: periodic ``W_HEARTBEAT`` frames carry shard gauges
   (placed nodes, live workers, peak RSS); internal worker respawns
   surface as ``C_EVENT node-replaced`` so the root's global map tracks
   the new identities, and node losses as ``C_EVENT node-down``;
@@ -32,19 +33,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import os
-import resource
 import sys
 
 from repro.cluster.controller import ClusterConfig, ClusterController
-from repro.cluster.protocol import ControlChannel
+from repro.cluster.host import ControlHost, run_host
 from repro.cluster.spec import NodeSpec, PlacedNode
 from repro.core.ids import AppId, NodeId
-from repro.core.message import Message
 from repro.core.msgtypes import MsgType
 from repro.errors import ClusterError
 from repro.net.proxy import ObserverProxy
-from repro.tools.signals import install_shutdown_handlers
 
 
 class RootRelayObserver:
@@ -84,8 +81,12 @@ class RootRelayObserver:
         raise ClusterError("terminate_node is root-driven in a federation")
 
 
-class ChildControllerHost:
+class ChildControllerHost(ControlHost):
     """One federated shard: aggregation proxy + controller + root channel."""
+
+    # A W_SPAWN spans a worker-side spawn round trip, and heartbeats and
+    # the requests behind it must keep flowing meanwhile.
+    concurrent_requests = True
 
     def __init__(
         self,
@@ -96,8 +97,7 @@ class ChildControllerHost:
         weight: float = 1.0,
         flush_interval: float = 0.2,
     ) -> None:
-        self.name = name
-        self.root_addr = root_addr
+        super().__init__(name, root_addr, config.heartbeat_interval)
         self.config = config
         self.capacity = capacity
         self.weight = weight
@@ -106,31 +106,16 @@ class ChildControllerHost:
         self.flush_interval = flush_interval
         self.proxy: ObserverProxy | None = None
         self.controller: ClusterController | None = None
-        self._chan: ControlChannel | None = None
-        self._tasks: list[asyncio.Task] = []
-        #: in-flight root-frame handlers; done handlers drop out, so a
-        #: long-lived shard does not accumulate one task per C_PLACE
-        self._handlers: set[asyncio.Task] = set()
         #: node identity (ip:port) -> spec name, for upward node-down
         #: reports after the controller has forgotten the placement
         self._node_names: dict[str, str] = {}
-        self._running = False
-        self.stopped = asyncio.Event()
-        self.heartbeats_sent = 0
 
     # ------------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
         """Join the root, boot the shard, report ready."""
-        self._running = True
-        reader, writer = await asyncio.open_connection(
-            self.root_addr.ip, self.root_addr.port
-        )
-        self._chan = ControlChannel(reader, writer)
-        await self._chan.send(
-            MsgType.C_JOIN, name=self.name, pid=os.getpid(),
-            workers=self.config.workers, capacity=self.capacity,
-            weight=self.weight,
+        await self._register(
+            workers=self.config.workers, capacity=self.capacity, weight=self.weight
         )
         welcome = await asyncio.wait_for(self._chan.recv(), 30.0)
         if welcome.type != MsgType.C_WELCOME:
@@ -149,26 +134,21 @@ class ChildControllerHost:
         self.controller = ClusterController(RootRelayObserver(self), self.config)
         self.controller.redeploy_listener = self._on_local_redeploy
         await self.controller.start()
-        self._tasks.append(asyncio.ensure_future(self._serve()))
-        self._tasks.append(asyncio.ensure_future(self._heartbeat_loop()))
+        self._serve_forever()
         self.send_event("ready", proxy=str(self.proxy.addr))
 
-    async def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        controller, proxy, chan = self.controller, self.proxy, self._chan
-        if controller is not None:
-            await controller.stop()
-        if proxy is not None:
-            await proxy.stop()
-        if chan is not None:
-            chan.close()
-        current = asyncio.current_task()
-        for task in [*self._tasks, *self._handlers]:
-            if task is not current:
-                task.cancel()
-        self.stopped.set()
+    async def drain(self) -> None:
+        if self.controller is not None:
+            await self.controller.stop()
+        if self.proxy is not None:
+            await self.proxy.stop()
+
+    def gauges(self) -> dict:
+        workers = self.controller.workers.values()
+        return {
+            "nodes": len(self.controller.placed),
+            "workers_alive": sum(1 for st in workers if st.alive),
+        }
 
     # ---------------------------------------------------------------- reporting
 
@@ -184,7 +164,7 @@ class ChildControllerHost:
             except (ConnectionError, OSError):
                 pass
 
-        asyncio.ensure_future(_send())
+        self._tasks.launch(_send(), f"event-{event}")
 
     def _on_local_redeploy(self, name: str, placed: PlacedNode) -> None:
         self._node_names[str(placed.node_id)] = name
@@ -197,94 +177,32 @@ class ChildControllerHost:
         """The spec name placed at ``node`` (empty if unknown here)."""
         return self._node_names.get(str(node), "")
 
-    # ------------------------------------------------------------- root channel
+    # ------------------------------------------------------------ request verbs
 
-    async def _serve(self) -> None:
-        assert self._chan is not None
-        while self._running:
-            try:
-                msg = await self._chan.recv()
-            except asyncio.CancelledError:
-                raise
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                # The root is gone; a headless shard is useless.
-                asyncio.ensure_future(self.stop())
-                return
-            # Served concurrently: a C_PLACE spans a worker-side spawn
-            # round trip, and heartbeats must keep flowing meanwhile.
-            task = asyncio.ensure_future(self._handle(msg))
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
+    async def spawn(self, fields: dict) -> dict:
+        spec = NodeSpec(
+            name=str(fields["name"]),
+            algorithm=str(fields["algorithm"]),
+            kwargs=dict(fields.get("kwargs", {})),
+            weight=float(fields.get("weight", 1.0)),
+            pin=fields.get("pin") or None,
+        )
+        placed = await self.controller.place(spec)
+        self._node_names[str(placed.node_id)] = spec.name
+        return {
+            "name": spec.name, "node": str(placed.node_id), "worker": placed.worker
+        }
 
-    async def _handle(self, msg: Message) -> None:
-        assert self._chan is not None and self.controller is not None
-        fields = msg.fields()
-        try:
-            if msg.type == MsgType.C_PLACE:
-                spec = NodeSpec(
-                    name=str(fields["name"]),
-                    algorithm=str(fields["algorithm"]),
-                    kwargs=dict(fields.get("kwargs", {})),
-                    weight=float(fields.get("weight", 1.0)),
-                    pin=fields.get("pin") or None,
-                )
-                placed = await self.controller.place(spec)
-                self._node_names[str(placed.node_id)] = spec.name
-                await self._chan.send(
-                    MsgType.C_PLACED, seq=msg.seq, name=spec.name,
-                    node=str(placed.node_id), worker=placed.worker,
-                )
-            elif msg.type == MsgType.C_STOP_NODE:
-                name = str(fields["name"])
-                stopped = self.controller.placed.get(name)
-                await self.controller.stop_node(name)
-                if stopped is not None:
-                    self._node_names.pop(str(stopped.node_id), None)
-                await self._chan.send(MsgType.C_INFO_REPLY, seq=msg.seq, ok=True)
-            elif msg.type == MsgType.C_NODE_INFO:
-                info = await self.controller.node_info(str(fields["name"]))
-                await self._chan.send(MsgType.C_INFO_REPLY, seq=msg.seq, **info)
-            elif msg.type == MsgType.C_SHUTDOWN:
-                try:
-                    await self._chan.send(MsgType.C_INFO_REPLY, seq=msg.seq, ok=True)
-                except (ConnectionError, OSError):
-                    pass
-                asyncio.ensure_future(self.stop())
-            # unknown verbs are ignored, matching the worker's dispatcher
-        except (ClusterError, KeyError, ValueError) as exc:
-            reply = (
-                MsgType.C_PLACED if msg.type == MsgType.C_PLACE
-                else MsgType.C_INFO_REPLY
-            )
-            try:
-                await self._chan.send(
-                    reply, seq=msg.seq, error=f"{type(exc).__name__}: {exc}"
-                )
-            except (ConnectionError, OSError):
-                pass
+    async def stop_node(self, fields: dict) -> dict:
+        name = str(fields["name"])
+        stopped = self.controller.placed.get(name)
+        await self.controller.stop_node(name)
+        if stopped is not None:
+            self._node_names.pop(str(stopped.node_id), None)
+        return {"ok": True}
 
-    # ---------------------------------------------------------------- heartbeats
-
-    async def _heartbeat_loop(self) -> None:
-        assert self._chan is not None
-        while self._running:
-            await asyncio.sleep(self.config.heartbeat_interval)
-            controller = self.controller
-            if controller is None:
-                continue
-            workers_alive = sum(
-                1 for st in controller.workers.values() if st.alive
-            )
-            rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            try:
-                await self._chan.send(
-                    MsgType.C_HEARTBEAT, name=self.name,
-                    nodes=len(controller.placed), workers_alive=workers_alive,
-                    rss_kb=rss_kb,
-                )
-            except (ConnectionError, OSError):
-                return
-            self.heartbeats_sent += 1
+    async def node_info(self, fields: dict) -> dict:
+        return await self.controller.node_info(str(fields["name"]))
 
 
 # ----------------------------------------------------------------- entry point
@@ -319,11 +237,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shm-ring-bytes", type=int, default=1 << 20,
                         help="shared-memory ring capacity for co-machine "
                              "worker links (0 disables)")
-    parser.add_argument("--uvloop", action="store_true")
     return parser
 
 
-async def _amain(args: argparse.Namespace) -> int:
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     config = ClusterConfig(
         workers=args.workers,
         placement=args.placement,
@@ -333,35 +251,16 @@ async def _amain(args: argparse.Namespace) -> int:
         observer_flush_interval=args.flush_interval,
         worker_telemetry=args.worker_telemetry,
         shm_ring_bytes=args.shm_ring_bytes,
-        uvloop=args.uvloop,
         controller_name=args.name,
     )
-    host = ChildControllerHost(
+    return run_host(ChildControllerHost(
         name=args.name,
         root_addr=NodeId.parse(args.join),
         config=config,
         capacity=args.capacity,
         weight=args.weight,
         flush_interval=args.flush_interval,
-    )
-    stop = asyncio.Event()
-    install_shutdown_handlers(stop)
-    await host.start()
-    signal_task = asyncio.ensure_future(stop.wait())
-    stopped_task = asyncio.ensure_future(host.stopped.wait())
-    await asyncio.wait({signal_task, stopped_task}, return_when=asyncio.FIRST_COMPLETED)
-    await host.stop()
-    for task in (signal_task, stopped_task):
-        task.cancel()
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        return asyncio.run(_amain(args))
-    except KeyboardInterrupt:
-        return 0
+    ))
 
 
 if __name__ == "__main__":

@@ -3,24 +3,27 @@
 One :class:`RootController` supervises a set of **child controllers**
 — each a full :class:`~repro.cluster.controller.ClusterController`
 running its own worker fleet in its own process
-(:mod:`repro.cluster.child`) — through the same supervision core that
-watches worker processes, just one tier up:
+(:mod:`repro.cluster.child`) — as the controller-level instantiation
+of the placement tier (:mod:`repro.cluster.tier`): the same supervision
+core, frame family, placed map and facade that watch worker processes,
+just one tier up.  What this file adds is what only a controller tier
+has:
 
 - children either get **spawned** locally (``python -m
   repro.cluster.child``) or **join** over plain TCP from anywhere
   (``ioverlay cluster --join``); a joiner is *adopted* — same state
   machine, nothing to reap or respawn;
-- the bootstrap handshake is two-phase: ``C_JOIN`` (identity, declared
-  worker count/capacity/weight) is answered with ``C_WELCOME`` (the
-  root observer endpoint to aggregate into, plus a pinned proxy port on
-  respawn), the child boots its proxy and fleet, then reports
+- the bootstrap handshake is two-phase: ``W_REGISTER`` (identity,
+  declared worker count/capacity/weight) is answered with ``C_WELCOME``
+  (the root observer endpoint to aggregate into, plus a pinned proxy
+  port on respawn), the child boots its proxy and fleet, then reports
   ``C_EVENT {event: "ready"}`` — placement only ever targets ready
   children;
 - **placement is two-stage**: the root resolves every ``"@name"``
   reference against its *global* placed map (so edges cross controller
   boundaries transparently), picks a child by capacity or weighted
   policy (or the spec's ``controller`` pin), and ships the wire-form
-  spec via ``C_PLACE``; the child then places it across its own workers
+  spec via ``W_SPAWN``; the child then places it across its own workers
   with the ordinary single-stage policies;
 - the **observer tree** roots one aggregation proxy per child
   controller: a node's telemetry travels node → worker proxy → child
@@ -42,51 +45,31 @@ events bracket every reconfiguration.
 from __future__ import annotations
 
 import asyncio
-import os
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
-from repro.cluster.controller import ObserverControl
 from repro.cluster.placement import ControllerLoad, make_controller_placement
-from repro.cluster.spec import NodeSpec, PlacedNode, resolve_refs
-from repro.cluster.supervise import (
-    CONTROLLER_FAMILY,
-    ChildState,
-    RespawnPolicy,
-    SupervisorCore,
-)
-from repro.core.ids import AppId, NodeId
+from repro.cluster.spec import NodeSpec, PlacedNode
+from repro.cluster.tier import PlacementTier, ShardState, TierConfig
+from repro.core.ids import NodeId
 from repro.core.msgtypes import MsgType
 from repro.errors import ClusterError, CodecError
-from repro.telemetry import Telemetry
 from repro.telemetry.tracing import EventType
 
 
 @dataclass
-class RootConfig:
+class RootConfig(TierConfig):
     """Tunables of one federation root."""
 
-    ip: str = "127.0.0.1"
     #: stage-one policy: ``capacity`` (most free declared capacity) or
     #: ``weighted`` (least load per declared weight)
     placement: str = "capacity"
-    heartbeat_interval: float = 0.5
-    heartbeat_timeout: float = 3.0
-    #: a child registers (C_JOIN) quickly, but is only *ready* once its
-    #: whole fleet booted — both waits share this budget
+    #: a child registers quickly, but is only *ready* once its whole
+    #: fleet booted — both waits share this budget
     register_timeout: float = 30.0
     request_timeout: float = 30.0
-    #: relaunch locally-spawned children that die (joiners never respawn
-    #: from here — their machine owns their lifecycle)
-    respawn: bool = False
-    respawn_max: int = 5
-    respawn_backoff: float = 0.25
-    respawn_backoff_max: float = 5.0
-    respawn_min_uptime: float = 5.0
-    telemetry: Telemetry | None = None
     #: defaults for locally-spawned children (a join declares its own)
     workers_per_child: int = 2
     child_placement: str = "round-robin"
@@ -94,137 +77,46 @@ class RootConfig:
     #: their worker proxies — the federation tree always aggregates
     #: (pure relays would multiply hops for no reduction)
     observer_flush_interval: float = 0.2
-    #: worker-process passthrough for spawned children
-    worker_telemetry: bool = False
-    shm_ring_bytes: int = 1 << 20
-    uvloop: bool = False
 
 
 @dataclass
-class ControllerState(ChildState):
+class ControllerState(ShardState):
     """Everything the root knows about one child controller."""
 
-    #: declared fleet size / capacity / weight (from C_JOIN)
+    #: declared fleet size / capacity / weight (from its registration)
     workers: int = 0
     capacity: float = 0.0
     weight: float = 1.0
     #: fleet booted, aggregation proxy attached — placement may target it
     ready: bool = False
-    #: the child's aggregation-proxy endpoint (from the ready event)
-    proxy_addr: str = ""
-    #: live gauges from C_HEARTBEAT
-    node_count: int = 0
+    #: live gauge from its heartbeats
     workers_alive: int = 0
-    rss_kb: float = 0.0
-    #: spec name -> placement, in placement order (the shard this child
-    #: hosts; sinks-first order is what makes a shard redeploy resolvable)
-    placed: dict[str, PlacedNode] = dataclass_field(default_factory=dict)
-
-    @property
-    def load(self) -> float:
-        """Total declared weight placed under this controller."""
-        return sum(p.spec.weight for p in self.placed.values())
 
 
-class ChildControllerSupervisor(SupervisorCore):
-    """Controller-tier frontend of the supervision core.
+class RootController(PlacementTier):
+    """Places specs across child controllers, supervises the tree.
 
-    Children are ``repro.cluster.child`` processes — or remote joiners
-    adopted on their C_JOIN.  The C_* frame family extends the W_* range
-    one tier up; see :mod:`repro.cluster.protocol` for the verb table.
+    Children are ``repro.cluster.child`` processes launched here
+    (respawned when they die, if configured) or remote joiners adopted
+    on their registration (their machine owns their lifecycle).
     """
 
     state_class = ControllerState
-
-    def __init__(self, root: "RootController") -> None:
-        config = root.config
-        super().__init__(
-            CONTROLLER_FAMILY,
-            ip=config.ip,
-            heartbeat_interval=config.heartbeat_interval,
-            heartbeat_timeout=config.heartbeat_timeout,
-            register_timeout=config.register_timeout,
-            request_timeout=config.request_timeout,
-            respawn=config.respawn,
-            respawn_policy=RespawnPolicy(
-                max_consecutive=config.respawn_max,
-                backoff_base=config.respawn_backoff,
-                backoff_max=config.respawn_backoff_max,
-                min_uptime=config.respawn_min_uptime,
-            ),
-            adopt_unknown=True,
-        )
-        self.root = root
-
-    # ------------------------------------------------------------------- hooks
-
-    def child_argv(self, state: ChildState) -> list[str]:
-        return self.root._child_argv(state.name)
-
-    def child_env(self, state: ChildState) -> dict[str, str]:
-        env = os.environ.copy()
-        src_root = str(Path(__file__).resolve().parents[2])
-        existing_path = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + existing_path if existing_path else src_root
-        )
-        return env
-
-    def on_registered(self, state: ChildState, fields: dict) -> None:
-        assert isinstance(state, ControllerState)
-        self.root._on_join(state, fields)
-
-    def on_heartbeat(self, state: ChildState, fields: dict) -> None:
-        assert isinstance(state, ControllerState)
-        state.node_count = int(fields.get("nodes", 0))
-        state.workers_alive = int(fields.get("workers_alive", 0))
-        state.rss_kb = float(fields.get("rss_kb", 0.0))
-        self.root._refresh_gauges(state)
-
-    def on_frame(self, state: ChildState, msg: Any) -> None:
-        assert isinstance(state, ControllerState)
-        if msg.type == MsgType.C_EVENT:
-            self.root._on_event(state, msg.fields())
-
-    async def on_child_dead(self, state: ChildState, reason: str) -> list:
-        assert isinstance(state, ControllerState)
-        self.root._note_controller_dead(state, reason)
-        # The shard redeploy is scheduled by the root itself (it must run
-        # for adopted children too, which the core never respawns), so
-        # nothing is handed to replace_orphans here.
-        return []
-
-    def trace(self, event: str, **detail: Any) -> None:
-        self.root._trace(event, **detail)
-
-
-class RootController:
-    """Places specs across child controllers, supervises the tree."""
+    child_kind = "controller"
+    trace_source = "root"
 
     def __init__(self, observer: Any, config: RootConfig | None = None) -> None:
-        self.observer = observer
-        self._obs: Any = (
-            observer if hasattr(observer, "mark_down") else ObserverControl(observer)
+        config = config or RootConfig()
+        super().__init__(
+            observer, config, make_controller_placement(config.placement),
+            adopt_unknown=True,
         )
-        self.config = config or RootConfig()
-        self.policy = make_controller_placement(self.config.placement)
-        self.supervisor = ChildControllerSupervisor(self)
-        #: spec name -> current placement, across the whole federation
-        self.placed: dict[str, PlacedNode] = {}
-        self.addr: NodeId | None = None
         #: child name -> declared worker count for local spawns
         self._spawn_workers: dict[str, int] = {}
-        #: child name -> the aggregation-proxy port its first incarnation
-        #: bound; a respawn is handed it via C_WELCOME so worker proxies
-        #: already dialing it reattach instead of restarting
-        self._proxy_ports: dict[str, int] = {}
         #: child name -> futures resolved when its ready event arrives
         self._ready_waiters: dict[str, list[asyncio.Future]] = {}
-        self._redeploy_tasks: list[asyncio.Task] = []
-        self.controller_deaths = 0
         self.shards_redeployed = 0
-        self.nodes_redeployed = 0
-        tel = self.config.telemetry
+        tel = config.telemetry
         if tel is not None:
             reg = tel.registry
             self._g_controllers = reg.gauge(
@@ -245,28 +137,22 @@ class RootController:
             self._c_shard = reg.counter(
                 "ioverlay_cluster_shard_redeployed_total",
                 "Whole-shard redeploys after a controller death", ("controller",))
-            self._c_redeployed = reg.counter(
-                "ioverlay_cluster_node_redeployed_total",
-                "Nodes re-placed after a failure", ("worker",))
         else:
             self._g_controllers = self._g_ctl_nodes = self._g_ctl_workers = None
-            self._c_join = self._c_dead = self._c_shard = self._c_redeployed = None
-
-    # ----------------------------------------------------- supervision facade
+            self._c_join = self._c_dead = self._c_shard = None
 
     @property
     def controllers(self) -> dict[str, ControllerState]:
         """The child-controller tree as the supervision core tracks it."""
-        return self.supervisor.children  # type: ignore[return-value]
+        return self.children  # type: ignore[return-value]
 
     @property
     def controller_count(self) -> int:
         return sum(1 for st in self.controllers.values() if st.alive and st.ready)
 
-    def _trace(self, event: str, **detail: Any) -> None:
-        tel = self.config.telemetry
-        if tel is not None and tel.tracer.enabled:
-            tel.tracer.append_raw(time.monotonic(), "root", event, "", 0, detail)
+    @property
+    def controller_deaths(self) -> int:
+        return self.deaths
 
     def _refresh_gauges(self, state: ControllerState | None = None) -> None:
         if self._g_controllers is not None:
@@ -277,31 +163,18 @@ class RootController:
                     state.workers_alive
                 )
 
-    # ------------------------------------------------------------------ lifecycle
-
-    async def start(self) -> None:
-        """Bind the controller-to-controller bootstrap server."""
-        await self.supervisor.start_server()
-        self.addr = NodeId(self.config.ip, self.supervisor.port)
-
-    async def stop(self) -> None:
-        """Drain the tree: C_SHUTDOWN every child, then reap/escalate."""
-        for task in self._redeploy_tasks:
-            task.cancel()
-        self._redeploy_tasks.clear()
-        await self.supervisor.stop()
-
     # ------------------------------------------------------------------- children
 
-    def _child_argv(self, name: str) -> list[str]:
+    def child_argv(self, state: ShardState) -> list[str]:
         assert self.addr is not None, "start() first"
         config = self.config
         argv = [
             sys.executable, "-m", "repro.cluster.child",
-            "--name", name,
+            "--name", state.name,
             "--join", str(self.addr),
             "--ip", config.ip,
-            "--workers", str(self._spawn_workers.get(name, config.workers_per_child)),
+            "--workers",
+            str(self._spawn_workers.get(state.name, config.workers_per_child)),
             "--placement", config.child_placement,
             "--heartbeat-interval", str(config.heartbeat_interval),
             "--flush-interval", str(config.observer_flush_interval),
@@ -310,18 +183,14 @@ class RootController:
             argv += ["--worker-telemetry"]
         if config.shm_ring_bytes > 0:
             argv += ["--shm-ring-bytes", str(config.shm_ring_bytes)]
-        if config.uvloop:
-            argv += ["--uvloop"]
         return argv
 
     async def spawn_child(self, name: str, workers: int | None = None) -> ControllerState:
         """Launch one child controller locally and wait until it is ready."""
         if workers is not None:
             self._spawn_workers[name] = workers
-        state = await self.supervisor.spawn_child(name)
-        assert isinstance(state, ControllerState)
-        await self.wait_ready(name)
-        return state
+        await self.launch_child(name)
+        return await self.wait_ready(name)
 
     async def wait_ready(
         self, name: str, timeout: float | None = None
@@ -338,9 +207,7 @@ class RootController:
             raise ClusterError(
                 f"child controller {name!r} did not become ready"
             ) from None
-        state = self.controllers[name]
-        assert isinstance(state, ControllerState)
-        return state
+        return self.controllers[name]
 
     async def wait_joined(self, count: int, timeout: float = 60.0) -> None:
         """Wait until ``count`` child controllers are ready (remote joins)."""
@@ -355,39 +222,40 @@ class RootController:
 
     # ------------------------------------------------- bootstrap handshake
 
-    def _on_join(self, state: ControllerState, fields: dict) -> None:
-        """A C_JOIN arrived: record declarations, answer with C_WELCOME."""
+    async def on_registered(self, state: ControllerState, fields: dict) -> None:
+        """A child registered: record its declarations, answer C_WELCOME."""
         state.workers = int(fields.get("workers", 0))
         state.capacity = float(fields.get("capacity", 0.0))
         state.weight = float(fields.get("weight", 1.0))
         state.ready = False
+        # A welcome that cannot be sent refuses the registration: the
+        # core closes the channel and traces the fault.
+        await state.chan.send(
+            MsgType.C_WELCOME, observer=str(self._obs.addr),
+            proxy_port=self._proxy_ports.get(state.name, 0),
+        )
         if self._c_join is not None:
             self._c_join.labels(controller=state.name).inc()
-        self._trace(
+        self.trace(
             EventType.CONTROLLER_JOIN, controller=state.name, pid=state.pid,
             workers=state.workers, capacity=state.capacity, weight=state.weight,
         )
-        welcome = {
-            "observer": str(self._obs.addr),
-            "proxy_port": self._proxy_ports.get(state.name, 0),
-        }
-        chan = state.chan
-        if chan is not None:
-            asyncio.ensure_future(chan.send(MsgType.C_WELCOME, **welcome))
+
+    def on_heartbeat(self, state: ControllerState, fields: dict) -> None:
+        super().on_heartbeat(state, fields)
+        state.workers_alive = int(fields.get("workers_alive", 0))
+        self._refresh_gauges(state)
+
+    def on_frame(self, state: ControllerState, type_: int, fields: dict) -> None:
+        if type_ == MsgType.C_EVENT:
+            self._on_event(state, fields)
 
     def _on_event(self, state: ControllerState, fields: dict) -> None:
         """An upward C_EVENT: ready / node-down / node-replaced."""
         event = str(fields.get("event", ""))
         if event == "ready":
             state.ready = True
-            state.proxy_addr = str(fields.get("proxy", ""))
-            if state.proxy_addr:
-                try:
-                    self._proxy_ports.setdefault(
-                        state.name, NodeId.parse(state.proxy_addr).port
-                    )
-                except CodecError:
-                    pass
+            self._pin_proxy_port(state, str(fields.get("proxy", "")))
             self._refresh_gauges(state)
             for future in self._ready_waiters.pop(state.name, []):
                 if not future.done():
@@ -431,120 +299,43 @@ class RootController:
 
     # ------------------------------------------------------------------ placement
 
-    def _choose_controller(self, spec: NodeSpec, *, relax_pin: bool = False) -> str:
-        fleet = {
+    def _fleet(self) -> dict[str, ControllerLoad]:
+        return {
             name: ControllerLoad(load=st.load, capacity=st.capacity, weight=st.weight)
             for name, st in self.controllers.items()
             if st.alive and st.ready
         }
-        if spec.controller is not None:
-            if spec.controller in fleet:
-                return spec.controller
-            if not relax_pin:
-                raise ClusterError(
-                    f"spec {spec.name!r} pins controller {spec.controller!r}, "
-                    "which is not ready"
-                )
-        return self.policy.choose(spec, fleet)
 
-    async def place(self, spec: NodeSpec, *, redeploy: bool = False) -> PlacedNode:
-        """Two-stage placement: pick a child controller, ship the spec.
+    def _pin(self, spec: NodeSpec) -> str | None:
+        return spec.controller
 
-        References are resolved here against the *global* placed map, so
-        an edge may point at a node under any other controller; the
-        already-resolved wire form passes through the child's own
-        reference resolution untouched.
-        """
-        if spec.name in self.placed:
-            raise ClusterError(f"node {spec.name!r} is already placed")
-        controller = self._choose_controller(spec, relax_pin=redeploy)
-        state = self.controllers[controller]
-        wire_kwargs = resolve_refs(
-            spec.kwargs, lambda name: self.placed[name].node_id
-        )
-        reply = await self.supervisor.request(
-            state, MsgType.C_PLACE,
-            name=spec.name, algorithm=spec.algorithm, kwargs=wire_kwargs,
-            weight=spec.weight, pin=spec.pin,
-        )
-        node_id = NodeId.parse(str(reply["node"]))
-        placed = PlacedNode(
-            spec=spec, worker=str(reply.get("worker", "")),
-            node_id=node_id, controller=controller,
-        )
-        state.placed[spec.name] = placed
-        self.placed[spec.name] = placed
-        if redeploy:
-            self.nodes_redeployed += 1
-            if self._c_redeployed is not None:
-                self._c_redeployed.labels(worker=placed.worker).inc()
-        return placed
+    def _host(self, placed: PlacedNode) -> ShardState:
+        return self.controllers[placed.controller]
 
-    async def deploy(self, specs: Iterable[NodeSpec]) -> dict[str, PlacedNode]:
-        """Place a whole topology (specs ordered sinks-first)."""
-        return {spec.name: await self.place(spec) for spec in specs}
-
-    async def stop_node(self, name: str) -> None:
-        placed = self._lookup(name)
-        state = self.controllers[placed.controller]
-        await self.supervisor.request(state, MsgType.C_STOP_NODE, name=name)
-        state.placed.pop(name, None)
-        self.placed.pop(name, None)
-        self._obs.mark_down(placed.node_id)
-
-    async def node_info(self, name: str) -> dict:
-        placed = self._lookup(name)
-        return await self.supervisor.request(
-            self.controllers[placed.controller], MsgType.C_NODE_INFO, name=name
-        )
-
-    def _lookup(self, name: str) -> PlacedNode:
-        try:
-            return self.placed[name]
-        except KeyError:
-            raise ClusterError(f"no placed node named {name!r}") from None
-
-    def node_id(self, name: str) -> NodeId:
-        return self._lookup(name).node_id
-
-    # ---------------------------------------------- observer-driven deployment
-
-    def deploy_source(self, name: str, app: AppId, payload_size: int = 5120) -> None:
-        """Start a paced source on a placed node, wherever it lives."""
-        self._obs.deploy_source(self.node_id(name), app, payload_size)
-
-    def send_control(
-        self, name: str, type_: int, param1: int = 0, param2: int = 0, app: AppId = 0
-    ) -> None:
-        self._obs.send_control(
-            self.node_id(name), type_, param1=param1, param2=param2, app=app
-        )
-
-    def terminate_node(self, name: str) -> None:
-        self._obs.terminate_node(self.node_id(name))
+    def _located(self, state: ShardState, reply: dict) -> tuple[str, str]:
+        return str(reply.get("worker", "")), state.name
 
     # --------------------------------------------------------- the third tier
 
-    def _note_controller_dead(self, state: ControllerState, reason: str) -> None:
+    async def on_child_dead(self, state: ControllerState, reason: str) -> list:
         """A whole child controller died: down its shard, then re-place it."""
         state.ready = False
-        orphans = list(state.placed.values())
-        state.placed.clear()
-        for placed in orphans:
-            self.placed.pop(placed.spec.name, None)
-            self._obs.mark_down(placed.node_id)
-        self.controller_deaths += 1
+        orphans = self._down_shard(state)
         if self._c_dead is not None:
             self._c_dead.labels(controller=state.name).inc()
         self._refresh_gauges()
-        self._trace(
+        self.trace(
             EventType.CONTROLLER_DEAD, controller=state.name, reason=reason,
             shard=[p.spec.name for p in orphans],
         )
-        if orphans and self.supervisor.running:
-            self._redeploy_tasks.append(
-                asyncio.ensure_future(self._redeploy_shard(state.name, orphans))
+        if orphans:
+            self._tasks.launch(
+                self._redeploy_shard(state.name, orphans), f"redeploy-{state.name}"
             )
+        # The shard redeploy is the root's own task (it must run for
+        # adopted children too, which the core never respawns), so
+        # nothing is handed to replace_orphans.
+        return []
 
     async def _redeploy_shard(self, dead: str, orphans: list[PlacedNode]) -> None:
         """Re-place a dead controller's whole shard through the root policy.
@@ -570,7 +361,7 @@ class RootController:
         self.shards_redeployed += 1
         if self._c_shard is not None:
             self._c_shard.labels(controller=dead).inc()
-        self._trace(
+        self.trace(
             EventType.SHARD_REDEPLOYED, controller=dead,
             nodes=redeployed, lost=[p.spec.name for p in orphans],
         )

@@ -22,10 +22,15 @@ handle (:class:`ChildState`):
   against in-flight respawns — a subprocess created while stop() runs
   is killed, never orphaned.
 
-Frontends parameterize the wire dialect with a :class:`FrameFamily`
-(the ``W_*`` worker verbs or the ``C_*`` controller-to-controller
-verbs) and override the template hooks for registration, heartbeats,
-death bookkeeping and orphan re-placement.
+Every tier speaks the one ``W_*`` frame family
+(:mod:`repro.cluster.protocol`); a frontend subclasses the core and
+overrides the template hooks for registration, heartbeats, death
+bookkeeping and orphan re-placement.  Control frames are outside input
+(the federation root accepts joins from anywhere), so nothing here
+trusts them: a registration that does not validate is refused, an
+upward frame whose payload does not decode is dropped with a
+``control-fault`` trace, and a frame that does not decode at all (the
+stream is unaligned from there on) takes the ordinary death path.
 """
 
 from __future__ import annotations
@@ -33,45 +38,15 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.cluster.protocol import ControlChannel
+from repro.cluster.protocol import REPLIES, ControlChannel
+from repro.cluster.tasks import TaskSet
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.errors import ClusterError
+from repro.errors import ClusterError, CodecError
 from repro.telemetry.tracing import EventType
-
-
-@dataclass(frozen=True)
-class FrameFamily:
-    """The wire verbs one supervision tier speaks on its channels."""
-
-    #: child -> supervisor, first frame: identity
-    register: int
-    #: child -> supervisor: periodic liveness + gauges
-    heartbeat: int
-    #: supervisor -> child: drain and exit
-    shutdown: int
-    #: child -> supervisor frames correlated to a request by ``seq``
-    replies: frozenset[int]
-
-
-#: controller <-> worker (process tier, PR 5)
-WORKER_FAMILY = FrameFamily(
-    register=MsgType.W_REGISTER,
-    heartbeat=MsgType.W_HEARTBEAT,
-    shutdown=MsgType.W_SHUTDOWN,
-    replies=frozenset({MsgType.W_SPAWNED, MsgType.W_NODE_INFO_REPLY}),
-)
-
-#: root <-> child controller (federation tier)
-CONTROLLER_FAMILY = FrameFamily(
-    register=MsgType.C_JOIN,
-    heartbeat=MsgType.C_HEARTBEAT,
-    shutdown=MsgType.C_SHUTDOWN,
-    replies=frozenset({MsgType.C_PLACED, MsgType.C_INFO_REPLY}),
-)
 
 
 @dataclass
@@ -123,11 +98,13 @@ class SupervisorCore:
     ``child_env(state)``
         environment for the subprocess (``None`` inherits).
     ``on_registered(state, fields)``
-        the child's registration fields arrived (identity facts).
+        the child's registration fields arrived (identity facts); may
+        answer on ``state.chan``.  Raising ``ValueError``/``TypeError``
+        (a field of the wrong type) or a socket error refuses the child.
     ``on_heartbeat(state, fields)``
         a heartbeat's gauge fields arrived.
-    ``on_frame(state, msg)``
-        any other non-reply upward frame.
+    ``on_frame(state, type_, fields)``
+        any other non-reply upward frame, payload decoded.
     ``on_child_dead(state, reason)``
         death bookkeeping; returns the *orphans* to hand to
         ``replace_orphans`` after a successful respawn.
@@ -142,7 +119,6 @@ class SupervisorCore:
 
     def __init__(
         self,
-        family: FrameFamily,
         *,
         ip: str = "127.0.0.1",
         heartbeat_interval: float = 0.5,
@@ -153,7 +129,6 @@ class SupervisorCore:
         respawn_policy: RespawnPolicy | None = None,
         adopt_unknown: bool = False,
     ) -> None:
-        self.family = family
         self.ip = ip
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -171,7 +146,7 @@ class SupervisorCore:
         self._pending: dict[int, asyncio.Future] = {}
         self._register_waiters: dict[str, asyncio.Future] = {}
         self._respawn_streak: dict[str, int] = {}
-        self._tasks: list[asyncio.Task] = []
+        self._tasks = TaskSet(type(self).__name__, self._task_failed)
         self._running = False
         #: set once stop() has fully torn down; a second stop() awaits it
         self._stopped: asyncio.Event | None = None
@@ -186,13 +161,13 @@ class SupervisorCore:
     def child_env(self, state: ChildState) -> dict[str, str] | None:
         return None
 
-    def on_registered(self, state: ChildState, fields: dict) -> None:
+    async def on_registered(self, state: ChildState, fields: dict) -> None:
         pass
 
     def on_heartbeat(self, state: ChildState, fields: dict) -> None:
         pass
 
-    def on_frame(self, state: ChildState, msg: Message) -> None:
+    def on_frame(self, state: ChildState, type_: int, fields: dict) -> None:
         pass
 
     async def on_child_dead(self, state: ChildState, reason: str) -> list:
@@ -204,11 +179,10 @@ class SupervisorCore:
     def trace(self, event: str, **detail: Any) -> None:
         pass
 
-    # ---------------------------------------------------------------- lifecycle
+    def _task_failed(self, name: str, exc: BaseException) -> None:
+        self.trace(EventType.CONTROL_FAULT, stage="task", task=name, error=repr(exc))
 
-    @property
-    def running(self) -> bool:
-        return self._running
+    # ---------------------------------------------------------------- lifecycle
 
     async def start_server(self) -> None:
         """Bind the control server children register against."""
@@ -218,7 +192,7 @@ class SupervisorCore:
         self._stopped = None
         self._server = await asyncio.start_server(self._accept, host=self.ip, port=0)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._tasks.append(asyncio.ensure_future(self._sweep_loop()))
+        self._tasks.launch(self._sweep_loop(), "sweep")
 
     async def stop(self) -> None:
         """Drain every child, then reap with escalation.
@@ -236,18 +210,16 @@ class SupervisorCore:
         self._stopped = asyncio.Event()
         try:
             self._running = False
-            # Stop accepting first: with adopt_unknown a C_JOIN landing
+            # Stop accepting first: with adopt_unknown a join landing
             # mid-teardown would otherwise grow self.children under us.
             if self._server is not None:
                 self._server.close()
-            for task in self._tasks:
-                task.cancel()
-            self._tasks.clear()
+            self._tasks.teardown()
             for state in list(self.children.values()):
                 state.shutting_down = True
                 if state.alive and state.chan is not None and not state.chan.is_closing():
                     try:
-                        await state.chan.send(self.family.shutdown)
+                        await state.chan.send(MsgType.W_SHUTDOWN)
                     except (ConnectionError, OSError):
                         pass
             for state in list(self.children.values()):
@@ -287,7 +259,7 @@ class SupervisorCore:
 
     # ----------------------------------------------------------------- spawning
 
-    async def spawn_child(self, name: str) -> ChildState:
+    async def launch_child(self, name: str) -> ChildState:
         """Launch one child process and wait for its registration."""
         if not self._running:
             raise ClusterError(f"cannot spawn {name!r}: supervisor is stopped")
@@ -301,48 +273,43 @@ class SupervisorCore:
             raise ClusterError(f"child {name!r} is not launchable from here")
         waiter: asyncio.Future = asyncio.get_running_loop().create_future()
         self._register_waiters[name] = waiter
-        # The creation future outlives a cancellation of this coroutine:
-        # whatever process it produces after we are gone is killed, so a
-        # stop() racing a respawn can never orphan a half-spawned child.
-        creation = asyncio.ensure_future(
-            asyncio.create_subprocess_exec(*argv, env=self.child_env(state))
-        )
         try:
-            state.process = await asyncio.shield(creation)
-        except asyncio.CancelledError:
-            creation.add_done_callback(_kill_stray)
-            self._register_waiters.pop(name, None)
-            raise
-        except OSError as exc:
-            self._register_waiters.pop(name, None)
-            raise ClusterError(f"cannot launch child {name!r}: {exc}") from exc
-        if not self._running:
-            # stop() ran while the exec was in flight: the teardown loop
-            # may already have passed this state — reap here instead.
-            state.process.kill()
-            await state.process.wait()
-            self._register_waiters.pop(name, None)
-            raise ClusterError(f"child {name!r} spawned during shutdown")
-        try:
-            await asyncio.wait_for(waiter, self.register_timeout)
-        except asyncio.TimeoutError:
-            self._register_waiters.pop(name, None)
-            # Kill and reap the straggler: left alive it would leak, and
-            # a late registration from it could attach a stale process's
-            # channel to a newer respawn incarnation of this name.
-            pid = state.process.pid
-            if state.process.returncode is None:
+            # Awaited in place: a cancellation landing mid-exec (stop()
+            # racing a respawn) is handled by asyncio itself, which kills
+            # and reaps the half-made process before re-raising.
+            try:
+                state.process = await asyncio.create_subprocess_exec(
+                    *argv, env=self.child_env(state)
+                )
+            except OSError as exc:
+                raise ClusterError(f"cannot launch child {name!r}: {exc}") from exc
+            if not self._running:
+                # stop() ran while the exec was in flight: the teardown
+                # loop may already have passed this state — reap here.
                 state.process.kill()
                 await state.process.wait()
-            raise ClusterError(
-                f"child {name!r} (pid {pid}) did not register "
-                f"within {self.register_timeout}s"
-            ) from None
+                raise ClusterError(f"child {name!r} spawned during shutdown")
+            try:
+                await asyncio.wait_for(waiter, self.register_timeout)
+            except asyncio.TimeoutError:
+                # Kill and reap the straggler: left alive it would leak,
+                # and a late registration from it could attach a stale
+                # process's channel to a newer incarnation of this name.
+                pid = state.process.pid
+                if state.process.returncode is None:
+                    state.process.kill()
+                    await state.process.wait()
+                raise ClusterError(
+                    f"child {name!r} (pid {pid}) did not register "
+                    f"within {self.register_timeout}s"
+                ) from None
+        finally:
+            self._register_waiters.pop(name, None)
         state.alive = True
         now = time.monotonic()
         state.last_heartbeat = now
         state.spawned_at = now
-        self._tasks.append(asyncio.ensure_future(self._reap(state)))
+        self._tasks.launch(self._reap(state), f"reap-{name}")
         return state
 
     async def _reap(self, state: ChildState) -> None:
@@ -359,36 +326,42 @@ class SupervisorCore:
         chan = ControlChannel(reader, writer)
         try:
             first = await asyncio.wait_for(chan.recv(), self.register_timeout)
+            if first.type != MsgType.W_REGISTER:
+                raise CodecError(f"expected W_REGISTER, got type {first.type}")
+            fields = first.fields()
+            name, pid = str(fields.get("name", "")), int(fields.get("pid", 0))
         except (asyncio.TimeoutError, asyncio.IncompleteReadError,
                 ConnectionError, OSError):
             chan.close()
             return
-        if first.type != self.family.register:
-            chan.close()
+        except (CodecError, TypeError, ValueError) as exc:
+            self._refuse(chan, "", f"undecodable first frame: {exc}")
             return
-        fields = first.fields()
-        name = str(fields.get("name", ""))
         state = self.children.get(name)
         if state is None:
             if not self.adopt_unknown or not name:
-                chan.close()  # not a child of ours
+                self._refuse(chan, name, "not a child of this supervisor")
                 return
             state = self.state_class(name=name)
             state.adopted = True
-            self.children[name] = state
         elif state.alive and state.chan is not None and not state.chan.is_closing():
-            chan.close()  # a live child already owns this name
+            self._refuse(chan, name, "a live child already owns this name")
             return
-        elif state.process is not None and int(fields.get("pid", 0)) != state.process.pid:
+        elif state.process is not None and pid != state.process.pid:
             # A stale incarnation (e.g. one that outlived its register
             # timeout) must not satisfy a newer respawn's registration.
-            chan.close()
+            self._refuse(chan, name, f"stale incarnation (pid {pid})")
             return
-        state.chan = chan
-        state.pid = int(fields.get("pid", 0))
-        self.on_registered(state, fields)
+        state.chan, state.pid = chan, pid
+        try:
+            await self.on_registered(state, fields)
+        except (TypeError, ValueError, ConnectionError, OSError) as exc:
+            state.chan = None
+            self._refuse(chan, name, f"registration failed: {exc!r}")
+            return
         if state.adopted:
             now = time.monotonic()
+            self.children[name] = state
             state.alive = True
             state.shutting_down = False
             state.last_heartbeat = now
@@ -396,26 +369,46 @@ class SupervisorCore:
         waiter = self._register_waiters.pop(name, None)
         if waiter is not None and not waiter.done():
             waiter.set_result(state)
+        reason = "channel-eof"
         while self._running:
             try:
                 msg = await chan.recv()
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 break
-            except asyncio.CancelledError:
-                return
+            except CodecError:
+                # The stream is unaligned from here on: nothing that
+                # follows can be trusted, so this is a death, at once.
+                reason = "bad-frame"
+                break
             self._dispatch(state, msg)
-        await self._child_dead(state, reason="channel-eof")
+        await self._child_dead(state, reason)
+
+    def _refuse(self, chan: ControlChannel, name: str, why: str) -> None:
+        """Close a channel whose registration did not validate."""
+        self.trace(EventType.CONTROL_FAULT, stage="register", child=name, error=why)
+        chan.close()
 
     def _dispatch(self, state: ChildState, msg: Message) -> None:
-        if msg.type == self.family.heartbeat:
-            state.last_heartbeat = time.monotonic()
-            self.on_heartbeat(state, msg.fields())
-        elif msg.type in self.family.replies:
+        if msg.type in REPLIES:
             future = self._pending.pop(msg.seq, None)
             if future is not None and not future.done():
                 future.set_result(msg)
-        else:
-            self.on_frame(state, msg)
+            return
+        try:
+            fields = msg.fields()
+            if msg.type == MsgType.W_HEARTBEAT:
+                self.on_heartbeat(state, fields)
+                state.last_heartbeat = time.monotonic()
+            else:
+                self.on_frame(state, msg.type, fields)
+        except (CodecError, TypeError, ValueError) as exc:
+            # Dropped, not fatal: the frame itself parsed, so the stream
+            # is still aligned.  A heartbeat that does not decode is not
+            # a heartbeat — a child sending only those times out.
+            self.trace(
+                EventType.CONTROL_FAULT, stage="frame", child=state.name,
+                type=msg.type, error=str(exc),
+            )
 
     async def request(self, state: ChildState, type_: int, **fields: Any) -> dict:
         """One correlated request/reply round trip on a child's channel."""
@@ -447,16 +440,13 @@ class SupervisorCore:
                 f"child {state.name!r} request type {type_} was dropped "
                 "during teardown"
             ) from None
-        result = reply.fields()
+        try:
+            result = reply.fields()
+        except CodecError as exc:
+            raise ClusterError(f"child {state.name!r} sent a bad reply: {exc}") from exc
         if "error" in result:
             raise ClusterError(f"child {state.name!r}: {result['error']}")
         return result
-
-    async def send(self, state: ChildState, type_: int, **fields: Any) -> None:
-        """One uncorrelated downward frame (best-effort)."""
-        if state.chan is None or state.chan.is_closing():
-            raise ClusterError(f"child {state.name!r} has no live channel")
-        await state.chan.send(type_, **fields)
 
     # --------------------------------------------------------------- supervision
 
@@ -487,49 +477,35 @@ class SupervisorCore:
             state.chan = None
         orphans = await self.on_child_dead(state, reason)
         if self.respawn and not state.adopted and self._running:
-            self._tasks.append(
-                asyncio.ensure_future(self._respawn(state.name, orphans))
-            )
+            self._tasks.launch(self._respawn(state.name, orphans), f"respawn-{state.name}")
 
     async def _respawn(self, name: str, orphans: list) -> None:
         """Relaunch a dead child under the consecutive-respawn budget."""
-        state = self.children.get(name)
-        if state is None or not self._running:
-            return
         policy = self.respawn_policy
-        if state.spawned_at and time.monotonic() - state.spawned_at >= policy.min_uptime:
-            self._respawn_streak[name] = 0  # it had a healthy run
-        streak = self._respawn_streak.get(name, 0) + 1
-        self._respawn_streak[name] = streak
-        if streak > policy.max_consecutive:
-            self.respawns_abandoned += 1
-            self.trace(EventType.RESPAWN_EXHAUSTED, child=name, attempts=streak - 1)
-            return
-        delay = policy.delay(streak)
-        if delay > 0:
-            self.trace(
-                EventType.RESPAWN_BACKOFF, child=name,
-                attempt=streak, delay=round(delay, 3),
-            )
-            await asyncio.sleep(delay)
-            if not self._running:
+        while self._running:
+            state = self.children[name]
+            if state.spawned_at and time.monotonic() - state.spawned_at >= policy.min_uptime:
+                self._respawn_streak[name] = 0  # it had a healthy run
+            streak = self._respawn_streak.get(name, 0) + 1
+            self._respawn_streak[name] = streak
+            if streak > policy.max_consecutive:
+                self.respawns_abandoned += 1
+                self.trace(EventType.RESPAWN_EXHAUSTED, child=name, attempts=streak - 1)
                 return
-        try:
-            fresh = await self.spawn_child(name)
-        except ClusterError:
-            # A boot failure (register timeout, exec error) burns budget
-            # exactly like an early death: try again until exhausted.
-            if self._running:
-                self._tasks.append(asyncio.ensure_future(self._respawn(name, orphans)))
+            delay = policy.delay(streak)
+            if delay > 0:
+                self.trace(
+                    EventType.RESPAWN_BACKOFF, child=name,
+                    attempt=streak, delay=round(delay, 3),
+                )
+                await asyncio.sleep(delay)
+                if not self._running:
+                    return
+            try:
+                fresh = await self.launch_child(name)
+            except ClusterError:
+                # A boot failure (register timeout, exec error) burns
+                # budget exactly like an early death: go round again.
+                continue
+            await self.replace_orphans(fresh, orphans)
             return
-        await self.replace_orphans(fresh, orphans)
-
-
-def _kill_stray(creation: asyncio.Future) -> None:
-    """Reap a process whose spawner was cancelled mid-``exec``."""
-    if creation.cancelled() or creation.exception() is not None:
-        return
-    try:
-        creation.result().kill()
-    except ProcessLookupError:
-        pass

@@ -9,10 +9,11 @@ A :class:`WorkerHost` is what runs inside every fleet process (``python
 - an :class:`~repro.net.proxy.ObserverProxy` funnelling every hosted
   node's observer link into the *one* upstream connection the observer
   sees per worker,
-- one control channel to the controller: ``W_REGISTER`` on connect,
-  then ``W_SPAWN``/``W_STOP_NODE``/``W_NODE_INFO``/``W_SHUTDOWN``
-  served in arrival order, plus periodic ``W_HEARTBEAT`` frames
-  carrying process gauges (peak RSS, event-loop lag, node count).
+- one control channel to the controller — the shared host half
+  (:class:`~repro.cluster.host.ControlHost`): ``W_REGISTER`` on
+  connect, then ``W_SPAWN``/``W_STOP_NODE``/``W_NODE_INFO``/
+  ``W_SHUTDOWN`` served in arrival order, plus periodic ``W_HEARTBEAT``
+  frames carrying process gauges (peak RSS, event-loop lag, node count).
 
 Shutdown — whether by ``W_SHUTDOWN``, controller disappearance, SIGTERM
 or SIGINT — runs the engines' deliberate ``disconnect`` path for every
@@ -23,23 +24,18 @@ of a mid-frame reset.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import os
-import resource
 import sys
 
-from repro.cluster.protocol import ControlChannel
+from repro.cluster.host import ControlHost, run_host
 from repro.cluster.spec import build_algorithm
 from repro.core.ids import NodeId
-from repro.core.message import Message
-from repro.core.msgtypes import MsgType
 from repro.errors import ClusterError
 from repro.net.proxy import ObserverProxy
 from repro.net.virtual import VirtualHost
-from repro.tools.signals import install_shutdown_handlers
 
 
-class WorkerHost:
+class WorkerHost(ControlHost):
     """One fleet process: virtual host + observer funnel + control channel."""
 
     def __init__(
@@ -53,12 +49,11 @@ class WorkerHost:
         telemetry_enabled: bool = False,
         trace_sample: int = 1,
         shm_ring_bytes: int = 0,
-        loop_impl: str = "asyncio",
         proxy_port: int = 0,
         controller_name: str = "",
         exit_after_register: bool = False,
     ) -> None:
-        self.name = name
+        super().__init__(name, controller_addr, heartbeat_interval)
         #: identity of the controller shard this worker belongs to; rides
         #: every registration and heartbeat so federated telemetry can
         #: attribute process gauges to their child controller
@@ -67,10 +62,8 @@ class WorkerHost:
         #: respawn-budget regression needs a worker that crash-loops on
         #: boot while still passing the registration handshake)
         self.exit_after_register = exit_after_register
-        self.controller_addr = controller_addr
         self.observer_addr = observer_addr
         self.ip = ip
-        self.heartbeat_interval = heartbeat_interval
         #: with a flush interval the proxy runs in aggregation mode: it
         #: absorbs and pre-reduces observer traffic, making this worker a
         #: node of the observer tree instead of a transparent funnel
@@ -80,9 +73,6 @@ class WorkerHost:
         #: ring capacity for the shared-memory fast path between co-machine
         #: workers (0 = plain TCP); see :mod:`repro.net.shm`
         self.shm_ring_bytes = shm_ring_bytes
-        #: event-loop implementation this process runs ("asyncio"/"uvloop"),
-        #: reported in the registration so benchmarks can attribute results
-        self.loop_impl = loop_impl
         #: bind the observer proxy to this exact port (0 = ephemeral).  A
         #: respawned worker is handed its predecessor's port so children
         #: of a mid-tree aggregator redial the same endpoint instead of
@@ -91,18 +81,11 @@ class WorkerHost:
         self.telemetry = None
         self.proxy: ObserverProxy | None = None
         self.host: VirtualHost | None = None
-        self._chan: ControlChannel | None = None
         self._engines: dict[str, object] = {}  # spec name -> AsyncioEngine
-        self._tasks: list[asyncio.Task] = []
-        self._running = False
-        #: set once the worker has fully stopped (main() waits on this)
-        self.stopped = asyncio.Event()
-        self.heartbeats_sent = 0
 
     # ------------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        self._running = True
         if self.telemetry_enabled:
             from repro.telemetry import Telemetry
 
@@ -113,170 +96,84 @@ class WorkerHost:
         )
         await self.proxy.start()
         self.host = VirtualHost(observer_addr=self.proxy.addr, ip=self.ip)
-        reader, writer = await asyncio.open_connection(
-            self.controller_addr.ip, self.controller_addr.port
-        )
-        self._chan = ControlChannel(reader, writer)
         # The proxy address rides the registration: in tree mode the
         # controller points later workers' upstreams at it.
-        await self._chan.send(
-            MsgType.W_REGISTER, name=self.name, pid=os.getpid(),
-            proxy=str(self.proxy.addr), loop=self.loop_impl,
-            controller=self.controller_name,
+        await self._register(
+            proxy=str(self.proxy.addr), controller=self.controller_name
         )
         if self.exit_after_register:
             # Crash-on-boot test hook: vanish without a graceful drain.
             os._exit(17)
-        self._tasks.append(asyncio.ensure_future(self._serve()))
-        self._tasks.append(asyncio.ensure_future(self._heartbeat_loop()))
+        self._serve_forever()
 
-    async def stop(self) -> None:
-        """Graceful drain: deliberate disconnects, then teardown."""
-        if not self._running:
-            return
-        self._running = False
-        host, proxy, chan = self.host, self.proxy, self._chan
-        if host is not None:
+    async def drain(self) -> None:
+        if self.host is not None:
             # The engines' graceful path: peers observe a clean close and
             # run their own teardown; no BROKEN_LINK is raised locally.
-            for engine in host.nodes:
+            for engine in self.host.nodes:
                 for dest in engine.downstreams():
                     engine.disconnect(dest)
-            await host.stop()
-        if proxy is not None:
-            await proxy.stop()
-        if chan is not None:
-            chan.close()
-        current = asyncio.current_task()
-        for task in self._tasks:
-            if task is not current:
-                task.cancel()
-        self.stopped.set()
+            await self.host.stop()
+        if self.proxy is not None:
+            await self.proxy.stop()
 
-    # ------------------------------------------------------------- control channel
+    def gauges(self) -> dict:
+        return {"nodes": len(self._engines), "controller": self.controller_name}
 
-    async def _serve(self) -> None:
-        assert self._chan is not None
-        while self._running:
-            try:
-                msg = await self._chan.recv()
-            except asyncio.CancelledError:
-                raise
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                # The controller is gone; a headless worker is useless.
-                asyncio.ensure_future(self.stop())
-                return
-            await self._handle(msg)
+    # ------------------------------------------------------------ request verbs
 
-    async def _handle(self, msg: Message) -> None:
-        assert self._chan is not None
-        fields = msg.fields()
-        if msg.type == MsgType.W_SPAWN:
-            await self._spawn(msg.seq, fields)
-        elif msg.type == MsgType.W_STOP_NODE:
-            await self._stop_node(msg.seq, fields)
-        elif msg.type == MsgType.W_NODE_INFO:
-            await self._node_info(msg.seq, fields)
-        elif msg.type == MsgType.W_SHUTDOWN:
-            try:
-                await self._chan.send(MsgType.W_NODE_INFO_REPLY, seq=msg.seq, ok=True)
-            except (ConnectionError, OSError):
-                pass
-            asyncio.ensure_future(self.stop())
-        # unknown verbs are ignored, like the observer ignores unknown types
-
-    async def _spawn(self, seq: int, fields: dict) -> None:
-        assert self._chan is not None and self.host is not None
-        name = str(fields.get("name", ""))
-        try:
-            if name in self._engines:
-                raise ClusterError(f"node {name!r} already hosted here")
-            algorithm = build_algorithm(
-                str(fields["algorithm"]), dict(fields.get("kwargs", {}))
-            )
-            from repro.net.engine import NetEngineConfig
-
-            # All co-hosted nodes share the worker's telemetry (one
-            # registry/tracer per process is what the aggregating proxy
-            # flushes upward) and the worker's shm-ring policy: dials to
-            # nodes on sibling co-machine workers negotiate shared-memory
-            # channels, dials landing co-hosted stay on loopback.
-            config = NetEngineConfig(
-                telemetry=self.telemetry, shm_ring_bytes=self.shm_ring_bytes
-            )
-            engine = self.host.add_node(algorithm, config=config)
-            await self.host.start_node(engine)
-            self._engines[name] = engine
-        except Exception as exc:  # reported, never fatal to the worker
-            await self._chan.send(
-                MsgType.W_SPAWNED, seq=seq, name=name,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return
-        await self._chan.send(
-            MsgType.W_SPAWNED, seq=seq, name=name, node=str(engine.node_id)
+    async def spawn(self, fields: dict) -> dict:
+        assert self.host is not None
+        name = str(fields["name"])
+        if name in self._engines:
+            raise ClusterError(f"node {name!r} already hosted here")
+        algorithm = build_algorithm(
+            str(fields["algorithm"]), dict(fields.get("kwargs", {}))
         )
+        from repro.net.engine import NetEngineConfig
 
-    async def _stop_node(self, seq: int, fields: dict) -> None:
-        assert self._chan is not None and self.host is not None
-        name = str(fields.get("name", ""))
-        engine = self._engines.pop(name, None)
-        if engine is None:
-            await self._chan.send(
-                MsgType.W_NODE_INFO_REPLY, seq=seq, name=name,
-                error=f"no node {name!r} hosted here",
-            )
-            return
+        # All co-hosted nodes share the worker's telemetry (one
+        # registry/tracer per process is what the aggregating proxy
+        # flushes upward) and the worker's shm-ring policy: dials to
+        # nodes on sibling co-machine workers negotiate shared-memory
+        # channels, dials landing co-hosted stay on loopback.
+        config = NetEngineConfig(
+            telemetry=self.telemetry, shm_ring_bytes=self.shm_ring_bytes
+        )
+        engine = self.host.add_node(algorithm, config=config)
+        await self.host.start_node(engine)
+        self._engines[name] = engine
+        return {"name": name, "node": str(engine.node_id)}
+
+    def _engine(self, fields: dict):
+        name = str(fields["name"])
+        try:
+            return name, self._engines[name]
+        except KeyError:
+            raise ClusterError(f"no node {name!r} hosted here") from None
+
+    async def stop_node(self, fields: dict) -> dict:
+        assert self.host is not None
+        name, engine = self._engine(fields)
+        del self._engines[name]
         await self.host.stop_node(engine)
-        await self._chan.send(MsgType.W_NODE_INFO_REPLY, seq=seq, name=name, ok=True)
+        return {"name": name, "ok": True}
 
-    async def _node_info(self, seq: int, fields: dict) -> None:
-        assert self._chan is not None
-        name = str(fields.get("name", ""))
-        engine = self._engines.get(name)
-        if engine is None:
-            await self._chan.send(
-                MsgType.W_NODE_INFO_REPLY, seq=seq, name=name,
-                error=f"no node {name!r} hosted here",
-            )
-            return
+    async def node_info(self, fields: dict) -> dict:
+        name, engine = self._engine(fields)
         algorithm = engine.algorithm
         # Duck-typed scenario hook: algorithms may expose application
         # facts (digests, counters) for cross-process verification.
         info_hook = getattr(algorithm, "cluster_info", None)
-        await self._chan.send(
-            MsgType.W_NODE_INFO_REPLY, seq=seq, name=name,
-            node=str(engine.node_id),
-            running=engine.running,
-            algorithm=type(algorithm).__name__,
-            downstreams=[str(peer) for peer in engine.downstreams()],
-            transports=engine.transport_mix(),
-            info=info_hook() if callable(info_hook) else {},
-        )
-
-    # ---------------------------------------------------------------- heartbeats
-
-    async def _heartbeat_loop(self) -> None:
-        assert self._chan is not None
-        loop = asyncio.get_running_loop()
-        while self._running:
-            before = loop.time()
-            await asyncio.sleep(self.heartbeat_interval)
-            # How late the sleep woke up is a direct measure of event-loop
-            # saturation on this worker — the controller's gauges surface
-            # it so overload shows up before throughput collapses.
-            lag_ms = max(0.0, (loop.time() - before - self.heartbeat_interval) * 1000)
-            rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            try:
-                await self._chan.send(
-                    MsgType.W_HEARTBEAT, name=self.name,
-                    nodes=len(self._engines), rss_kb=rss_kb,
-                    loop_lag_ms=round(lag_ms, 3),
-                    controller=self.controller_name,
-                )
-            except (ConnectionError, OSError):
-                return
-            self.heartbeats_sent += 1
+        return {
+            "name": name,
+            "node": str(engine.node_id),
+            "running": engine.running,
+            "algorithm": type(algorithm).__name__,
+            "downstreams": [str(peer) for peer in engine.downstreams()],
+            "transports": engine.transport_mix(),
+            "info": info_hook() if callable(info_hook) else {},
+        }
 
 
 # ----------------------------------------------------------------- entry point
@@ -306,9 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shm-ring-bytes", type=int, default=0,
                         help="per-direction shared-memory ring capacity for "
                              "links to co-machine peers (0 disables)")
-    parser.add_argument("--uvloop", action="store_true",
-                        help="run on uvloop when importable (falls back to "
-                             "stock asyncio otherwise)")
     parser.add_argument("--proxy-port", type=int, default=0,
                         help="bind the observer proxy to this exact port "
                              "(a respawn reuses its predecessor's port so "
@@ -321,8 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _amain(args: argparse.Namespace, loop_impl: str) -> int:
-    worker = WorkerHost(
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    return run_host(WorkerHost(
         name=args.name,
         controller_addr=NodeId.parse(args.controller),
         observer_addr=NodeId.parse(args.observer),
@@ -332,32 +227,10 @@ async def _amain(args: argparse.Namespace, loop_impl: str) -> int:
         telemetry_enabled=args.telemetry,
         trace_sample=args.trace_sample,
         shm_ring_bytes=args.shm_ring_bytes,
-        loop_impl=loop_impl,
         proxy_port=args.proxy_port,
         controller_name=args.controller_name,
         exit_after_register=args.exit_after_register,
-    )
-    stop = asyncio.Event()
-    install_shutdown_handlers(stop)
-    await worker.start()
-    signal_task = asyncio.ensure_future(stop.wait())
-    stopped_task = asyncio.ensure_future(worker.stopped.wait())
-    await asyncio.wait({signal_task, stopped_task}, return_when=asyncio.FIRST_COMPLETED)
-    await worker.stop()
-    for task in (signal_task, stopped_task):
-        task.cancel()
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    from repro.net.loops import install_uvloop
-
-    loop_impl = install_uvloop(args.uvloop)
-    try:
-        return asyncio.run(_amain(args, loop_impl))
-    except KeyboardInterrupt:  # signal raced the handler installation
-        return 0
+    ))
 
 
 if __name__ == "__main__":

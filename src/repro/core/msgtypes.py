@@ -80,39 +80,32 @@ class MsgType(IntEnum):
     S_BACKLOG = 71           # per-commodity queue backlogs, node -> its upstreams
                              # (reverse of data flow: feeds queue differentials)
 
-    # --- cluster control plane (controller <-> worker channel) ------------------
+    # --- cluster control plane (supervisor <-> child channel) --------------------
     # The scale-out layer (repro.cluster) shards virtualized nodes across
-    # OS processes; each worker keeps one persistent control connection
-    # to the placement controller and speaks these verbs on it.
-    W_REGISTER = 80          # worker -> controller: first frame, worker identity
-    W_SPAWN = 81             # controller -> worker: instantiate + start one node
-    W_SPAWNED = 82           # worker -> controller: spawn outcome (node id / error)
-    W_HEARTBEAT = 83         # worker -> controller: liveness + process gauges
-    W_STOP_NODE = 84         # controller -> worker: gracefully stop one node
-    W_NODE_INFO = 85         # controller -> worker: request one node's state
-    W_NODE_INFO_REPLY = 86   # worker -> controller: engine + algorithm facts
-    W_SHUTDOWN = 87          # controller -> worker: drain and exit cleanly
+    # OS processes.  Every supervised child keeps one persistent control
+    # connection to its supervisor and speaks these verbs on it — a worker
+    # to its placement controller, and a federated child controller to
+    # the root, which is the same tier one level up: one frame family,
+    # same correlated request/reply convention on the header ``seq``.
+    W_REGISTER = 80          # child -> supervisor: first frame, identity (a child
+                             # controller adds workers / capacity / weight)
+    W_SPAWN = 81             # supervisor -> child: place + start one node
+    W_SPAWNED = 82           # child -> supervisor: spawn outcome (node id / error)
+    W_HEARTBEAT = 83         # child -> supervisor: liveness + process gauges
+    W_STOP_NODE = 84         # supervisor -> child: gracefully stop one node
+    W_NODE_INFO = 85         # supervisor -> child: request one node's state
+    W_NODE_INFO_REPLY = 86   # child -> supervisor: node facts / generic ack
+    W_SHUTDOWN = 87          # supervisor -> child: drain and exit cleanly
     W_AGG = 88               # aggregating proxy -> parent: subtree roll-up
                              # (status digest, metric deltas, sampled traces,
                              # member list) flushed once per interval instead
                              # of relaying every child frame individually
 
-    # --- federated control plane (root <-> child controller channel) ------------
-    # The control plane composes as a tree: a root controller places
-    # NodeSpecs across child controllers (each supervising its own
-    # worker fleet) over a plain TCP bootstrap.  The C_* family mirrors
-    # the W_* verbs one level up — same framing, same correlated
-    # request/reply convention on the header ``seq`` field.
-    C_JOIN = 90              # child -> root: first frame, identity + capacity/weight
+    # --- federation bootstrap (root <-> child controller) -----------------------
+    # The two frames of the controller tier that have no process-tier
+    # twin: a child controller boots a whole fleet after registering.
     C_WELCOME = 91           # root -> child: bootstrap facts (observer endpoint,
                              # pinned proxy port for a respawned child)
-    C_PLACE = 92             # root -> child: place one spec on this child's fleet
-    C_PLACED = 93            # child -> root: placement outcome (node id + worker)
-    C_HEARTBEAT = 94         # child -> root: liveness + aggregate fleet gauges
-    C_STOP_NODE = 95         # root -> child: gracefully stop one placed node
-    C_NODE_INFO = 96         # root -> child: request one node's state
-    C_INFO_REPLY = 97        # child -> root: node facts / generic ack
-    C_SHUTDOWN = 98          # root -> child: drain the whole fleet and exit
     C_EVENT = 99             # child -> root: unsolicited shard events (ready,
                              # node-down, node-replaced) keeping the root's
                              # placement map and observer view current

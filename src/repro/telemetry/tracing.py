@@ -58,6 +58,9 @@ class EventType:
     NODE_REDEPLOYED = "node-redeployed"  # re-placed after its worker died
     RESPAWN_BACKOFF = "respawn-backoff"  # a crash-looping child delayed
     RESPAWN_EXHAUSTED = "respawn-exhausted"  # respawn budget spent; gave up
+    CONTROL_FAULT = "control-fault"      # a control-plane anomaly short of a
+                                         # death: registration refused, upward
+                                         # frame dropped, background task failed
 
     # Federation events recorded by the root controller
     # (repro.cluster.federation): the controller-of-controllers tier.
@@ -91,7 +94,7 @@ class EventType:
            DEFER, RETRY, FORWARD, DROP, DELIVER,
            LINK_SUSPECT, LINK_PROBE, LINK_DEAD,
            WORKER_SPAWN, WORKER_DEAD, NODE_PLACED, NODE_REDEPLOYED,
-           RESPAWN_BACKOFF, RESPAWN_EXHAUSTED,
+           RESPAWN_BACKOFF, RESPAWN_EXHAUSTED, CONTROL_FAULT,
            CONTROLLER_JOIN, CONTROLLER_DEAD, SHARD_REDEPLOYED,
            MEMBER_JOIN, MEMBER_SUSPECT, MEMBER_REFUTE, MEMBER_DEAD,
            MEMBER_LEFT, CHURN_JOIN, CHURN_CRASH, CHURN_LEAVE,

@@ -180,11 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         help="force plain TCP between workers (disable shm ring dialing)",
     )
     cluster_parser.add_argument(
-        "--uvloop", action="store_true",
-        help="run worker event loops on uvloop when it is installed "
-             "(silently falls back to stock asyncio otherwise)",
-    )
-    cluster_parser.add_argument(
         "--json", action="store_true", help="emit the cluster stats as JSON"
     )
     federation = cluster_parser.add_argument_group(
@@ -337,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
                 flush_interval=args.flush_interval,
                 telemetry=args.telemetry,
                 shm_ring_bytes=0 if args.no_shm else args.shm_ring_bytes,
-                uvloop=args.uvloop,
             )
         if args.root:
             from repro.tools.federation_cmd import run_federation_root
@@ -354,7 +348,6 @@ def main(argv: list[str] | None = None) -> int:
                 flush_interval=args.flush_interval,
                 telemetry=args.telemetry,
                 shm_ring_bytes=0 if args.no_shm else args.shm_ring_bytes,
-                uvloop=args.uvloop,
                 as_json=args.json,
             )
         from repro.tools.cluster_cmd import run_cluster
@@ -369,7 +362,6 @@ def main(argv: list[str] | None = None) -> int:
             flush_interval=args.flush_interval,
             telemetry=args.telemetry,
             shm_ring_bytes=0 if args.no_shm else args.shm_ring_bytes,
-            uvloop=args.uvloop,
             as_json=args.json,
         )
 

@@ -25,7 +25,7 @@ from repro.tools.signals import install_shutdown_handlers
 async def _run(workers: int, nodes: int, duration: float, payload: int,
                placement: str, report_interval: float,
                fanout: int, flush_interval: float | None,
-               telemetry: bool, shm_ring_bytes: int, uvloop: bool) -> dict:
+               telemetry: bool, shm_ring_bytes: int) -> dict:
     observer = ObserverServer(NodeId("127.0.0.1", 0), poll_interval=report_interval)
     await observer.start()
     controller = ClusterController(observer, ClusterConfig(
@@ -34,7 +34,6 @@ async def _run(workers: int, nodes: int, duration: float, payload: int,
         observer_flush_interval=flush_interval,
         worker_telemetry=telemetry,
         shm_ring_bytes=shm_ring_bytes,
-        uvloop=uvloop,
     ))
     await controller.start()
     specs = chain_specs(nodes)
@@ -78,9 +77,6 @@ async def _run(workers: int, nodes: int, duration: float, payload: int,
         "delivered_messages": int(sink_info.get("received", 0)),
         "end_to_end_rate": sink_info.get("received", 0) * payload / duration,
         "transport_links": transports,
-        "worker_loops": {
-            name: state.loop_impl for name, state in controller.workers.items()
-        },
         "worker_gauges": {
             name: {"rss_kb": state.rss_kb, "loop_lag_ms": state.loop_lag_ms,
                    "nodes": state.node_count}
@@ -108,7 +104,6 @@ def run_cluster(
     flush_interval: float | None = None,
     telemetry: bool = False,
     shm_ring_bytes: int = 1 << 20,
-    uvloop: bool = False,
     as_json: bool = False,
 ) -> int:
     if workers < 1:
@@ -122,7 +117,7 @@ def run_cluster(
     stats = asyncio.run(_run(workers, nodes, duration, payload,
                              placement, report_interval,
                              fanout, flush_interval, telemetry,
-                             shm_ring_bytes, uvloop))
+                             shm_ring_bytes))
     if as_json:
         print(json_mod.dumps(stats, indent=2))
         return 0
@@ -132,11 +127,10 @@ def run_cluster(
         f"{name}={count}" for name, count in sorted(stats["nodes_per_worker"].items())))
     print(f"  chain delivery : {stats['delivered_messages']} messages, "
           f"{stats['end_to_end_rate'] / 1000:.1f} KB/s end-to-end")
-    loops = sorted(set(stats["worker_loops"].values()))
     print(f"  data plane     : " + (", ".join(
         f"{links} {kind} link{'s' if links != 1 else ''}"
         for kind, links in sorted(stats["transport_links"].items()))
-        or "no live links") + f"; event loop: {', '.join(loops)}")
+        or "no live links"))
     print(f"  control plane  : {stats['statuses_reported']}/{stats['nodes']} "
           f"nodes reported status through their worker's proxy")
     print(f"  root observer  : {stats['observer_frames_in']} frames / "

@@ -28,8 +28,7 @@ async def _run_root(children: int, workers_per_child: int, expect: int,
                     nodes: int, duration: float, payload: int,
                     placement: str, child_placement: str,
                     report_interval: float, flush_interval: float | None,
-                    telemetry: bool, shm_ring_bytes: int,
-                    uvloop: bool) -> dict:
+                    telemetry: bool, shm_ring_bytes: int) -> dict:
     observer = ObserverServer(NodeId("127.0.0.1", 0), poll_interval=report_interval)
     await observer.start()
     root = RootController(observer, RootConfig(
@@ -39,7 +38,6 @@ async def _run_root(children: int, workers_per_child: int, expect: int,
         observer_flush_interval=flush_interval or 0.2,
         worker_telemetry=telemetry,
         shm_ring_bytes=shm_ring_bytes,
-        uvloop=uvloop,
     ))
     await root.start()
     if expect > 0:
@@ -122,7 +120,6 @@ def run_federation_root(
     flush_interval: float | None = None,
     telemetry: bool = False,
     shm_ring_bytes: int = 1 << 20,
-    uvloop: bool = False,
     as_json: bool = False,
 ) -> int:
     if children < 1 and expect < 1:
@@ -134,7 +131,7 @@ def run_federation_root(
     stats = asyncio.run(_run_root(
         children, workers_per_child, expect, nodes, duration, payload,
         placement, child_placement, report_interval, flush_interval,
-        telemetry, shm_ring_bytes, uvloop,
+        telemetry, shm_ring_bytes,
     ))
     if as_json:
         print(json_mod.dumps(stats, indent=2))
@@ -172,7 +169,6 @@ def run_federation_join(
     flush_interval: float | None = None,
     telemetry: bool = False,
     shm_ring_bytes: int = 1 << 20,
-    uvloop: bool = False,
 ) -> int:
     """Run one child controller daemon until signalled (SIGTERM/SIGINT)."""
     from repro.cluster.child import main as child_main
@@ -190,6 +186,4 @@ def run_federation_join(
     ]
     if telemetry:
         argv += ["--worker-telemetry"]
-    if uvloop:
-        argv += ["--uvloop"]
     return child_main(argv)

@@ -160,14 +160,14 @@ class TestTwoStagePlacement:
                 # spawn via explicit argv-level knobs: one small, one big
                 root._spawn_workers["small"] = 1
                 root._spawn_workers["big"] = 1
-                argv = root._child_argv
+                argv = root.child_argv
 
-                def patched(name):
-                    built = argv(name)
-                    built += ["--capacity", "2" if name == "small" else "8"]
+                def patched(state):
+                    built = argv(state)
+                    built += ["--capacity", "2" if state.name == "small" else "8"]
                     return built
 
-                root._child_argv = patched
+                root.child_argv = patched
                 await asyncio.gather(
                     root.spawn_child("small"), root.spawn_child("big")
                 )
@@ -326,7 +326,7 @@ class TestNodeDownReporting:
                     except (asyncio.IncompleteReadError, ConnectionError, OSError):
                         return
                     fields = msg.fields()
-                    if msg.type == MsgType.C_JOIN:
+                    if msg.type == MsgType.W_REGISTER:
                         await chan.send(
                             MsgType.C_WELCOME,
                             observer=str(observer.addr), proxy_port=0,
@@ -350,11 +350,12 @@ class TestNodeDownReporting:
                     await chans[0].send(type_, seq=seq, **fields)
                     return await asyncio.wait_for(fut, 30.0)
 
-                placed = await rpc(1, MsgType.C_PLACE, name="sink", algorithm=SINK)
+                placed = await rpc(1, MsgType.W_SPAWN, name="sink", algorithm=SINK)
                 assert "error" not in placed
 
                 # in-flight handler bookkeeping drains once served
-                ok = await wait_until(lambda: not host._handlers, timeout=10.0)
+                # (what stays is the serve loop and the heartbeat timer)
+                ok = await wait_until(lambda: len(host._tasks) == 2, timeout=10.0)
                 assert ok, "completed root-frame handlers were not pruned"
 
                 host.controller.workers["w0"].process.kill()
@@ -368,6 +369,8 @@ class TestNodeDownReporting:
                 assert down["node"] == placed["node"]
             finally:
                 await host.stop()
+                for chan in chans:  # 3.12's wait_closed() waits for these
+                    chan.close()
                 server.close()
                 await server.wait_closed()
                 await observer.stop()
@@ -391,7 +394,7 @@ class TestNodeDownReporting:
         obs = _Recorder()
         root = RootController(obs)
         state = ControllerState(name="c0")
-        root.supervisor.children["c0"] = state
+        root.controllers["c0"] = state
         node = NodeId("127.0.0.1", 5001)
         placed = PlacedNode(
             spec=NodeSpec("sink", SINK), worker="w0",

@@ -6,13 +6,13 @@ import sys
 import pytest
 
 from repro.cluster.protocol import ControlChannel
-from repro.cluster.supervise import WORKER_FAMILY, RespawnPolicy, SupervisorCore
+from repro.cluster.supervise import RespawnPolicy, SupervisorCore
 from repro.core.msgtypes import MsgType
 from repro.errors import ClusterError
 from repro.telemetry import Telemetry
 from repro.telemetry.tracing import EventType
 
-from tests.cluster.helpers import start_fleet, stop_fleet
+from tests.cluster.helpers import FakeProc, RecordingChan, start_fleet, stop_fleet
 from repro.cluster.scenarios import wait_until
 
 
@@ -22,15 +22,15 @@ def run(coro):
 
 def crash_on_boot(controller, name: str) -> None:
     """Make ``name``'s worker die right after a successful W_REGISTER."""
-    original = controller._worker_argv
+    original = controller.child_argv
 
-    def argv(worker_name: str) -> list[str]:
-        built = original(worker_name)
-        if worker_name == name:
+    def argv(state) -> list[str]:
+        built = original(state)
+        if state.name == name:
             built.append("--exit-after-register")
         return built
 
-    controller._worker_argv = argv
+    controller.child_argv = argv
 
 
 class TestRespawnPolicy:
@@ -69,7 +69,7 @@ class TestRespawnBudget:
                 controller.workers["w0"].process.kill()
 
                 ok = await wait_until(
-                    lambda: controller.supervisor.respawns_abandoned == 1,
+                    lambda: controller.respawns_abandoned == 1,
                     timeout=30.0,
                 )
                 assert ok, "budget never exhausted"
@@ -79,7 +79,7 @@ class TestRespawnBudget:
 
                 # give any stray respawn a moment to (wrongly) fire
                 await asyncio.sleep(0.5)
-                assert controller.supervisor.respawns_abandoned == 1
+                assert controller.respawns_abandoned == 1
                 assert controller.worker_deaths == 3
 
                 events = [e.event for e in telemetry.tracer.events()]
@@ -113,7 +113,7 @@ class TestRespawnBudget:
                         timeout=30.0,
                     )
                     assert ok, "respawn never completed"
-                assert controller.supervisor.respawns_abandoned == 0
+                assert controller.respawns_abandoned == 0
             finally:
                 await stop_fleet(observer, controller)
 
@@ -193,39 +193,12 @@ class TestStopIdempotence:
 class SleeperCore(SupervisorCore):
     """A bare frontend whose children boot but never register."""
 
-    def __init__(self, **kwargs):
-        super().__init__(WORKER_FAMILY, **kwargs)
-
     def child_argv(self, state):
         return [sys.executable, "-c", "import time; time.sleep(60)"]
 
 
-class _FakeProc:
-    """A stand-in subprocess handle (already exited, nothing to reap)."""
-
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-        self.returncode = 0
-
-    async def wait(self) -> int:
-        return self.returncode
-
-
-class _NullChan:
-    """A channel that accepts sends and never answers."""
-
-    def is_closing(self) -> bool:
-        return False
-
-    async def send(self, type_, seq=0, **fields) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class _MutatingChan(_NullChan):
-    """A channel whose send adopts a new child (a C_JOIN mid-stop)."""
+class _MutatingChan(RecordingChan):
+    """A channel whose send adopts a new child (a join mid-stop)."""
 
     def __init__(self, core: SupervisorCore) -> None:
         self._core = core
@@ -248,7 +221,7 @@ class TestRegisterTimeout:
             await core.start_server()
             try:
                 with pytest.raises(ClusterError):
-                    await core.spawn_child("x")
+                    await core.launch_child("x")
                 proc = core.children["x"].process
                 assert proc is not None
                 assert proc.returncode is not None
@@ -266,7 +239,7 @@ class TestRegisterTimeout:
             await core.start_server()
             try:
                 state = core.state_class(name="x")
-                state.process = _FakeProc(pid=4242)
+                state.process = FakeProc(pid=4242)
                 core.children["x"] = state
                 waiter = asyncio.get_running_loop().create_future()
                 core._register_waiters["x"] = waiter
@@ -322,7 +295,7 @@ class TestRequestCancellation:
             core = SleeperCore(request_timeout=30.0)
             state = core.state_class(name="x")
             state.alive = True
-            state.chan = _NullChan()
+            state.chan = RecordingChan()
             task = asyncio.ensure_future(core.request(state, MsgType.W_NODE_INFO))
             await asyncio.sleep(0.05)
             task.cancel()
@@ -337,7 +310,7 @@ class TestRequestCancellation:
             core = SleeperCore(request_timeout=30.0)
             state = core.state_class(name="x")
             state.alive = True
-            state.chan = _NullChan()
+            state.chan = RecordingChan()
             task = asyncio.ensure_future(core.request(state, MsgType.W_NODE_INFO))
             await asyncio.sleep(0.05)
             for fut in list(core._pending.values()):

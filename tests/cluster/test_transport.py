@@ -48,14 +48,3 @@ class TestTransportSelection:
         infos = run(_chain_burst(4, shm_ring_bytes=0))
         mixes = [info["transports"] for info in infos]
         assert all(set(mix) == {"tcp"} for mix in mixes), mixes
-
-    def test_worker_registration_reports_loop_impl(self):
-        async def scenario():
-            observer, controller = await start_fleet(workers=2)
-            impls = [state.loop_impl for state in controller.workers.values()]
-            await stop_fleet(observer, controller)
-            return impls
-
-        impls = run(scenario())
-        # uvloop was not requested; workers must report stock asyncio.
-        assert impls == ["asyncio", "asyncio"]
