@@ -31,7 +31,8 @@ one machine.
 - :mod:`repro.cluster.worker` / :mod:`repro.cluster.child` — the two
   hosts (``python -m repro.cluster.worker`` / ``repro.cluster.child``):
   a worker hosting nodes, a child controller hosting a fleet;
-- :mod:`repro.cluster.tasks` — the one task owner both halves use;
+- :mod:`repro.net.tasks` — the one task owner both halves use (and
+  the observer plane's endpoints);
 - :mod:`repro.cluster.placement` — round-robin, bin-packing by declared
   node weight, explicit pinning, and the controller-level policies;
 - :mod:`repro.cluster.scenarios` — deterministic chain/butterfly

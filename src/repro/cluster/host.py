@@ -27,11 +27,11 @@ import resource
 from typing import Any
 
 from repro.cluster.protocol import ControlChannel
-from repro.cluster.tasks import TaskSet
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
 from repro.errors import CodecError
+from repro.net.tasks import TaskSet
 from repro.tools.signals import install_shutdown_handlers
 
 

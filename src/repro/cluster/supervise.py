@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.cluster.protocol import REPLIES, ControlChannel
-from repro.cluster.tasks import TaskSet
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
 from repro.errors import ClusterError, CodecError
+from repro.net.tasks import TaskSet
 from repro.telemetry.tracing import EventType
 
 

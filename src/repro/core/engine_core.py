@@ -913,10 +913,13 @@ class EngineCore(ABC):
                     peer=link.label, rate=link.stats.throughput.rate(now),
                 ))
 
-    def _send_boot(self) -> None:
-        self.send_to_observer(Message.with_fields(
+    def _boot_message(self) -> Message:
+        return Message.with_fields(
             MsgType.BOOT, self._node_id, CONTROL_APP, node=str(self._node_id)
-        ))
+        )
+
+    def _send_boot(self) -> None:
+        self.send_to_observer(self._boot_message())
 
     # --------------------------------------------------------------------- helpers
 

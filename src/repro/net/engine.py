@@ -12,8 +12,9 @@ resilience layer (:mod:`repro.net.resilience`): peer dials retry with
 bounded, jittered exponential backoff; a watchdog walks every peer link
 through the ``LIVE -> SUSPECT -> PROBING -> DEAD`` ladder so silently
 stalled links are confirmed dead and torn down through the very same
-``_peer_failed`` as loud socket errors; and the observer link is supervised — a
-bounded outbox buffers status/trace messages across observer reconnects
+``_peer_failed`` as loud socket errors; and the observer link is one
+supervised :class:`~repro.net.observer_link.ObserverUplink` — a bounded
+outbox buffers status/trace messages across observer reconnects
 (drop-oldest on overflow, every drop counted).  Fault injection lives in
 :mod:`repro.net.chaos`.
 
@@ -44,7 +45,7 @@ from repro.core.message import Message
 from repro.core.msgtypes import MsgType
 from repro.core.switch import ReceiverPort
 from repro.errors import BufferClosedError, CodecError
-from repro.net.framing import (
+from repro.net.framing import (  # noqa: F401 - read_message: bench.trace wraps it here
     MAX_FRAME_PAYLOAD,
     FramedReader,
     expect_hello_fields,
@@ -53,13 +54,9 @@ from repro.net.framing import (
     write_batch,
     write_message,
 )
+from repro.net.observer_link import ObserverUplink
 from repro.net.queues import AsyncBoundedQueue
-from repro.net.resilience import (
-    BackoffPolicy,
-    LinkHealth,
-    ObserverOutbox,
-    ResilienceConfig,
-)
+from repro.net.resilience import BackoffPolicy, LinkHealth, ResilienceConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.tracing import EventType
 
@@ -150,21 +147,26 @@ class AsyncioEngine(EngineCore):
             new_queue=AsyncBoundedQueue,
             new_event=asyncio.Event,
         )
-        self._observer_addr = observer_addr
         #: attached transports; a key of ``_out`` is here or in ``_dialing``
         self._peers: dict[NodeId, _Peer] = {}
         self._server: asyncio.AbstractServer | None = None
-        self._observer_writer: asyncio.StreamWriter | None = None
 
-        # resilience: one in-flight dial per destination, seeded backoff policies,
-        # and the bounded observer outbox (drop-oldest on overflow).
+        # resilience: one in-flight dial per destination, seeded backoff
+        # policies, and the supervised observer uplink (bounded outbox).
         res = self.config.resilience
         self._dialing: dict[NodeId, asyncio.Task] = {}
         rng = random.Random(res.seed ^ hash((node_id.ip, node_id.port)))
         self._peer_backoff = BackoffPolicy.for_peers(res, rng)
-        self._observer_backoff = BackoffPolicy.for_observer(res, rng)
-        self._observer_outbox = ObserverOutbox(res.observer_outbox)
-        self._outbox_event = asyncio.Event()
+        self._uplink = None if observer_addr is None else ObserverUplink(
+            observer_addr,
+            launch=self._launch,
+            on_frame=self._enqueue_notification,
+            on_connected=self._observer_greeting,
+            backoff=BackoffPolicy.for_observer(res, rng),
+            capacity=res.observer_outbox,
+            retry_budget=res.observer_retry_budget,
+            connect_timeout=self.config.connect_timeout,
+        )
         # Instruments bind in start(): with port 0 the node's identity is
         # only final once the server socket is bound.
 
@@ -185,8 +187,8 @@ class AsyncioEngine(EngineCore):
             actual = self._server.sockets[0].getsockname()[1]
             self._node_id = NodeId(self._node_id.ip, actual)
         self._bind_instruments()
-        if self._observer_addr is not None:
-            await self._connect_observer()
+        if self._uplink is not None:
+            await self._uplink.start(self._node_id)
         self._launch(self._engine_loop(), name=f"{self._node_id}/engine")
         self._launch(self._report_loop(), name=f"{self._node_id}/report")
         if self.config.resilience.inactivity_timeout is not None:
@@ -199,14 +201,12 @@ class AsyncioEngine(EngineCore):
         self._running = False
         self.algorithm.on_stop()
         tasks = self._teardown(keep=asyncio.current_task())
-        if self._observer_writer is not None:
-            self._observer_writer.close()
-            self._observer_writer = None
+        if self._uplink is not None:
+            self._uplink.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self._outbox_event.set()
         await asyncio.gather(*tasks, return_exceptions=True)
 
     # ----------------------------------------------------------------------- Clock
@@ -231,19 +231,18 @@ class AsyncioEngine(EngineCore):
     # ------------------------------------------------------------------- Transport
 
     def send_to_observer(self, msg: Message) -> None:
-        """Queue a message for the observer via the reconnect outbox.
+        """Queue a message on the supervised observer uplink.
 
         The outbox survives observer restarts: messages queued while the
-        link is down are flushed once the supervisor redials.  Overflow
+        link is down are flushed once the uplink redials.  Overflow
         evicts the oldest entry and the drop is counted — a status
         report can be lost under sustained outage, but never silently.
         """
-        if self._observer_addr is None or not self._running:
+        if self._uplink is None or not self._running:
             return
-        dropped = self._observer_outbox.push(msg)
-        if dropped is not None and self._ins is not None:
-            self._ins.n_observer_drops += 1
-        self._outbox_event.set()
+        self._uplink.push(msg)
+        if self._ins is not None:
+            self._ins.n_observer_drops = self._uplink.drops
 
     def _open_link(self, dest: NodeId) -> None:
         self._dialing[dest] = self._launch(self._dial(dest), name=f"{self._node_id}/dial-{dest}")
@@ -463,115 +462,12 @@ class AsyncioEngine(EngineCore):
 
     # ------------------------------------------------------------------- observer
 
-    def _boot_message(self) -> Message:
-        return Message.with_fields(
-            MsgType.BOOT, self._node_id, CONTROL_APP, node=str(self._node_id)
-        )
-
-    async def _connect_observer(self) -> None:
-        """Open the initial observer link (failures propagate to start())
-        and hand it to the supervisor, which flushes the outbox and
-        redials with backoff whenever the link drops."""
-        assert self._observer_addr is not None
-        reader, writer = await open_identified(
-            self._observer_addr, self._node_id, timeout=self.config.connect_timeout
-        )
-        self._observer_writer = writer
-        self._launch(self._observer_reader(reader, writer), name=f"{self._node_id}/observer-read")
-        self._send_boot()
-        self._launch(self._observer_loop(), name=f"{self._node_id}/observer")
-
-    def _drop_observer_writer(self, writer: asyncio.StreamWriter) -> None:
-        """Forget a failed observer link and wake the supervisor."""
-        if self._observer_writer is not writer:
-            return
-        writer.close()
-        self._observer_writer = None
-        self._outbox_event.set()
-
-    async def _observer_reader(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Control messages from the observer arrive on the persistent link."""
-        while self._running:
-            try:
-                msg = await read_message(reader)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                if self._running:
-                    self._drop_observer_writer(writer)
-                return
-            self._control.put_force(msg)
-            self._wake.set()
-
-    async def _observer_loop(self) -> None:
-        """Observer-link supervisor: flush the outbox, redial on loss.
-
-        One task owns all observer writes, so frames never interleave.
-        A send failure parks the head message in the outbox (at-least-
-        once across reconnects); redials use bounded exponential backoff
-        and re-introduce the node with a fresh BOOT so the observer's
-        lease is renewed after a restart or partition.
-        """
-        res = self.config.resilience
-        attempt = 0
-        while self._running:
-            writer = self._observer_writer
-            if writer is None or writer.is_closing():
-                if not res.observer_reconnect:
-                    return
-                if (
-                    res.observer_retry_budget is not None
-                    and attempt >= res.observer_retry_budget
-                ):
-                    return
-                await asyncio.sleep(self._observer_backoff.delay(attempt))
-                attempt += 1
-                if not self._running:
-                    return
-                try:
-                    reader, writer = await open_identified(
-                        self._observer_addr, self._node_id,
-                        timeout=self.config.connect_timeout,
-                    )
-                except (OSError, asyncio.TimeoutError):
-                    continue
-                attempt = 0
-                self._observer_writer = writer
-                self._launch(
-                    self._observer_reader(reader, writer), name=f"{self._node_id}/observer-read"
-                )
-                if self._ins is not None:
-                    self._ins.n_observer_reconnects += 1
-                try:
-                    write_message(writer, self._boot_message())
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    self._drop_observer_writer(writer)
-                    continue
-            while self._running and self._observer_outbox:
-                writer = self._observer_writer
-                if writer is None or writer.is_closing():
-                    break
-                # Coalesced flush: write everything queued, then drain
-                # once.  Heads are popped only after the flush succeeds
-                # (at-least-once across reconnects, order preserved);
-                # pop_head's identity check skips any message the
-                # bounded outbox evicted while we were draining.
-                batch = self._observer_outbox.snapshot()
-                try:
-                    for msg in batch:
-                        write_message(writer, msg)
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    self._drop_observer_writer(writer)
-                    break
-                for msg in batch:
-                    self._observer_outbox.pop_head(msg)
-            writer = self._observer_writer
-            if writer is not None and not writer.is_closing():
-                self._outbox_event.clear()
-                if not self._observer_outbox and self._running:
-                    await self._outbox_event.wait()
+    def _observer_greeting(self) -> list[Message]:
+        """First frames on every observer (re)connect: a fresh BOOT
+        renews the node's lease after an observer restart or partition."""
+        if self._ins is not None:
+            self._ins.n_observer_reconnects = self._uplink.reconnects
+        return [self._boot_message()]
 
     # ------------------------------------------------------------------ I/O tasks
 

@@ -3,167 +3,76 @@
 Every overlay node keeps one persistent connection to the observer (or
 to a :mod:`repro.net.proxy` relaying to it); bootstrap requests, status
 updates and traces flow up, control commands flow down the same socket.
+The connection handling is :class:`~repro.net.observer_link.ObserverHub`'s;
+this module adds the frame dispatch into :class:`Observer` and the
+status-poll / lease-sweep loop.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from typing import Any
 
-from repro.core.ids import NodeId
+from repro.core.ids import CONTROL_APP, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.net.framing import (
-    expect_hello,
-    proxy_meta,
-    read_message,
-    unwrap_proxy,
-    wrap_proxy_down,
-    write_message,
-)
+from repro.net.framing import unwrap_proxy
+from repro.net.observer_link import ObserverHub
 from repro.observer.observer import Observer
+from repro.telemetry.tracing import EventType
 
 
-class ObserverServer:
+class ObserverServer(ObserverHub):
     """Serves the observer protocol on a TCP endpoint."""
 
     def __init__(self, addr: NodeId, bootstrap_fanout: int = 8, seed: int = 0,
                  poll_interval: float | None = 1.0,
                  lease_timeout: float | None = None) -> None:
-        self.addr = addr
+        super().__init__(addr)
         self.observer = Observer(
             transport=self, bootstrap_fanout=bootstrap_fanout, seed=seed,
             lease_timeout=lease_timeout,
         )
         self.poll_interval = poll_interval
-        self._writers: dict[NodeId, asyncio.StreamWriter] = {}
-        #: node -> connection owner; differs from the node itself when the
-        #: node reaches us through a proxy (Section 2.2's firewall relay).
-        self._routes: dict[NodeId, NodeId] = {}
-        self._server: asyncio.AbstractServer | None = None
-        self._poll_task: asyncio.Task | None = None
-        self._running = False
-        #: total frames / wire bytes received on the root's sockets — the
-        #: quantity the aggregation tree exists to reduce (what the
-        #: fig_observer_scaling experiment measures).
-        self.frames_in = 0
-        self.bytes_in = 0
-
-    # --------------------------------------------------------------- lifecycle
 
     async def start(self) -> None:
-        self._running = True
-        self._server = await asyncio.start_server(
-            self._accept, host=self.addr.ip, port=self.addr.port
-        )
-        if self.addr.port == 0:
-            actual = self._server.sockets[0].getsockname()[1]
-            self.addr = NodeId(self.addr.ip, actual)
+        await self._bind()
         if self.poll_interval is not None:
-            self._poll_task = asyncio.ensure_future(self._poll_loop())
-
-    async def stop(self) -> None:
-        self._running = False
-        if self._poll_task is not None:
-            self._poll_task.cancel()
-            self._poll_task = None
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+            self._tasks.launch(self._poll_loop(), "poll")
 
     # ------------------------------------------------------- ObserverTransport
 
     def observer_send(self, node: NodeId, msg: Message) -> None:
-        owner = self._routes.get(node, node)
-        writer = self._writers.get(owner)
-        if writer is None or writer.is_closing():
-            return
-        if owner != node:
-            # Wrap for the proxy, which routes to the right node downstream.
-            msg = wrap_proxy_down(self.addr, node, msg)
-        write_message(writer, msg)
+        self._route_down(node, msg)
 
     def observer_now(self) -> float:
         return time.monotonic()
 
-    # ------------------------------------------------------------- connections
+    # ------------------------------------------------------------ frame dispatch
 
-    async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            node = await expect_hello(reader)
-        except asyncio.CancelledError:
-            writer.close()
-            return
-        except Exception:
-            writer.close()
-            return
-        self._writers[node] = writer
-        try:
-            while self._running:
-                try:
-                    msg = await read_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break
-                except asyncio.CancelledError:
-                    break
-                self.frames_in += 1
-                self.bytes_in += msg.size
-                if msg.type == MsgType.PROXY:
-                    self._handle_proxied(node, msg)
-                elif msg.type == MsgType.W_AGG:
-                    self._handle_agg_frame(node, msg)
-                elif msg.type == MsgType.FLOW_QUERY:
-                    self._handle_flow_query(node, msg)
-                else:
-                    self.observer.on_message(msg)
-        finally:
-            if self._writers.get(node) is writer:
-                del self._writers[node]
-                self.observer.mark_down(node)
-                for routed, owner in list(self._routes.items()):
-                    if owner == node:
-                        del self._routes[routed]
-                        self.observer.mark_down(routed)
-            writer.close()
+    def _dispatch(self, child: NodeId, msg: Message) -> None:
+        if msg.type == MsgType.PROXY:
+            # A frame relayed on a proxy's single upstream connection.
+            self.observer.on_message(unwrap_proxy(msg))
+        elif msg.type == MsgType.FLOW_QUERY:
+            # A causal-path query: answer down the asking connection.
+            report = self.observer.flow_report(str(msg.fields().get("trace_id", "")))
+            self._route_down(child, Message.with_fields(
+                MsgType.FLOW_REPLY, self.addr, 0, **report
+            ))
+        else:
+            self.observer.on_message(msg)
 
-    def _handle_proxied(self, proxy: NodeId, envelope: Message) -> None:
-        """Unwrap a frame relayed on a proxy's single upstream connection."""
-        inner = unwrap_proxy(envelope)
-        origin = NodeId.parse(proxy_meta(envelope)["origin"])
-        self._routes[origin] = proxy
-        self.observer.on_message(inner)
+    def _child_gone(self, child: NodeId, gone: list[NodeId]) -> None:
+        for node in gone:
+            self.observer.mark_down(node)
 
-    def _handle_agg_frame(self, aggregator: NodeId, msg: Message) -> None:
-        """An aggregation-tree flush: learn member routes, then fold it in.
-
-        Every member listed in the roll-up is reachable *through* the
-        aggregator's connection, so downward control messages to any of
-        them are wrapped for that single socket.
-        """
-        try:
-            for text in msg.fields().get("members", []):
-                self._routes[NodeId.parse(text)] = aggregator
-        except Exception:
-            return
-        self.observer.on_message(msg)
-
-    def _handle_flow_query(self, client: NodeId, msg: Message) -> None:
-        """Answer a causal-path query down the asking connection."""
-        writer = self._writers.get(client)
-        if writer is None or writer.is_closing():
-            return
-        try:
-            tid = str(msg.fields().get("trace_id", ""))
-        except Exception:
-            return
-        report = self.observer.flow_report(tid)
-        write_message(writer, Message.with_fields(
-            MsgType.FLOW_REPLY, self.addr, 0, **report
-        ))
+    def trace_fault(self, node: NodeId, **detail: Any) -> None:
+        text = " ".join(f"{key}={value}" for key, value in detail.items())
+        self.observer.traces.record(
+            self.observer_now(), node, CONTROL_APP, f"{EventType.CONTROL_FAULT} {text}"
+        )
 
     async def _poll_loop(self) -> None:
         assert self.poll_interval is not None

@@ -6,7 +6,11 @@ nodes are submitted to the proxy, who relays them with a single
 connection to the observer" (Section 2.2), letting the observer handle
 thousands of virtualized nodes.
 
-Two operating modes share one class:
+The proxy is an :class:`~repro.net.observer_link.ObserverHub` towards
+its children and owns one :class:`~repro.net.observer_link.ObserverUplink`
+towards its parent, so both ends of its links behave exactly like the
+root's and a node's.  What it adds is the frame dispatch, in one of two
+modes:
 
 **Relay mode** (``flush_interval=None``, the default) is the byte
 funnel of the original paper: every upward frame is wrapped in a
@@ -36,46 +40,48 @@ arriving from a child aggregator is folded into this proxy's own state
 rather than forwarded, so the root observer reconstructs the fleet view
 from O(tree-depth) hops instead of O(nodes) connections.
 
-Aggregation mode also supervises its upstream link: on a drop it
-redials under bounded exponential backoff, replays the remembered
-``BOOT`` frames of every member, and resynchronizes the delta stream by
-flushing the *full* accumulated snapshot (``full=True``), so whatever
-state the upstream lost — or double-counts it would otherwise apply —
-is reconciled.
+In both modes the upstream link is supervised: frames queue in a
+bounded outbox while it is down, it is redialed under bounded
+exponential backoff, and every reconnect first replays the remembered
+``BOOT`` frames of every member.  Aggregation mode also resynchronizes
+its delta stream then, flushing the *full* accumulated snapshot
+(``full=True``), so whatever state the upstream lost — or
+double-counts it would otherwise apply — is reconciled.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING
+import time
+from typing import TYPE_CHECKING, Any
 
 from repro.core.ids import CONTROL_APP, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
 from repro.net.framing import (
-    expect_hello,
-    open_identified,
     peek_frame_type,
     proxy_frame_bytes,
     proxy_meta,
-    read_message,
     unwrap_proxy,
     wrap_proxy_up,
     wrap_proxy_up_bytes,
     write_message,
 )
-from repro.net.resilience import BackoffPolicy, ObserverOutbox
+from repro.net.observer_link import ObserverHub, ObserverUplink
+from repro.net.resilience import BackoffPolicy
 from repro.telemetry.metrics import (
+    fold_snapshot,
     merge_snapshots,
     snapshot_delta,
     snapshot_regressed,
 )
+from repro.telemetry.tracing import EventType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry import Telemetry
 
 
-class ObserverProxy:
+class ObserverProxy(ObserverHub):
     """Relays or pre-reduces node <-> observer traffic over one upstream link."""
 
     def __init__(
@@ -89,7 +95,7 @@ class ObserverProxy:
         outbox_capacity: int = 1024,
         backoff: BackoffPolicy | None = None,
     ) -> None:
-        self.addr = addr
+        super().__init__(addr)
         self.observer_addr = observer_addr
         #: seconds between roll-up flushes; ``None`` = pure relay mode
         self.flush_interval = flush_interval
@@ -97,19 +103,22 @@ class ObserverProxy:
         self.telemetry = telemetry
         #: max local trace events forwarded per flush (head-sampled already)
         self.trace_budget = trace_budget
-        self._backoff = backoff or BackoffPolicy(base=0.05, maximum=2.0)
-        self._server: asyncio.AbstractServer | None = None
-        self._upstream_writer: asyncio.StreamWriter | None = None
-        self._upstream_task: asyncio.Task | None = None
-        self._flush_task: asyncio.Task | None = None
-        self._downstream: dict[NodeId, asyncio.StreamWriter] = {}
+        self._uplink = ObserverUplink(
+            observer_addr,
+            launch=self._tasks.launch,
+            on_frame=self._from_upstream,
+            on_connected=self._new_epoch,
+            backoff=backoff or BackoffPolicy(base=0.05, maximum=2.0),
+            capacity=outbox_capacity,
+            on_fault=self.trace_fault,
+        )
         #: downstream connections known to be proxies (they sent PROXY/W_AGG)
         self._child_proxies: set[NodeId] = set()
-        #: nested member origin -> direct child that owns the route down
-        self._routes: dict[NodeId, NodeId] = {}
-        self._running = False
-        self.relayed_up = 0
         self.relayed_down = 0
+        #: origin str -> packed BOOT frame bytes, replayed after a redial
+        #: (hex-encoded only when riding inside a W_AGG JSON ``boots`` map)
+        self._boot_frames: dict[str, bytes] = {}
+        self.boots_replayed = 0
 
         # ---- aggregation state (flush_interval set) -----------------------
         #: origin str -> latest status fields (metrics stripped)
@@ -121,296 +130,178 @@ class ObserverProxy:
         self._acked_merged: dict = {}
         #: full-resync pending: first flush after (re)connect replaces, not merges
         self._resync = True
-        #: origin str -> packed BOOT frame bytes, replayed after a redial
-        #: (hex-encoded only when riding inside a W_AGG JSON ``boots`` map)
-        self._boot_frames: dict[str, bytes] = {}
         #: members that left since the last flush (reported once)
         self._departed: set[str] = set()
         self._pending_traces: list[dict] = []
         self._trace_cursor = 0
         self.trace_dropped = 0
-        #: relay-path frames awaiting the upstream while it is down
-        self._outbox = ObserverOutbox(outbox_capacity)
-        self.outbox_drops = 0
         self.agg_flushes = 0
         self.agg_absorbed = 0  # STATUS/W_AGG frames folded instead of relayed
-        self.boots_replayed = 0
-        self.upstream_reconnects = 0
-        self._connected = asyncio.Event()
 
     @property
     def aggregating(self) -> bool:
         return self.flush_interval is not None
 
+    @property
+    def relayed_up(self) -> int:
+        return self._uplink.sent
+
+    @property
+    def outbox_drops(self) -> int:
+        return self._uplink.drops
+
+    @property
+    def upstream_reconnects(self) -> int:
+        return self._uplink.reconnects
+
     # ------------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        self._running = True
         # Bind before dialing upstream: the HELLO identity and every
         # envelope origin must carry the *final* address, which with
         # port 0 is only known once the server socket exists.
-        self._server = await asyncio.start_server(
-            self._accept, host=self.addr.ip, port=self.addr.port
-        )
-        if self.addr.port == 0:
-            actual = self._server.sockets[0].getsockname()[1]
-            self.addr = NodeId(self.addr.ip, actual)
+        await self._bind()
         try:
-            reader, writer = await open_identified(self.observer_addr, self.addr)
+            await self._uplink.start(self.addr)
         except BaseException:
-            self._server.close()
-            self._server = None
-            self._running = False
+            await self.stop()
             raise
-        self._upstream_writer = writer
-        self._connected.set()
         if self.aggregating:
-            self._upstream_task = asyncio.ensure_future(self._upstream_supervisor(reader))
-            self._flush_task = asyncio.ensure_future(self._flush_loop())
-        else:
-            self._upstream_task = asyncio.ensure_future(self._upstream_reader(reader))
+            self._tasks.launch(self._flush_loop(), "flush")
 
     async def stop(self) -> None:
-        self._running = False
-        for task in (self._upstream_task, self._flush_task):
-            if task is not None:
-                task.cancel()
-        self._upstream_task = None
-        self._flush_task = None
-        if self._upstream_writer is not None:
-            self._upstream_writer.close()
-            self._upstream_writer = None
-        for writer in self._downstream.values():
-            writer.close()
-        self._downstream.clear()
-        self._child_proxies.clear()
-        self._routes.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        self._uplink.close()
+        await super().stop()
+
+    def trace_fault(self, node: NodeId, **detail: Any) -> None:
+        if self.telemetry is not None:
+            self.telemetry.tracer.record(
+                time.monotonic(), str(node), EventType.CONTROL_FAULT, **detail
+            )
 
     # ------------------------------------------------------------- downstream side
 
-    async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            node = await expect_hello(reader)
-        except asyncio.CancelledError:
-            writer.close()
-            return
-        except Exception:
-            writer.close()
-            return
-        self._downstream[node] = writer
-        try:
-            while self._running:
-                try:
-                    msg = await read_message(reader)
-                except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                        asyncio.CancelledError):
-                    break
-                self._on_child_frame(node, msg)
-        finally:
-            if self._downstream.get(node) is writer:
-                del self._downstream[node]
-                self._child_gone(node)
-            writer.close()
+    def _dispatch(self, origin: NodeId, msg: Message) -> None:
+        """Fold one upward frame into the roll-up, or relay it.
 
-    def _child_gone(self, node: NodeId) -> None:
-        """A direct child dropped: purge its aggregation state.
+        Aggregation mode absorbs STATUS and W_AGG frames; everything else
+        goes up — a nested proxy's frames unchanged, a node's wrapped in
+        a ``PROXY`` envelope.  BOOTs passing through are remembered in
+        both modes, for the replay after a redial.
+        """
+        kind = msg.type
+        if kind in (MsgType.PROXY, MsgType.W_AGG):
+            self._child_proxies.add(origin)
+        if self.aggregating and kind == MsgType.STATUS:
+            self._absorb_status(origin, msg)
+        elif self.aggregating and kind == MsgType.W_AGG:
+            self._absorb_child_agg(origin, msg)
+        elif kind in (MsgType.PROXY, MsgType.W_AGG):
+            if kind == MsgType.PROXY and peek_frame_type(msg) == MsgType.BOOT:
+                member = str(NodeId.parse(proxy_meta(msg)["origin"]))
+                self._boot_frames[member] = proxy_frame_bytes(msg)
+            self._uplink.push(msg)
+        else:
+            if kind == MsgType.BOOT:
+                self._boot_frames[str(origin)] = msg.pack()
+            self._uplink.push(wrap_proxy_up(self.addr, origin, msg))
+
+    def _child_gone(self, child: NodeId, gone: list[NodeId]) -> None:
+        """A direct child dropped: purge it and its whole subtree.
 
         Nothing of the child (or, for a child aggregator, of its whole
         subtree) may linger in the status or metrics caches — a stale
         series would otherwise keep merging into every future flush and
         a restarted child would double-count against its own ghost.
         """
-        self._child_proxies.discard(node)
-        origins = [str(node)]
-        origins.extend(str(o) for o, owner in self._routes.items() if owner == node)
-        for origin, owner in list(self._routes.items()):
-            if owner == node:
-                del self._routes[origin]
-        if not self.aggregating:
-            return
-        for origin in origins:
-            removed = (
-                (self._child_status.pop(origin, None) is not None)
-                | (self._child_metrics.pop(origin, None) is not None)
-                | (self._boot_frames.pop(origin, None) is not None)
-            )
-            self._status_dirty.discard(origin)
-            if removed:
+        self._child_proxies.discard(child)
+        self._child_metrics.pop(f"subtree:{child}", None)
+        for origin in map(str, gone):
+            if self._forget(origin) and self.aggregating:
                 self._departed.add(origin)
-        self._child_metrics.pop(f"subtree:{node}", None)
 
-    def _on_child_frame(self, origin: NodeId, msg: Message) -> None:
-        """Route one upward frame: fold it into the roll-up or relay it."""
-        if msg.type == MsgType.PROXY:
-            # A nested relay proxy's envelope: learn the member route,
-            # remember BOOTs passing through, forward unchanged.
-            self._child_proxies.add(origin)
-            try:
-                member = NodeId.parse(proxy_meta(msg)["origin"])
-            except Exception:
-                return
-            self._routes[member] = origin
-            if self.aggregating and peek_frame_type(msg) == MsgType.BOOT:
-                self._boot_frames[str(member)] = proxy_frame_bytes(msg)
-            self._send_up(msg)
-            return
-        if msg.type == MsgType.W_AGG:
-            self._child_proxies.add(origin)
-            if self.aggregating:
-                self._absorb_child_agg(origin, msg)
-            else:
-                # Relay mode still composes: learn routes, pass through.
-                try:
-                    for text in msg.fields().get("members", []):
-                        self._routes[NodeId.parse(text)] = origin
-                except Exception:
-                    pass
-                self._send_up(msg)
-            return
-        if self.aggregating:
-            if msg.type == MsgType.STATUS:
-                self._absorb_status(origin, msg)
-                return
-            if msg.type == MsgType.BOOT:
-                self._boot_frames[str(origin)] = msg.pack()
-        self._send_up(wrap_proxy_up(self.addr, origin, msg))
+    def _forget(self, origin: str) -> bool:
+        """Drop what is held about one member; True if anything was."""
+        self._status_dirty.discard(origin)
+        return (
+            (self._child_status.pop(origin, None) is not None)
+            | (self._child_metrics.pop(origin, None) is not None)
+            | (self._boot_frames.pop(origin, None) is not None)
+        )
 
     def _absorb_status(self, origin: NodeId, msg: Message) -> None:
         """Keep only the child's latest report; metrics ride the delta path."""
-        try:
-            fields = msg.fields()
-        except Exception:
-            return
-        key = str(origin)
+        fields = msg.fields()
         metrics = fields.pop("metrics", None)
+        key = str(origin)
+        if metrics:
+            self._child_metrics[key] = fold_snapshot(None, metrics, full=True)
         self._child_status[key] = fields
         self._status_dirty.add(key)
-        if metrics:
-            self._child_metrics[key] = metrics
         self.agg_absorbed += 1
 
     def _absorb_child_agg(self, child: NodeId, msg: Message) -> None:
-        """Fold a child aggregator's flush into this proxy's own state."""
-        try:
-            fields = msg.fields()
-        except Exception:
-            return
-        for text in fields.get("members", []):
-            self._routes[NodeId.parse(text)] = child
-        for origin in fields.get("departed", []):
-            self._child_status.pop(origin, None)
-            self._child_metrics.pop(origin, None)
-            self._boot_frames.pop(origin, None)
-            self._status_dirty.discard(origin)
+        """Fold a child aggregator's flush into this proxy's own state.
+
+        The frame is decoded whole before anything is applied, and every
+        member it names must parse as a node id: a malformed flush is
+        refused here rather than forwarded to fail at every level above.
+        """
+        fields = msg.fields()
+        departed = [str(NodeId.parse(text)) for text in fields.get("departed", [])]
+        boots = {
+            str(NodeId.parse(origin)): bytes.fromhex(frame_hex)
+            for origin, frame_hex in fields.get("boots", {}).items()
+        }
+        statuses = {
+            str(NodeId.parse(origin)): dict(status_fields)
+            for origin, status_fields in fields.get("statuses", {}).items()
+        }
+        key = f"subtree:{child}"
+        metrics = self._child_metrics.get(key)
+        if fields.get("metrics"):
+            metrics = fold_snapshot(metrics, fields["metrics"], bool(fields.get("full")))
+        traces = [event for event in fields.get("traces", []) if isinstance(event, dict)]
+        trace_dropped = int(fields.get("trace_dropped", 0))
+        for origin in departed:
+            self._forget(origin)
             self._departed.add(origin)
-        for origin, frame_hex in fields.get("boots", {}).items():
-            self._boot_frames[origin] = bytes.fromhex(frame_hex)
-        for origin, status_fields in fields.get("statuses", {}).items():
-            self._child_status[origin] = status_fields
-            self._status_dirty.add(origin)
-        delta = fields.get("metrics") or {}
-        if delta:
-            key = f"subtree:{child}"
-            held = self._child_metrics.get(key)
-            if fields.get("full") or held is None:
-                self._child_metrics[key] = delta
-            else:
-                self._child_metrics[key] = merge_snapshots([held, delta])
-        self._pending_traces.extend(fields.get("traces", []))
-        self.trace_dropped += int(fields.get("trace_dropped", 0))
+        self._boot_frames.update(boots)
+        self._child_status.update(statuses)
+        self._status_dirty.update(statuses)
+        if metrics is not None:
+            self._child_metrics[key] = metrics
+        self._pending_traces.extend(traces)
+        self.trace_dropped += trace_dropped
         self.agg_absorbed += 1
 
     # --------------------------------------------------------------- upstream side
 
-    def _send_up(self, envelope: Message) -> None:
-        upstream = self._upstream_writer
-        if upstream is None or upstream.is_closing():
-            if self.aggregating:
-                # Queue relay-path frames for the redial; bounded, oldest out.
-                if self._outbox.push(envelope) is not None:
-                    self.outbox_drops += 1
+    def _from_upstream(self, envelope: Message) -> None:
+        """Route one downward envelope to its destination."""
+        if envelope.type != MsgType.PROXY:
             return
-        write_message(upstream, envelope)
-        self.relayed_up += 1
-
-    async def _upstream_reader(self, reader: asyncio.StreamReader) -> None:
-        while self._running:
-            try:
-                envelope = await read_message(reader)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return
-            if envelope.type != MsgType.PROXY:
-                continue
-            dest = NodeId.parse(proxy_meta(envelope)["dest"])
-            writer = self._downstream.get(dest)
-            if writer is not None:
-                if writer.is_closing():
-                    continue
-                write_message(writer, unwrap_proxy(envelope))
-                self.relayed_down += 1
-                continue
-            # Not a direct child: route the envelope one level down the
-            # tree unchanged — the owning child proxy unwraps it.
-            owner = self._routes.get(dest)
-            writer = self._downstream.get(owner) if owner is not None else None
-            if writer is None or writer.is_closing():
-                continue
-            write_message(writer, envelope)
+        dest = NodeId.parse(proxy_meta(envelope)["dest"])
+        if self._route_down(dest, unwrap_proxy(envelope)):
             self.relayed_down += 1
 
-    async def _upstream_supervisor(self, reader: asyncio.StreamReader) -> None:
-        """Keep the upstream link alive: read until it drops, then redial.
+    def _new_epoch(self) -> list[Message]:
+        """The greeting of a fresh upstream connection.
 
-        Every reconnect starts a fresh aggregation epoch: the delta
-        baseline resets (the next flush carries the full accumulated
-        snapshot with ``full=True``), every remembered BOOT frame is
-        replayed so the upstream's bootstrap/routing view is rebuilt,
-        and all cached statuses are re-marked dirty.
+        Every (re)connect starts a new epoch: the delta baseline resets
+        (the next flush carries the full accumulated snapshot with
+        ``full=True``), all cached statuses are re-marked dirty, and
+        every remembered BOOT frame is replayed ahead of anything queued
+        so the upstream's bootstrap/routing view is rebuilt.
         """
-        while self._running:
-            await self._upstream_reader(reader)
-            if not self._running:
-                return
-            self._connected.clear()
-            if self._upstream_writer is not None:
-                self._upstream_writer.close()
-                self._upstream_writer = None
-            attempt = 0
-            while self._running:
-                try:
-                    reader, writer = await open_identified(self.observer_addr, self.addr)
-                    break
-                except (ConnectionError, OSError, asyncio.TimeoutError):
-                    await asyncio.sleep(self._backoff.delay(attempt))
-                    attempt += 1
-            if not self._running:
-                return
-            self._upstream_writer = writer
-            self.upstream_reconnects += 1
-            self._on_reconnected()
-            self._connected.set()
-
-    def _on_reconnected(self) -> None:
-        """Reset aggregator state for the new upstream epoch."""
         self._resync = True
         self._acked_merged = {}
         self._status_dirty.update(self._child_status)
-        for origin, frame_bytes in self._boot_frames.items():
-            self._send_up(wrap_proxy_up_bytes(self.addr, origin, frame_bytes))
-            self.boots_replayed += 1
-        # Coalesced replay: write every queued frame, popping each only
-        # after its write was accepted — the transport flushes the batch.
-        upstream = self._upstream_writer
-        if upstream is None or upstream.is_closing():
-            return
-        for head in self._outbox.snapshot():
-            write_message(upstream, head)
-            self.relayed_up += 1
-            self._outbox.pop_head(head)
+        self.boots_replayed += len(self._boot_frames)
+        return [
+            wrap_proxy_up_bytes(self.addr, origin, frame_bytes)
+            for origin, frame_bytes in self._boot_frames.items()
+        ]
 
     # ------------------------------------------------------------------- flushing
 
@@ -433,7 +324,7 @@ class ObserverProxy:
         request = Message.with_fields(
             MsgType.REQUEST, self.addr, CONTROL_APP
         )
-        for node, writer in list(self._downstream.items()):
+        for node, writer in list(self._writers.items()):
             if node in self._child_proxies or writer.is_closing():
                 continue
             write_message(writer, request.clone())
@@ -475,7 +366,7 @@ class ObserverProxy:
             for origin in self._status_dirty if origin in self._child_status
         }
         members = sorted(set(self._child_status) | {str(o) for o in self._routes}
-                         | {str(n) for n in self._downstream
+                         | {str(n) for n in self._writers
                             if n not in self._child_proxies})
         frame = Message.with_fields(
             MsgType.W_AGG, self.addr, 0,
@@ -490,13 +381,7 @@ class ObserverProxy:
             boots={origin: frame.hex() for origin, frame in self._boot_frames.items()},
             full=self._resync,
         )
-        upstream = self._upstream_writer
-        if upstream is None or upstream.is_closing():
-            return False
-        try:
-            write_message(upstream, frame)
-            await upstream.drain()
-        except (ConnectionError, OSError):
+        if not await self._uplink.send_now(frame):
             return False
         self._acked_merged = merged
         self._resync = False
@@ -505,5 +390,4 @@ class ObserverProxy:
         self._pending_traces = []
         self.trace_dropped = 0
         self.agg_flushes += 1
-        self.relayed_up += 1
         return True

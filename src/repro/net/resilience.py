@@ -17,8 +17,9 @@ small, deterministic policies on top of that passive core:
   status/trace messages across observer reconnects, so a status report
   never vanishes without at least a counted drop.
 
-Everything here is pure policy (no IO): the engine owns the sockets and
-asks these objects what to do next, which keeps the layer unit-testable
+Everything here is pure policy (no IO): the engine and the observer
+uplink (:mod:`repro.net.observer_link`) own the sockets and ask these
+objects what to do next, which keeps the layer unit-testable
 and the injected randomness reproducible under a fixed seed.
 
 These policies are transport-agnostic on purpose.  A shared-memory ring
@@ -78,12 +79,11 @@ class ResilienceConfig:
     check_interval: float | None = None
     #: bounded observer outbox capacity (messages); overflow drops oldest
     observer_outbox: int = 256
-    #: whether a lost observer link is redialled in the background
-    observer_reconnect: bool = True
     #: ceiling on one observer-reconnect backoff delay (seconds)
     observer_backoff_max: float = 5.0
     #: give up after this many consecutive observer redial failures
-    #: (``None`` = keep trying for the life of the node)
+    #: (``None`` = keep trying for the life of the node; ``0`` = never
+    #: redial a lost observer link)
     observer_retry_budget: int | None = None
 
     def watchdog_interval(self) -> float:
@@ -156,14 +156,10 @@ class ObserverOutbox:
         self._items.append(msg)
         return dropped
 
-    def head(self) -> Message:
-        """The oldest queued message (kept queued until :meth:`pop_head`)."""
-        return self._items[0]
-
     def snapshot(self) -> list[Message]:
         """All queued messages, oldest first, without removing them.
 
-        The engine's coalesced flush writes the whole snapshot, drains
+        The uplink's coalesced flush writes the whole snapshot, drains
         the stream once, and only then pops each entry — preserving the
         at-least-once contract: a failed flush leaves every message
         queued for the next connection.
@@ -174,6 +170,3 @@ class ObserverOutbox:
         """Drop ``msg`` if it is still the head (sent successfully)."""
         if self._items and self._items[0] is msg:
             self._items.popleft()
-
-    def clear(self) -> None:
-        self._items.clear()

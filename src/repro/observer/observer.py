@@ -28,6 +28,7 @@ from repro.core.msgtypes import MsgType
 from repro.observer.status import NodeStatus
 from repro.observer.topology import TopologySnapshot
 from repro.observer.trace import TraceLog
+from repro.telemetry.metrics import fold_snapshot
 from repro.telemetry.tracing import EventType, Tracer
 
 
@@ -122,44 +123,39 @@ class Observer:
         relayed one by one), metric *deltas* since the aggregator's last
         successful flush, and head-sampled lifecycle trace events.  Its
         arrival renews the lease of every member — the subtree's
-        liveness signal is the flush itself.
+        liveness signal is the flush itself.  Every field is decoded
+        before any is applied: a malformed frame raises with the view
+        untouched.
         """
         now = self._transport.observer_now()
         fields = msg.fields()
         aggregator = msg.sender
+        members = [NodeId.parse(text) for text in fields.get("members", [])]
+        departed = [NodeId.parse(text) for text in fields.get("departed", [])]
+        statuses = []
+        for status_fields in fields.get("statuses", {}).values():
+            try:
+                statuses.append(NodeStatus.from_fields(status_fields, received_at=now))
+            except Exception:
+                continue  # a malformed roll-up entry never kills the view
+        metrics = self._agg_metrics.get(aggregator)
+        if fields.get("metrics"):
+            metrics = fold_snapshot(metrics, fields["metrics"], bool(fields.get("full")))
+        traces = list(fields.get("traces") or [])
         self.agg_frames += 1
         self.agg_bytes += msg.size
-        members = [NodeId.parse(text) for text in fields.get("members", [])]
         for node in members:
             self.alive.setdefault(node, None)
             self.aggregated.add(node)
             if self.lease_timeout is not None:
                 self.last_seen[node] = now
-        for text in fields.get("departed", []):
-            node = NodeId.parse(text)
-            self.aggregated.discard(node)
+        for node in departed:
             self.mark_down(node)
-        for node_text, status_fields in fields.get("statuses", {}).items():
-            try:
-                status = NodeStatus.from_fields(status_fields, received_at=now)
-            except Exception:
-                continue  # a malformed roll-up entry never kills the view
+        for status in statuses:
             self.statuses[status.node] = status
-        delta = fields.get("metrics") or {}
-        if delta:
-            from repro.telemetry.metrics import merge_snapshots
-
-            held = self._agg_metrics.get(aggregator)
-            if fields.get("full") or held is None:
-                # First flush of a new upstream epoch carries the full
-                # accumulated snapshot: replace, never merge, or a
-                # proxy redial would double-count its whole subtree.
-                self._agg_metrics[aggregator] = delta
-            else:
-                self._agg_metrics[aggregator] = merge_snapshots([held, delta])
-        traces = fields.get("traces") or []
-        if traces:
-            self.flow_tracer.ingest(traces)
+        if metrics is not None:
+            self._agg_metrics[aggregator] = metrics
+        self.flow_tracer.ingest(traces)
 
     def _handle_boot(self, msg: Message) -> None:
         """First level of bootstrap support: reply with random alive nodes."""

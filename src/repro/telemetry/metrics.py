@@ -453,6 +453,18 @@ def snapshot_regressed(prev: dict[str, Any], curr: dict[str, Any]) -> bool:
     return False
 
 
+def fold_snapshot(held: dict[str, Any] | None, delta: Any, full: bool) -> dict[str, Any]:
+    """``held`` advanced by one aggregation flush's metric ``delta``.
+
+    A ``full`` flush — the first of an upstream epoch — replaces what is
+    held (merging it would double-count the whole subtree after a
+    redial); a delta merges onto it.  Either way the result is rebuilt
+    by :func:`merge_snapshots`, so a snapshot of the wrong shape raises
+    here instead of being held and failing every later merge.
+    """
+    return merge_snapshots([delta] if full or held is None else [held, delta])
+
+
 def quantile_from_counts(
     bounds: Sequence[float], counts: Sequence[int], q: float
 ) -> float:

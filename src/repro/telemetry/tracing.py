@@ -275,18 +275,23 @@ class Tracer:
         The root observer rebuilds its fleet-wide tracer from the event
         batches that aggregation frames carry upward; ids forwarded from
         worker tracers keep stitching because they are pure functions of
-        the immutable message header.  Returns how many were appended.
+        the immutable message header.  Returns how many were appended;
+        an event that does not decode is skipped.
         """
         count = 0
         for event in events:
-            self.append_raw(
-                float(event.get("time", 0.0)),
-                str(event.get("node", "")),
-                str(event.get("event", "")),
-                str(event.get("trace_id", "")),
-                int(event.get("app", 0)),
-                event.get("detail") or {},
-            )
+            try:
+                decoded = (
+                    float(event.get("time", 0.0)),
+                    str(event.get("node", "")),
+                    str(event.get("event", "")),
+                    str(event.get("trace_id", "")),
+                    int(event.get("app", 0)),
+                    event.get("detail") or {},
+                )
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                continue
+            self.append_raw(*decoded)
             count += 1
         return count
 

@@ -1,18 +1,28 @@
-"""AST guard: ``TaskSet.launch`` is the one task-creation site of the package.
+"""AST guard: ``TaskSet.launch`` is the one task-creation site of the
+control plane and the observer plane.
 
 The control plane used to create tasks at 21 sites across four modules,
-some tracked in append-only lists, some tracked nowhere.  Both shared
-halves now own one :class:`~repro.cluster.tasks.TaskSet`; this guard
-(the cluster twin of ``test_backends_create_tasks_only_in_spawn``)
-keeps a new ``ensure_future`` / ``create_task`` from growing back.
+some tracked in append-only lists, some tracked nowhere; the observer
+plane's proxy and server added four more.  Both shared control halves
+and both observer endpoints now own one
+:class:`~repro.net.tasks.TaskSet`; this guard (the twin of
+``test_backends_create_tasks_only_in_spawn``) keeps a new
+``ensure_future`` / ``create_task`` from growing back.
 """
 
 import ast
 from pathlib import Path
 
 import repro.cluster
+import repro.net
 
 PACKAGE = Path(repro.cluster.__file__).parent
+NET = Path(repro.net.__file__).parent
+
+#: every module under the one-task-owner rule
+GUARDED = [*sorted(PACKAGE.glob("*.py")), *(NET / name for name in (
+    "tasks.py", "observer_link.py", "observer_server.py", "proxy.py",
+))]
 
 #: calls that create a task, by the attribute or name being called
 TASK_CREATORS = {"ensure_future", "create_task"}
@@ -31,10 +41,10 @@ def _task_sites(tree: ast.AST) -> list[ast.Call]:
 
 def test_cluster_creates_tasks_only_in_taskset_launch():
     offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in GUARDED:
         tree = ast.parse(path.read_text())
         allowed: set[int] = set()
-        if path.name == "tasks.py":
+        if path == NET / "tasks.py":
             (taskset,) = [n for n in tree.body
                           if isinstance(n, ast.ClassDef) and n.name == "TaskSet"]
             (launch,) = [n for n in taskset.body

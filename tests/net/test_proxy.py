@@ -4,9 +4,10 @@ The proxy was previously only exercised incidentally from the engine
 integration tests; these pin down its contract directly: upstream
 envelopes preserve per-origin ordering and carry the right origin
 label, downstream envelopes unwrap to exactly the frame the observer
-sent, an upstream drop mid-relay degrades silently instead of killing
-node connections, and ``stop()`` with live downstreams closes
-everything cleanly.
+sent, an upstream drop is redialed with the members' BOOTs replayed
+while node connections stay up, a frame that cannot be routed is
+dropped without stopping the ones behind it, and ``stop()`` with live
+downstreams closes everything cleanly.
 """
 
 import asyncio
@@ -21,13 +22,16 @@ from repro.core.msgtypes import MsgType
 from repro.net.framing import (
     expect_hello,
     open_identified,
+    proxy_frame_bytes,
     proxy_meta,
     read_message,
     unwrap_proxy,
     wrap_proxy_down,
+    wrap_proxy_up,
     write_message,
 )
 from repro.net.proxy import ObserverProxy
+from repro.net.resilience import BackoffPolicy
 
 from tests.portalloc import next_addr
 
@@ -44,6 +48,7 @@ class FakeObserver:
         self.hello = None
         self.envelopes = []
         self.writer = None
+        self.connections = 0
         self._server = None
         self._connected = asyncio.Event()
 
@@ -54,6 +59,7 @@ class FakeObserver:
     async def _accept(self, reader, writer):
         self.hello = await expect_hello(reader)
         self.writer = writer
+        self.connections += 1
         self._connected.set()
         try:
             while True:
@@ -177,14 +183,25 @@ class TestRelayDown:
         run(scenario())
 
 
-class TestUpstreamDrop:
-    def test_upstream_drop_mid_relay_degrades_silently(self):
+class TestUpstreamRedial:
+    def test_redial_replays_boots_and_keeps_relaying(self):
+        """The relay-mode twin of the aggregation redial test: a lost
+        upstream is redialed, the member's BOOT is replayed byte-identical
+        first, relaying resumes, and the node's own connection survives."""
+
         async def scenario():
-            observer, proxy = await proxy_setup()
+            observer = FakeObserver()
+            await observer.start()
+            proxy = ObserverProxy(NodeId("127.0.0.1", 0), observer.addr,
+                                  backoff=BackoffPolicy(base=0.01, maximum=0.05))
+            await proxy.start()
+            await observer.wait_connected()
             a = next_addr()
-            ra, wa = await open_identified(proxy.addr, a)
+            _, wa = await open_identified(proxy.addr, a)
+            boot = Message.with_fields(MsgType.BOOT, a, 0, node=str(a))
+            write_message(wa, boot)
             write_message(wa, trace(a, "before"))
-            await wait_for(lambda: proxy.relayed_up == 1)
+            await wait_for(lambda: len(observer.envelopes) == 2)
 
             # Kill the observer link hard (RST, not a polite FIN): the
             # proxy must notice the loss, not just a half-closed stream.
@@ -193,16 +210,74 @@ class TestUpstreamDrop:
                 socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
             )
             observer.writer.close()
-            await wait_for(lambda: proxy._upstream_writer.is_closing())
-            await wait_for(lambda: proxy._upstream_task.done())
-
-            # Node keeps sending: frames are discarded, connection survives.
-            for i in range(3):
-                write_message(wa, trace(a, f"after{i}"))
+            await wait_for(lambda: observer.connections == 2)
+            await wait_for(lambda: proxy.boots_replayed == 1)
+            write_message(wa, trace(a, "after"))
             await wa.drain()
-            await asyncio.sleep(0.1)
-            assert proxy.relayed_up == 1
+            await wait_for(lambda: len(observer.envelopes) == 4)
+
+            replayed, after = observer.envelopes[2:]
+            assert proxy_frame_bytes(replayed) == boot.pack()
+            assert proxy_meta(replayed)["origin"] == str(a)
+            assert unwrap_proxy(after).fields()["text"] == "after"
+            assert proxy.upstream_reconnects == 1
             assert not wa.is_closing()
+            wa.close()
+            await proxy.stop()
+            await observer.stop()
+
+        run(scenario())
+
+    def test_relay_proxy_redials_a_restarted_observer(self):
+        """After an observer restart the members behind a relay proxy
+        reappear in the new observer's view without reconnecting."""
+
+        async def scenario():
+            from repro.net.observer_server import ObserverServer
+
+            server_addr = next_addr()
+            server = ObserverServer(server_addr, poll_interval=None)
+            await server.start()
+            proxy = ObserverProxy(NodeId("127.0.0.1", 0), server_addr,
+                                  backoff=BackoffPolicy(base=0.01, maximum=0.05))
+            await proxy.start()
+            node = next_addr()
+            _, writer = await open_identified(proxy.addr, node)
+            write_message(writer, Message.with_fields(MsgType.BOOT, node, 0, node=str(node)))
+            await wait_for(lambda: node in server.observer.alive)
+
+            await server.stop()
+            restarted = ObserverServer(server_addr, poll_interval=None)
+            await restarted.start()
+            await wait_for(lambda: node in restarted.observer.alive)
+            assert not writer.is_closing()
+            writer.close()
+            await proxy.stop()
+            await restarted.stop()
+
+        run(scenario())
+
+
+class TestBadFrames:
+    def test_bad_envelope_does_not_stop_later_delivery(self):
+        """An envelope the proxy cannot route is dropped and counted; the
+        upstream reader keeps delivering what follows."""
+
+        async def scenario():
+            observer, proxy = await proxy_setup()
+            a = next_addr()
+            ra, wa = await open_identified(proxy.addr, a)
+            write_message(wa, trace(a, "hello"))
+            await wait_for(lambda: len(observer.envelopes) == 1)
+
+            # Routing metadata without a ``dest``.
+            write_message(observer.writer,
+                          wrap_proxy_up(observer.addr, a, trace(observer.addr, "lost")))
+            observer.send_down(a, trace(observer.addr, "for-a"))
+            got = await asyncio.wait_for(read_message(ra), 5.0)
+            assert got.fields()["text"] == "for-a"
+            assert proxy._uplink.bad_frames == 1
+            assert proxy.relayed_down == 1
             wa.close()
             await proxy.stop()
             await observer.stop()

@@ -87,8 +87,15 @@ class FakeParent:
         self.writer.close()
 
     async def pause(self):
-        """Stop accepting so a redialing proxy stays in its backoff loop."""
+        """Stop accepting and RST the proxy's link, so the redialing proxy
+        stays in its backoff loop.
+
+        The accepted connection is closed before ``wait_closed()``: since
+        3.12.1 that call waits for every accepted connection, so awaiting
+        it with the proxy's link still open would wait on the test itself.
+        """
         self._server.close()
+        self.kill_connection()
         await self._server.wait_closed()
 
     async def resume(self):
@@ -298,9 +305,7 @@ class TestUpstreamRedial:
             # Take the upstream fully down: no listener, so the proxy
             # sits in its redial loop while children keep sending.
             await parent.pause()
-            parent.kill_connection()
-            await wait_for(lambda: proxy._upstream_writer is None
-                           or proxy._upstream_writer.is_closing())
+            await wait_for(lambda: not proxy._uplink.connected)
             for i in range(5):
                 write_message(writer, Message.with_fields(
                     MsgType.TRACE, node, 1, text=f"t{i}"))

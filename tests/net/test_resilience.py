@@ -78,12 +78,11 @@ def test_outbox_drop_oldest_and_at_least_once_head():
     assert box.push(msgs[3]) is msgs[0]  # overflow evicts the oldest
     assert box.push(msgs[4]) is msgs[1]
     assert len(box) == 3
-    head = box.head()
-    assert head is msgs[2]
+    assert box.snapshot() == msgs[2:]
     box.pop_head(msgs[3])  # not the head any more -> no-op
-    assert box.head() is msgs[2]
-    box.pop_head(head)
-    assert box.head() is msgs[3]
+    assert box.snapshot() == msgs[2:]
+    box.pop_head(msgs[2])
+    assert box.snapshot() == msgs[3:]
 
 
 def test_outbox_rejects_zero_capacity():
@@ -243,14 +242,14 @@ def test_status_reports_survive_observer_restart():
         await asyncio.sleep(0.1)
         # Queued while the observer is down: parked in the outbox.
         node.send_to_observer(node._status_report())
-        queued = len(node._observer_outbox)
+        queued = len(node._uplink.outbox)
 
         restarted = ObserverServer(observer_addr, poll_interval=None)
         await restarted.start()
         await asyncio.sleep(0.6)  # backoff redial + flush
         alive = set(restarted.observer.alive)
         statuses = dict(restarted.observer.statuses)
-        remaining = len(node._observer_outbox)
+        remaining = len(node._uplink.outbox)
         await node.stop()
         await restarted.stop()
         return queued, alive, statuses, remaining, node.node_id
@@ -270,7 +269,7 @@ def test_outbox_overflow_drops_oldest_and_counts():
         node = await start(
             SinkAlgorithm(),
             NetEngineConfig(telemetry=telemetry, resilience=fast_resilience(
-                observer_outbox=4, observer_reconnect=False)),
+                observer_outbox=4, observer_retry_budget=0)),
             observer=observer,
         )
         await asyncio.sleep(0.1)
@@ -279,7 +278,7 @@ def test_outbox_overflow_drops_oldest_and_counts():
         for i in range(10):
             node.send_to_observer(Message.with_fields(
                 MsgType.TRACE, node.node_id, 0, line=f"t{i}"))
-        depth = len(node._observer_outbox)
+        depth = len(node._uplink.outbox)
         drops = node._ins.n_observer_drops
         await node.stop()
         return depth, drops

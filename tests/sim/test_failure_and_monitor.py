@@ -1,4 +1,4 @@
-"""Tests for failure injection helpers and the rate recorder."""
+"""Tests for the simulator's failure injection helpers."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.bandwidth import BandwidthSpec
 from repro.errors import UnknownNodeError
 from repro.sim.engine import EngineConfig
 from repro.sim.failure import FailureSchedule, cut_link, kill_node, stall_link
-from repro.sim.monitor import RateRecorder
 from repro.sim.network import NetworkConfig, SimNetwork
 
 KB = 1000.0
@@ -96,26 +95,3 @@ def test_failure_schedule_tolerates_races():
     net.run(10)  # must not raise
     assert not net.engine(b).running
 
-
-def test_rate_recorder_tracks_convergence():
-    net, (a, b, c), _ = build_chain()
-    recorder = RateRecorder(net, period=1.0)
-    series = recorder.watch("A", "B")
-    recorder.start()
-    net.run(20)
-    assert len(series.times) >= 18
-    assert series.latest() == pytest.approx(100 * KB, rel=0.15)
-    reached = series.time_to_reach(100 * KB, tolerance=0.15)
-    assert reached is not None and reached < 10
-
-
-def test_rate_recorder_sees_failure_as_zero():
-    net, (a, b, c), _ = build_chain()
-    recorder = RateRecorder(net, period=1.0)
-    series = recorder.watch("A", "B")
-    recorder.start()
-    net.run(5)
-    kill_node(net, "B")
-    net.run(15)
-    assert series.latest() == 0.0
-    assert series.time_to_reach(0.0) is not None
