@@ -50,7 +50,9 @@ surface (``SimQueue``/``SimEvent`` in the simulator,
 
 from __future__ import annotations
 
+import logging
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Any, Callable, Coroutine, Iterable, Protocol
 
 from repro.core.algorithm import Algorithm, Disposition
@@ -795,11 +797,23 @@ class EngineCore(ABC):
         """
         task = self._spawn(coro, name)
         self._tasks[task] = None
-        task.add_done_callback(self._task_done)
+        task.add_done_callback(partial(self._task_done, name))
         return task
 
-    def _task_done(self, task: Any) -> None:
+    def _task_done(self, name: str, task: Any) -> None:
         self._tasks.pop(task, None)
+        exc = None if task.cancelled() else task.exception()
+        if exc is None:
+            return
+        # An exception escaped an Algorithm hook (or the engine itself):
+        # count and trace it, then fail the node loudly so neighbours see
+        # its links drop and the domino teardown runs.  (The DES kernel
+        # also re-raises it from ``run``.)
+        logging.getLogger(__name__).error("%s: task %r failed", self._node_id, name, exc_info=exc)
+        if self._ins is not None:
+            self._ins.on_task_error(self.now(), name, exc)
+        if self._running:
+            self._request_shutdown()
 
     def _teardown(self, keep: Any = None) -> list:
         """Drop every link and cancel every task (``stop``/``terminate``).

@@ -55,7 +55,7 @@ class Message:
     All header fields except ``seq`` are read-only after construction.
     """
 
-    __slots__ = ("_type", "_sender", "_app", "seq", "_payload", "_trace_id",
+    __slots__ = ("_type", "_sender", "_app", "seq", "_payload", "size", "_trace_id",
                  "_hop_t0", "_raw", "_raw_seq")
 
     def __init__(
@@ -75,6 +75,9 @@ class Message:
         self._app = app
         self.seq = seq
         self._payload = bytes(payload)
+        #: total wire size, header plus payload, in bytes (read-only: set
+        #: once here, by :meth:`unpack` and by :meth:`with_seq`)
+        self.size = HEADER_SIZE + len(self._payload)
         # Lazy cache for the telemetry trace id ("sender/app#seq"); the
         # id is derived from immutable header fields, so once built it
         # stays valid wherever the message travels.
@@ -132,13 +135,6 @@ class Message:
             # frame without ever slicing the payload out of it.
             payload = self._payload = self._raw[HEADER_SIZE:]  # type: ignore[index]
         return payload
-
-    @property
-    def size(self) -> int:
-        """Total wire size: header plus payload, in bytes."""
-        if self._payload is None:
-            return len(self._raw)  # type: ignore[arg-type]
-        return HEADER_SIZE + len(self._payload)
 
     # --- codec -----------------------------------------------------------------
 
@@ -247,6 +243,7 @@ class Message:
         msg._app = app
         msg.seq = seq
         msg._payload = None if payload_size else b""
+        msg.size = total
         msg._trace_id = None
         msg._hop_t0 = None
         msg._raw = data if type(data) is bytes else view.tobytes()
@@ -272,6 +269,7 @@ class Message:
         clone._app = self._app
         clone.seq = seq
         clone._payload = self.payload
+        clone.size = self.size
         clone._trace_id = None
         clone._hop_t0 = None
         clone._raw = None

@@ -5,9 +5,15 @@ switch, pending-forward retries, probe/bandwidth/status handling, source
 pacing, telemetry — and the link table with its teardown live in
 :class:`repro.core.engine_core.EngineCore`.  This module supplies only
 the Clock (virtual time, kernel tasks) and the Transport: simulated
-links opened through the :class:`Fabric` (one receiver task per
-upstream, one sender task per downstream), inactivity detection tuned
-to virtual time, and graceful termination.
+links opened through the :class:`Fabric`, inactivity detection tuned to
+virtual time, and graceful termination.
+
+The paper runs one receiver and one sender thread per connection.  Here
+a link's two ends are callbacks instead of tasks: a pump per downstream
+(:class:`_SenderLink`) and a receiving end per upstream
+(:class:`_ReceiverEnd`), woken by the same causes as those threads.
+A message-hop costs one latency timer, no task switch, and an engine
+has the same few tasks whatever its link count.
 
 The algorithm runs only inside the engine task (plus source tasks, which
 never interleave mid-``process``), preserving the paper's guarantee that
@@ -28,7 +34,6 @@ from repro.core.message import Message
 from repro.core.msgtypes import MsgType
 from repro.core.stats import LinkStats
 from repro.core.switch import ReceiverPort
-from repro.errors import BufferClosedError, LinkDownError
 from repro.sim.kernel import Kernel, Task
 from repro.sim.link import SimLink
 from repro.sim.sync import SimEvent, SimQueue
@@ -79,16 +84,236 @@ class EngineConfig:
     telemetry: Telemetry | None = None
 
 
-@dataclass
-class _SenderLink:
-    """The transport behind one outbound link (thread-per-sender)."""
+# States of a link end.  A sending end is IDLE (waiting for its send
+# queue), BUSY (a run is due, running, throttled or stalled for good),
+# BLOCKED (the window is full) or CLOSED.  A receiving end is IDLE
+# (waiting for a push), BUSY or CLOSED.
+_IDLE, _BUSY, _BLOCKED, _CLOSED = range(4)
 
-    dest: NodeId
-    link: SimLink
-    task: Task | None = None
-    #: virtual time at which the current in-flight delivery started, for
-    #: inactivity detection of silently-stalled links; None when idle.
-    in_flight_since: float | None = None
+
+class _SenderLink:
+    """The sending end of one outbound link: a pump, not a task.
+
+    It runs where the paper's sender thread would wake: a put into its
+    idle send queue (through the queue's ``on_size_change``), its
+    throttle timer, and a freed window slot — the last synchronously,
+    inside the receiving end's take.  ``in_flight_since`` is the virtual
+    time the current delivery started (None when idle), which the
+    watchdog reads to catch silently-stalled links.
+    """
+
+    __slots__ = ("engine", "out", "link", "state", "msg", "sent_at", "timer",
+                 "in_flight_since")
+
+    def __init__(self, engine: "SimEngine", out: OutLink, link: SimLink) -> None:
+        self.engine, self.out, self.link = engine, out, link
+        self.msg = self.timer = self.in_flight_since = None  # msg: off the queue, not on the wire
+        self.state, self.sent_at = _BUSY, 0.0
+        link.on_take = self._on_take
+        out.queue.on_size_change = self._on_size_change
+        engine.kernel.call_soon(self._pump)
+
+    def _on_size_change(self, delta: int) -> None:
+        if delta > 0 and self.state == _IDLE:
+            self.state = _BUSY
+            self.engine.kernel.call_soon(self._pump)
+
+    def _pump(self) -> None:
+        """Deliver staged messages until the queue empties or the wire pushes back."""
+        # A message already in hand means its throttle timer fired.
+        if self.state == _CLOSED or (self.msg is not None and not self._deliver()):
+            return
+        engine, queue = self.engine, self.out.queue
+        while engine._running and queue:
+            self.state = _BUSY
+            msg = self.msg = queue.get_nowait()
+            now = self.in_flight_since = engine.kernel.now
+            delay = engine.throttle.reserve_send(self.out.dest, msg.size, now)
+            if delay > 0:
+                if engine._ins is not None:
+                    engine._ins.on_throttle_stall("up", delay)
+                self.timer = engine.kernel.call_later(delay, self._pump)
+                return
+            if not self._deliver():
+                return
+        self.state = _IDLE
+
+    def _deliver(self) -> bool:
+        """Start the message in hand on the wire; True once it is there."""
+        engine, link = self.engine, self.link
+        if engine._ins is not None and link.full:
+            engine._ins.backpressure[self.out.label] += 1
+        if not link.alive:
+            engine._drop_downstream(self.out.dest, notify="down")
+        elif link.stalled:
+            pass  # a silently-partitioned host: parked until the watchdog or a teardown
+        elif link.full:
+            link.backpressure_events += 1
+            self.sent_at = engine.kernel.now  # the delivery starts now, not at insertion
+            self.state = _BLOCKED
+        else:
+            self._sent(engine.kernel.now)
+            return True
+        return False
+
+    def _on_take(self) -> None:
+        """The link's callback: a slot freed (push on the spot) or it broke."""
+        if self.state != _BLOCKED:
+            return
+        self.state = _BUSY
+        if self.link.alive:
+            self._sent(self.sent_at)
+            self._pump()
+        else:
+            self.engine.kernel.call_soon(self._fail)
+
+    def _fail(self) -> None:
+        if self.state != _CLOSED:
+            self.engine._drop_downstream(self.out.dest, notify="down")
+
+    def _sent(self, sent_at: float) -> None:
+        engine, msg, out = self.engine, self.msg, self.out
+        self.link.push(msg, sent_at)
+        self.msg = self.in_flight_since = None
+        now = engine.kernel.now
+        out.stats.throughput.record(msg.size, now)
+        ins = engine._ins
+        if ins is not None and msg.type == MsgType.DATA:
+            ins.forwarded[out.label] += 1
+            t0 = msg._hop_t0
+            if t0 is not None:
+                ins.observe_hop(now - t0 if now > t0 else 0.0)
+            if ins.tracer.enabled:
+                ins.trace_msg(now, EventType.FORWARD, msg, out.label)
+        engine._send_space_freed()
+
+    def close(self) -> None:
+        """The link left the table: break it; the message in hand is lost."""
+        self.state = _CLOSED
+        if self.timer is not None:
+            self.timer.cancel()
+        self.link.break_()
+        if self.msg is not None:
+            self.engine._record_loss(self.msg, self.out.stats)
+
+
+class _ReceiverEnd:
+    """The receiving end of one inbound link: callbacks, not a task.
+
+    It takes the head of the window, waits out the propagation latency
+    on one timer, applies the receive throttle and places the message
+    (parking on the port buffer's space callback while it is full), then
+    takes the next.
+    """
+
+    __slots__ = ("engine", "link", "port", "state", "msg", "timer")
+
+    def __init__(self, engine: "SimEngine", link: SimLink, port: ReceiverPort) -> None:
+        self.engine, self.link, self.port = engine, link, port
+        self.state, self.msg, self.timer = _IDLE, None, None
+        link.on_push = self._on_push
+
+    def _on_push(self) -> None:
+        """The link's callback: a push landed, or the link broke."""
+        if self.state == _IDLE:
+            self.state = _BUSY
+            if self.link.window:
+                self._take(woken=True)
+            else:
+                self.engine.kernel.call_soon(self._drained)
+
+    def _take(self, woken: bool) -> None:
+        # A woken end starts on an event of its own (at ``now`` at the
+        # latest); a busy one carries on at once if the message is due.
+        # ``now + (sent_at + latency - now)`` is the float expression a
+        # sleep until arrival computes, so timestamps stay bit-identical.
+        kernel, link = self.engine.kernel, self.link
+        self.msg, sent_at = link.window[0]
+        now = kernel.now
+        delay = sent_at + link.latency - now
+        timed = delay > 0 or woken
+        if timed:
+            self.timer = kernel.call_at(now + delay if delay > 0 else now, self._arrive)
+        link.take()  # a blocked sender refills the slot on the spot
+        if not timed:
+            self._arrive()
+
+    def _arrive(self) -> None:
+        engine = self.engine
+        delay = engine.throttle.reserve_recv(self.msg.size, engine.kernel.now)
+        if delay <= 0:
+            return self._place()
+        if engine._ins is not None:
+            engine._ins.on_throttle_stall("down", delay)
+        self.timer = engine.kernel.call_later(delay, self._place)
+
+    def _place(self) -> None:
+        engine, link, msg = self.engine, self.link, self.msg
+        peer = link.src
+        if engine._upstream_links.get(peer) is not link:
+            # Torn down (a re-dial superseded this link) while the
+            # message was in hand: it dies with the link, counted.
+            return self._lose()
+        now = engine.kernel.now
+        self.port.stats.throughput.record(msg.size, now)
+        engine._last_recv_at[peer] = now
+        if msg.type == MsgType.DATA:
+            return self._put()
+        if msg.type == MsgType.BROKEN_SOURCE:
+            engine._propagate_broken_source(msg, peer)
+        engine._control.put_force(msg)
+        self._placed()
+
+    def _put(self) -> None:
+        port, msg = self.port, self.msg
+        if self.state == _CLOSED:  # a space callback that outlived the engine
+            return
+        if port.buffer.closed:
+            return self._lose()
+        if port.buffer.is_full:
+            return port.buffer.on_space(partial(self.engine.kernel.call_soon, self._put))
+        port.buffer.put_nowait(msg)
+        port.note_bytes(msg.size)
+        ins = self.engine._ins
+        if ins is not None:
+            now = self.engine.kernel.now
+            ins.enqueued[port.label] += 1
+            port.wait_times.append(now)
+            msg._hop_t0 = now  # this hop's clock starts here
+            if ins.tracer.enabled:
+                ins.trace_msg(now, EventType.ENQUEUE, msg, port.label)
+        self._placed()
+
+    def _placed(self) -> None:
+        self.msg = None
+        self.engine._wake.set()
+        if self.link.window:
+            self._take(woken=False)
+        elif self.link.alive:
+            self.state = _IDLE
+        else:
+            self._drained()
+
+    def _drained(self) -> None:
+        """The window is empty and the link broke: the upstream is gone."""
+        if self.state != _CLOSED:
+            self._close()
+            if self.engine._upstream_links.get(self.link.src) is self.link:
+                self.engine._drop_upstream(self.link.src, notify="up")
+
+    def _lose(self) -> None:
+        self._close()
+        self.engine._count_wire_lost(self.link, self.msg, self.port.stats)
+
+    def _close(self) -> None:
+        self.state = _CLOSED
+        del self.engine._receiving[self.link]
+
+    def abort(self) -> None:
+        """The engine terminated: count what this end holds, fire nothing more."""
+        if self.timer is not None:
+            self.timer.cancel()
+        self._close() if self.msg is None else self._lose()
 
 
 class SimEngine(EngineCore):
@@ -112,6 +337,8 @@ class SimEngine(EngineCore):
         )
         self._senders: dict[NodeId, _SenderLink] = {}
         self._upstream_links: dict[NodeId, SimLink] = {}
+        #: every live receiving end, superseded links' included
+        self._receiving: dict[SimLink, _ReceiverEnd] = {}
         self._last_recv_at: dict[NodeId, float] = {}
         self._terminated = False
         self.SOURCE_INTERVAL = config.source_interval
@@ -143,6 +370,8 @@ class SimEngine(EngineCore):
         self._terminated = True
         self._local_apps.clear()
         self._teardown()
+        for end in list(self._receiving.values()):
+            end.abort()
         self._control.close()
         self.algorithm.on_stop()
         self._fabric.node_terminated(self._node_id)
@@ -173,17 +402,13 @@ class SimEngine(EngineCore):
         if link is None:
             self._drop_downstream(dest, notify="down")
             return
-        sender = self._senders[dest] = _SenderLink(dest, link)
-        sender.task = self._launch(
-            self._sender_loop(sender, self._out[dest]), name=f"{self._node_id}/send-{dest}"
-        )
+        self._senders[dest] = _SenderLink(self, self._out[dest], link)
 
     def _close_link(self, peer: NodeId, outbound: bool) -> None:
         if outbound:
             sender = self._senders.pop(peer, None)
             if sender is not None:
-                sender.link.break_()
-                sender.task.cancel()
+                sender.close()
         else:
             self._upstream_links.pop(peer).break_()
             del self._last_recv_at[peer]
@@ -215,10 +440,7 @@ class SimEngine(EngineCore):
             self._drop_upstream(link.src, notify="up")
         self._upstream_links[link.src] = link
         self._last_recv_at[link.src] = self.kernel.now
-        self._launch(
-            self._receiver_loop(link, self._add_upstream(link.src)),
-            name=f"{self._node_id}/recv-{link.src}",
-        )
+        self._receiving[link] = _ReceiverEnd(self, link, self._add_upstream(link.src))
 
     def deliver_control(self, msg: Message) -> None:
         """Inject a message into the node's publicized port (observer path)."""
@@ -232,61 +454,13 @@ class SimEngine(EngineCore):
             if self._running:
                 self._send_boot()
 
-    # ------------------------------------------------------------------- receivers
-
-    async def _receiver_loop(self, link: SimLink, port: ReceiverPort) -> None:
-        peer = link.src
-        stats = port.stats
-        while self._running:
-            try:
-                msg, sent_at = await link.inbox.get()
-            except BufferClosedError:
-                if self._running and self._upstream_links.get(peer) is link:
-                    self._drop_upstream(peer, notify="up")
-                return
-            arrival = sent_at + link.latency
-            if arrival > self.kernel.now:
-                await self.kernel.sleep(arrival - self.kernel.now)
-            delay = self.throttle.reserve_recv(msg.size, self.kernel.now)
-            if delay > 0:
-                if self._ins is not None:
-                    self._ins.on_throttle_stall("down", delay)
-                await self.kernel.sleep(delay)
-            if self._upstream_links.get(peer) is not link:
-                # Torn down (a re-dial superseded this link) while the
-                # message was in hand: it dies with the link, counted.
-                self._count_wire_lost(link, msg, stats)
-                return
-            stats.throughput.record(msg.size, self.kernel.now)
-            self._last_recv_at[peer] = self.kernel.now
-            if msg.type == MsgType.DATA:
-                try:
-                    await port.buffer.put(msg)  # type: ignore[attr-defined]
-                except BufferClosedError:
-                    self._count_wire_lost(link, msg, stats)
-                    return
-                port.note_bytes(msg.size)
-                ins = self._ins
-                if ins is not None:
-                    now = self.kernel.now
-                    label = port.label
-                    ins.enqueued[label] += 1
-                    port.wait_times.append(now)
-                    msg._hop_t0 = now  # this hop's clock starts here
-                    if ins.tracer.enabled:
-                        ins.trace_msg(now, EventType.ENQUEUE, msg, label)
-            else:
-                if msg.type == MsgType.BROKEN_SOURCE:
-                    self._propagate_broken_source(msg, peer)
-                self._control.put_force(msg)
-            self._wake.set()
-
     def _count_wire_lost(self, link: SimLink, in_hand: Message, stats: LinkStats) -> None:
         """This end of ``link`` is gone: the message in hand and whatever
         the wire still carries will never be placed, so they are lost."""
         self._record_loss(in_hand, stats)
-        for msg, _sent_at in link.inbox.drain():
+        for msg, _sent_at in link.window:
             self._record_loss(msg, stats)
+        link.window.clear()
 
     async def _watchdog_loop(self) -> None:
         """Detect upstream failures via long consecutive traffic inactivity."""
@@ -299,56 +473,14 @@ class SimEngine(EngineCore):
             now = self.kernel.now
             for peer, last in list(self._last_recv_at.items()):
                 if now - last > timeout:
-                    # unblocks the receiver task, which drops the upstream
+                    # the receiving end drains the window, then drops the upstream
                     self._upstream_links[peer].break_()
             # Sender side: a delivery stuck longer than the timeout means the
             # downstream is silently gone (stalled link) — tear it down.
             for sender in list(self._senders.values()):
                 started = sender.in_flight_since
                 if started is not None and now - started > timeout:
-                    self._drop_downstream(sender.dest, notify="down")
-
-    # --------------------------------------------------------------------- senders
-
-    async def _sender_loop(self, sender: _SenderLink, out: OutLink) -> None:
-        msg = None  # taken off the queue, not yet on the wire
-        try:
-            while self._running:
-                try:
-                    msg = await out.queue.get()
-                except BufferClosedError:
-                    return
-                sender.in_flight_since = self.kernel.now
-                delay = self.throttle.reserve_send(sender.dest, msg.size, self.kernel.now)
-                if delay > 0:
-                    if self._ins is not None:
-                        self._ins.on_throttle_stall("up", delay)
-                    await self.kernel.sleep(delay)
-                if self._ins is not None and sender.link.inbox.is_full:
-                    self._ins.backpressure[out.label] += 1
-                try:
-                    await sender.link.deliver(msg)
-                except LinkDownError:
-                    if self._running and self._senders.get(sender.dest) is sender:
-                        self._drop_downstream(sender.dest, notify="down")
-                    return
-                sender.in_flight_since = None
-                out.stats.throughput.record(msg.size, self.kernel.now)
-                ins = self._ins
-                if ins is not None and msg.type == MsgType.DATA:
-                    label = out.label
-                    ins.forwarded[label] += 1
-                    now = self.kernel.now
-                    t0 = msg._hop_t0
-                    if t0 is not None:
-                        ins.observe_hop(now - t0 if now > t0 else 0.0)
-                    if ins.tracer.enabled:
-                        ins.trace_msg(now, EventType.FORWARD, msg, label)
-                msg = None
-                self._send_space_freed()
-        finally:
-            if msg is not None:  # in hand when the link broke or was dropped
-                self._record_loss(msg, out.stats)
+                    self._drop_downstream(sender.out.dest, notify="down")
 
     def __repr__(self) -> str:
         state = "running" if self._running else ("terminated" if self._terminated else "new")

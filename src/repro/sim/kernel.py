@@ -195,9 +195,12 @@ class Task:
     def finished(self) -> bool:
         return self._finished
 
-    @property
     def cancelled(self) -> bool:
         return self._cancelled
+
+    def exception(self) -> BaseException | None:
+        """The exception the task finished with (``None`` if it did not)."""
+        return self._exception
 
     def result(self) -> Any:
         if not self._finished:
@@ -323,11 +326,13 @@ class Task:
 class Kernel:
     """The virtual-time event loop."""
 
-    __slots__ = ("_now", "_heap", "_ready", "_sequence", "_live",
-                 "_crashed", "_dead_timers", "rng")
+    __slots__ = ("now", "_heap", "_ready", "_sequence", "_live",
+                 "_halt", "_dead_timers", "rng")
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: current virtual time in seconds; read-only by convention (a
+        #: plain slot, not a property: every callback reads it)
+        self.now = 0.0
         #: timed events: a heap of [when, seq, callback, args] lists
         self._heap: list[list] = []
         #: immediate events: (seq, callback, args) in FIFO order
@@ -335,17 +340,12 @@ class Kernel:
         self._sequence = 0
         #: insertion-ordered set of unfinished tasks
         self._live: dict[Task, None] = {}
-        self._crashed: list[Task] = []
+        #: tasks that stop :meth:`run`: crashed ones (re-raised) and the
+        #: finished task of :meth:`run_until_complete`
+        self._halt: list[Task] = []
         #: cancelled timers still sitting in the heap (compacted lazily)
         self._dead_timers = 0
         self.rng = Random(seed)
-
-    # --- time --------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     # --- scheduling -----------------------------------------------------------------
 
@@ -360,8 +360,8 @@ class Kernel:
         Returns a :class:`TimerHandle` whose ``cancel()`` retires the
         event without waiting for its deadline.
         """
-        if when < self._now:
-            raise SimulationError(f"cannot schedule in the past: {when} < {self._now}")
+        if when < self.now:
+            raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
         entry = [when, self._next_seq(), callback, args]
         heapq.heappush(self._heap, entry)
         return TimerHandle(entry, self)
@@ -369,7 +369,7 @@ class Kernel:
     def call_later(self, delay: float, callback: Callable[..., None], *args: Any) -> TimerHandle:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.call_at(self._now + delay, callback, *args)
+        return self.call_at(self.now + delay, callback, *args)
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at the current virtual time.
@@ -385,7 +385,7 @@ class Kernel:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         future = Future(self)
-        entry = [self._now + delay, self._next_seq(), self._resolve_sleep, (future,)]
+        entry = [self.now + delay, self._next_seq(), self._resolve_sleep, (future,)]
         heapq.heappush(self._heap, entry)
         future._timer = entry
         return future
@@ -431,7 +431,7 @@ class Kernel:
     def _task_finished(self, task: Task) -> None:
         self._live.pop(task, None)
         if task._exception is not None:
-            self._crashed.append(task)
+            self._halt.append(task)
 
     @property
     def live_tasks(self) -> list[Task]:
@@ -449,13 +449,13 @@ class Kernel:
         ``max_events`` is a debugging guard against zero-latency livelock
         (an unbounded cascade of same-timestamp events).
         """
-        if until is not None and until < self._now:
-            return self._now
+        if until is not None and until < self.now:
+            return self.now
         heap = self._heap
         ready = self._ready
         ready_pop = ready.popleft
         heappop = heapq.heappop
-        crashed = self._crashed
+        halt = self._halt
         budget = -1 if max_events is None else max_events
         while True:
             if ready:
@@ -471,7 +471,7 @@ class Kernel:
                             head = None
                             break
                         head = heap[0]
-                    if head is not None and head[_WHEN] <= self._now and head[_SEQ] < ready[0][0]:
+                    if head is not None and head[_WHEN] <= self.now and head[_SEQ] < ready[0][0]:
                         heappop(heap)
                         callback, args = head[_CALLBACK], head[_ARGS]
                         head[_CALLBACK] = head[_ARGS] = None  # mark spent
@@ -489,75 +489,51 @@ class Kernel:
                 if until is not None and when > until:
                     break
                 heappop(heap)
-                self._now = when
+                self.now = when
                 callback, args = head[_CALLBACK], head[_ARGS]
                 head[_CALLBACK] = head[_ARGS] = None  # mark spent
             else:
                 break
             if budget >= 0:
                 if budget == 0:
-                    raise SimulationError(f"exceeded max_events={max_events} at t={self._now}")
+                    raise SimulationError(f"exceeded max_events={max_events} at t={self.now}")
                 budget -= 1
             if args:
                 callback(*args)
             else:
                 callback()
-            if crashed:
-                task = crashed[0]
+            if halt:
+                task = halt[0]
+                if task._exception is None:  # run_until_complete's task is done
+                    del halt[0]
+                    return self.now
                 raise SimulationError(f"task {task.name!r} crashed") from task._exception
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def run_until_complete(self, coro: Coroutine[Any, Any, Any], timeout: float | None = None) -> Any:
         """Spawn ``coro``, run until it finishes, and return its result.
 
-        The loop mirrors :meth:`run` exactly — same two event stores,
-        same dead-timer pruning — so the deadline decision is always
-        made against the next *live* event.  On timeout the task is
-        cancelled, events up to the deadline (including the cancellation
-        throw itself) are drained, and :class:`SimulationError` is
-        raised with virtual time resting exactly at the deadline.
+        This is :meth:`run` with one more way to stop: the task's
+        completion.  On timeout the task is cancelled, events up to the
+        deadline (including the cancellation throw itself) are drained,
+        and :class:`SimulationError` is raised with virtual time resting
+        exactly at the deadline.
         """
         task = self.spawn(coro, name="run_until_complete")
-        deadline = None if timeout is None else self._now + timeout
-        heap = self._heap
-        ready = self._ready
-        crashed = self._crashed
-        while not task.finished:
-            while heap and heap[0][_CALLBACK] is None:
-                heapq.heappop(heap)
-                self._dead_timers -= 1
-            if ready:
-                callback = None
-                if heap:
-                    head = heap[0]
-                    if head[_WHEN] <= self._now and head[_SEQ] < ready[0][0]:
-                        heapq.heappop(heap)
-                        callback, args = head[_CALLBACK], head[_ARGS]
-                        head[_CALLBACK] = head[_ARGS] = None
-                if callback is None:
-                    _, callback, args = ready.popleft()
-            elif heap:
-                head = heap[0]
-                when = head[_WHEN]
-                if deadline is not None and when > deadline:
-                    task.cancel()
-                    self.run(until=deadline)
-                    raise SimulationError(f"run_until_complete timed out after {timeout}s")
-                heapq.heappop(heap)
-                self._now = when
-                callback, args = head[_CALLBACK], head[_ARGS]
-                head[_CALLBACK] = head[_ARGS] = None
-            else:
-                raise SimulationError(
-                    f"deadlock: no scheduled events but {task.name!r} has not finished"
-                )
-            callback(*args)
-            if crashed:
-                failed = crashed[0]
-                raise SimulationError(f"task {failed.name!r} crashed") from failed._exception
-        return task.result()
+        task.add_done_callback(self._halt.append)
+        deadline = None if timeout is None else self.now + timeout
+        self.run(until=deadline)
+        if task.finished:
+            return task.result()
+        if not self._ready and not self.pending_timers:
+            raise SimulationError(
+                f"deadlock: no scheduled events but {task.name!r} has not finished"
+            )
+        task.cancel()
+        self.run(until=deadline)
+        raise SimulationError(f"run_until_complete timed out after {timeout}s")
 
 
 async def gather(*awaitables: Awaitable[Any]) -> list[Any]:

@@ -1,15 +1,34 @@
 """A simulated overlay connection between two nodes.
 
-A :class:`SimLink` models one direction of a persistent TCP connection:
+A :class:`SimLink` models one direction of a persistent TCP connection
+as its in-flight window: a FIFO of ``(message, sent_at)`` pairs bounded
+by ``socket_buffer``.  It runs no task of its own.  The sending engine
+:meth:`~SimLink.push` es into it, the receiving engine
+:meth:`~SimLink.take` s from it, and each end is told about changes
+through one callback:
 
-- a small bounded in-flight queue (the socket buffer) whose blocking
-  ``put`` gives TCP-style flow control — a stalled receiver eventually
-  blocks the sender;
-- a fixed propagation latency applied by the receiving side;
+- ``on_push`` (the receiving end) after every push and on a break;
+- ``on_take`` (the sending end) after every take and on a break.
+
+Semantics the engines build on top:
+
+- flow control: a sender whose message finds the window full keeps it
+  in hand until a take frees a slot — a stalled receiver eventually
+  blocks the sender.  The receiving end holds one message of its own
+  while it waits out the latency, so up to ``socket_buffer + 1``
+  messages are in flight;
+- **the window-wait stamp**: ``sent_at`` is the virtual time the
+  delivery *started*, before a full window made it wait.  Time spent
+  waiting for socket-buffer space therefore counts toward the
+  message's propagation latency, which the receiving end applies as
+  ``sent_at + latency``.  Stamping at insertion instead changes the
+  experiment outputs (fig18, fig19);
 - in-order delivery;
 - failure modes: :meth:`break_` (an abrupt close both sides observe as
-  an error, like a broken pipe) and :meth:`stall` (a *silent* failure
-  that only traffic-inactivity detection can catch).
+  an error, like a broken pipe; what the window still holds can be
+  taken) and :meth:`stall` (a *silent* failure that only
+  traffic-inactivity detection can catch: the sender parks forever at
+  its next delivery).
 
 Bandwidth is **not** a property of the link object: emulated rates are
 enforced by the sending node's :class:`~repro.core.bandwidth.NodeThrottle`
@@ -19,11 +38,12 @@ path with timers.
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Callable
+
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.errors import LinkDownError
-from repro.sim.kernel import Kernel
-from repro.sim.sync import SimQueue
 
 #: Default in-flight capacity (messages) of the simulated socket buffer.
 DEFAULT_SOCKET_BUFFER = 4
@@ -34,7 +54,6 @@ class SimLink:
 
     def __init__(
         self,
-        kernel: Kernel,
         src: NodeId,
         dst: NodeId,
         latency: float = 0.0,
@@ -42,71 +61,63 @@ class SimLink:
     ) -> None:
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
-        self._kernel = kernel
+        if socket_buffer < 1:
+            raise ValueError(f"socket_buffer must be >= 1, got {socket_buffer}")
         self.src = src
         self.dst = dst
         self.latency = latency
-        self.inbox: SimQueue[tuple[Message, float]] = SimQueue(kernel, capacity=socket_buffer)
-        self._stalled = False
-        self._broken = False
-        #: cumulative messages/bytes that crossed this link
-        self.delivered_messages = 0
-        self.delivered_bytes = 0
-        #: deliveries that found the in-flight window full and had to block
-        #: (TCP-style flow control pushing back on the sender task)
+        self.socket_buffer = socket_buffer
+        self.window: deque[tuple[Message, float]] = deque()
+        self.on_push: Callable[[], None] | None = None
+        self.on_take: Callable[[], None] | None = None
+        #: False once broken; ``stalled`` once silently stopped
+        self.alive = True
+        self.stalled = False
+        #: deliveries that found the in-flight window full and had to wait
+        #: (TCP-style flow control pushing back on the sender)
         self.backpressure_events = 0
 
-    # --- state ------------------------------------------------------------------
-
     @property
-    def alive(self) -> bool:
-        """True until the link has been broken."""
-        return not self._broken
-
-    @property
-    def stalled(self) -> bool:
-        return self._stalled
+    def full(self) -> bool:
+        return len(self.window) >= self.socket_buffer
 
     # --- data path -----------------------------------------------------------------
 
-    async def deliver(self, msg: Message) -> None:
-        """Hand ``msg`` to the wire; blocks while the in-flight window is full.
+    def push(self, msg: Message, sent_at: float) -> None:
+        """Put ``msg``, whose delivery started at ``sent_at``, on the wire.
 
-        Raises :class:`~repro.errors.LinkDownError` if the link broke, or
-        blocks forever if the link silently stalled — exactly the two
-        failure signatures the engine's detection machinery must handle.
+        The caller checks :attr:`full` first; a broken link raises
+        :class:`~repro.errors.LinkDownError`.
         """
-        if self._broken:
+        if not self.alive:
             raise LinkDownError(f"link {self.src}->{self.dst} is down")
-        if self._stalled:
-            # A stalled link accepts nothing and reports nothing: the
-            # sender parks on a future that never resolves, like a TCP
-            # connection to a silently-partitioned host.
-            await self._kernel.future()
-            raise AssertionError("unreachable: stalled link future resolved")
-        if self.inbox.is_full:
-            self.backpressure_events += 1
-        try:
-            await self.inbox.put((msg, self._kernel.now))
-        except Exception as exc:
-            raise LinkDownError(f"link {self.src}->{self.dst} closed mid-send") from exc
-        self.delivered_messages += 1
-        self.delivered_bytes += msg.size
+        self.window.append((msg, sent_at))
+        if self.on_push is not None:
+            self.on_push()
+
+    def take(self) -> tuple[Message, float]:
+        """Remove the oldest in-flight ``(message, sent_at)``."""
+        item = self.window.popleft()
+        if self.on_take is not None:
+            self.on_take()
+        return item
 
     # --- failure injection -------------------------------------------------------------
 
     def break_(self) -> None:
         """Abruptly fail the link: both endpoints observe errors."""
-        if self._broken:
+        if not self.alive:
             return
-        self._broken = True
-        self.inbox.close()
+        self.alive = False
+        for end in (self.on_push, self.on_take):
+            if end is not None:
+                end()
 
     def stall(self) -> None:
         """Silently stop the link: no errors, just no traffic (for
         inactivity-detection experiments)."""
-        self._stalled = True
+        self.stalled = True
 
     def __repr__(self) -> str:
-        state = "broken" if self._broken else ("stalled" if self._stalled else "up")
+        state = "broken" if not self.alive else ("stalled" if self.stalled else "up")
         return f"SimLink({self.src} -> {self.dst}, {state}, latency={self.latency})"

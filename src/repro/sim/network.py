@@ -161,7 +161,6 @@ class SimNetwork:
         if target is None or not target.running:
             return None
         link = SimLink(
-            self.kernel,
             src,
             dst,
             latency=self.latency(src, dst),
@@ -224,11 +223,6 @@ class SimNetwork:
         """Measured outgoing throughput on the overlay link src -> dst (B/s)."""
         dst_id = self[dst] if isinstance(dst, str) else dst
         return self.engine(src).send_rate(dst_id)
-
-    def link_alive(self, src: NodeId | str, dst: NodeId | str) -> bool:
-        dst_id = self[dst] if isinstance(dst, str) else dst
-        src_engine = self.engines.get(self[src] if isinstance(src, str) else src)
-        return src_engine is not None and dst_id in src_engine.downstreams()
 
     def rates_snapshot(self) -> dict[tuple[str, str], float]:
         """All live link rates, keyed by (label(src), label(dst))."""

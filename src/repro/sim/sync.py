@@ -10,12 +10,16 @@ The implementation wakes **all** waiters whenever the queue state
 changes and lets each waiter re-check; a waiter whose task has been
 cancelled is then harmless (its future resolves into the void), which
 keeps node termination (the observer's ``terminate`` command) safe.
+A waiter is any zero-argument callable: a parked task's
+``future.set_result``, or a plain callback registered with
+:meth:`SimQueue.on_space` by code that waits without a task (the
+simulated links' receiving ends).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 
 from repro.errors import BufferClosedError
 from repro.sim.kernel import Future, Kernel
@@ -32,8 +36,8 @@ class SimQueue(Generic[T]):
         self._kernel = kernel
         self._capacity = capacity
         self._items: deque[T] = deque()
-        self._getters: deque[Future] = deque()
-        self._putters: deque[Future] = deque()
+        self._getters: deque[Callable[[], None]] = deque()
+        self._putters: deque[Callable[[], None]] = deque()
         self._closed = False
         #: optional listener called with the size delta after every
         #: mutation (see :class:`repro.core.buffer.CircularBuffer`)
@@ -74,7 +78,7 @@ class SimQueue(Generic[T]):
                 self._wake(self._getters)
                 return
             waiter = self._kernel.future()
-            self._putters.append(waiter)
+            self._putters.append(waiter.set_result)
             await waiter
 
     def put_nowait(self, item: T) -> bool:
@@ -122,7 +126,7 @@ class SimQueue(Generic[T]):
             if self._closed:
                 raise BufferClosedError("get on closed, drained queue")
             waiter = self._kernel.future()
-            self._getters.append(waiter)
+            self._getters.append(waiter.set_result)
             await waiter
 
     def get_nowait(self) -> T:
@@ -134,6 +138,11 @@ class SimQueue(Generic[T]):
             self.on_size_change(-1)
         self._wake(self._putters)
         return item
+
+    def on_space(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, where a parked ``put`` would be woken:
+        when an item leaves, or the queue drains or closes."""
+        self._putters.append(callback)
 
     def drain(self) -> list[T]:
         """Remove and return all queued items."""
@@ -159,9 +168,9 @@ class SimQueue(Generic[T]):
 
     # --- internals ----------------------------------------------------------------------
 
-    def _wake(self, waiters: deque[Future]) -> None:
+    def _wake(self, waiters: deque[Callable[[], None]]) -> None:
         while waiters:
-            waiters.popleft().set_result(None)
+            waiters.popleft()()
 
 
 class SimEvent:

@@ -265,12 +265,6 @@ class EngineInstruments:
             tid = msg._trace_id = f"{sender}/{msg.app}#{msg.seq}"
         return tid
 
-    def _peer_detail(self, peer: str) -> dict:
-        detail = self._peer_details.get(peer)
-        if detail is None:
-            detail = self._peer_details[peer] = {"peer": peer}
-        return detail
-
     # ------------------------------------------------------------ trace events
     #
     # Callers check ``ins.tracer.enabled`` first so a metrics-only run
@@ -336,6 +330,18 @@ class EngineInstruments:
 
     def on_broken_link(self, direction: str) -> None:
         self._broken_metric.labels(node=self.node, direction=direction).inc()
+
+    def on_task_error(self, time: float, task: str, exc: BaseException) -> None:
+        """An engine-owned task died of an exception.  The family is
+        registered here, on first use, so it stays out of snapshots
+        until something has failed."""
+        self.telemetry.registry.counter(
+            "ioverlay_engine_algorithm_errors_total",
+            "Engine-owned tasks ended by an exception (an Algorithm hook raising)", ("node",),
+        ).labels(node=self.node).inc()
+        if self.tracer.enabled:
+            detail = {"stage": "task", "task": task, "error": repr(exc)}
+            self.tracer.append_raw(time, self.node, EventType.CONTROL_FAULT, "", 0, detail)
 
     def on_throttle_stall(self, direction: str, seconds: float) -> None:
         self._stall_metric.labels(node=self.node, direction=direction).inc(seconds)

@@ -7,8 +7,17 @@ twice with identical seeds and require the *serialized* observer traces
 and metric snapshots to match byte for byte.  Any scheduling or
 iteration-order change in the hot path fails here before it can
 silently alter experiment results.
+
+Determinism alone cannot see a *changed* schedule, only an unstable
+one, so the two runs are also pinned to sha256 digests of their
+serializations (the same under any ``PYTHONHASHSEED``, on Python 3.11
+and 3.12).  A change meant to keep the schedule — such as replacing
+the simulated links' per-link tasks with callbacks — must leave both
+digests alone.  A change that alters the schedule on purpose updates
+them in the same commit and says why.
 """
 
+import hashlib
 import json
 
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
@@ -19,6 +28,9 @@ from repro.sim.engine import EngineConfig
 from repro.sim.network import NetworkConfig, SimNetwork
 from repro.telemetry import Telemetry
 from repro.telemetry.exporters import chrome_trace_events
+
+FIG5_CHAIN_SEED7_SHA256 = "78374eb9048e9af8efab85fa71b936ddcba6f49b36a521c4b345a070e8e58152"
+FIG8_BUTTERFLY_SEED3_SHA256 = "ddb9eb7d60cc6161897f2dc01de75a2630c45303d33413b6544eecafa942f8d9"
 
 
 def _serialize(telemetry: Telemetry) -> str:
@@ -82,6 +94,18 @@ def test_fig8_butterfly_trace_is_deterministic():
     second = _run_fig8_butterfly(seed=3)
     assert first == second
     assert json.loads(first)["decoded"]["F"] > 0
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_fig5_chain_schedule_is_pinned():
+    assert _sha256(_run_fig5_chain(seed=7)) == FIG5_CHAIN_SEED7_SHA256
+
+
+def test_fig8_butterfly_schedule_is_pinned():
+    assert _sha256(_run_fig8_butterfly(seed=3)) == FIG8_BUTTERFLY_SEED3_SHA256
 
 
 def test_different_seeds_may_diverge_but_never_crash():

@@ -4,7 +4,10 @@ Deterministic counts on the discrete-event backend (the benchmark's
 ``sim_chain`` shape: 8 nodes, 5000-byte payloads, ``buffer_capacity``
 10, telemetry on) and one paced count on the asyncio backend.  Before
 the loop was progress-driven a relay ran four switch passes, one credit
-stall and 6.28 kernel events per message-hop.
+stall and 6.28 kernel events per message-hop; with a receiver and a
+sender task per link it still took 5.28.  With link ends as callbacks
+a hop is one sender run, one latency timer and one engine wake-up
+(3.29, the rest is the source).
 """
 
 from __future__ import annotations
@@ -72,14 +75,14 @@ def test_des_relay_runs_one_pass_per_message_and_never_stalls():
     assert by_node(snapshot, "ioverlay_engine_defers_total") == {}
 
 
-def test_des_chain_costs_at_most_5_3_kernel_events_per_message_hop():
+def test_des_chain_costs_at_most_3_3_kernel_events_per_message_hop():
     net, _ids, sink = sim_chain(telemetry=None, quiet=False)
     net.run(1.0)
     delivered, events = sink.received, net.kernel._sequence
     net.run(2.0)
     delivered, events = sink.received - delivered, net.kernel._sequence - events
     assert delivered > 1500
-    assert events / (delivered * (NODES - 1)) <= 5.3
+    assert events / (delivered * (NODES - 1)) <= 3.3
 
 
 def test_asyncio_paced_message_costs_one_pass_per_hop():

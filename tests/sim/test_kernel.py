@@ -79,7 +79,7 @@ def test_cancel_waiting_task():
     kernel.call_at(1.0, task.cancel)
     kernel.run()
     assert progress == ["start"]
-    assert task.cancelled and task.finished
+    assert task.cancelled() and task.finished
 
 
 def test_cancelled_is_not_swallowed_by_except_exception():
@@ -96,7 +96,7 @@ def test_cancelled_is_not_swallowed_by_except_exception():
     kernel.call_at(1.0, task.cancel)
     kernel.run()
     assert caught == []
-    assert task.cancelled
+    assert task.cancelled()
 
 
 def test_join_waits_for_task():

@@ -222,10 +222,11 @@ def test_terminate_leaves_no_tracked_task():
     engine.start_source(app=1, payload_size=100)
     net.run(1.0)
     engine.stop_source(1)
-    engine.disconnect(sink)  # the sender task ends and prunes itself
+    engine.disconnect(sink)  # the link's sending end goes with its table entry
     net.run(0.1)
     assert engine._tasks and all(not task.finished for task in engine._tasks)
-    assert not any("send-" in task.name or "source-" in task.name for task in engine._tasks)
+    assert sink not in engine._senders
+    assert not any("source-" in task.name for task in engine._tasks)
     engine.terminate()
     assert engine._tasks == {}
     net.run(0.1)
@@ -251,8 +252,37 @@ def test_superseded_link_counts_the_message_in_hand():
     sender.connect(sink)  # before the old receiver task has noticed
     assert receiver._upstream_links[src] is not old_link
     assert receiver._lost_messages == 0  # the sink's buffer was empty
-    on_the_wire = len(old_link.inbox)
+    on_the_wire = len(old_link.window)
     assert on_the_wire == net.config.socket_buffer  # 50 ms of latency keeps it full
     net.run(0.2)
     assert receiver._lost_messages == 1 + on_the_wire
     assert receiver._status_report().fields()["lost_messages"] == 1 + on_the_wire
+
+
+@pytest.mark.parametrize("watchdog", [False, True])
+def test_engine_tasks_do_not_grow_with_links(watchdog):
+    """A SimEngine's live kernel tasks are its engine, report and
+    bootstrap loops (plus the watchdog when configured) whatever its
+    link count: a link's two ends are callbacks, not tasks."""
+    config = EngineConfig(inactivity_timeout=5.0 if watchdog else None)
+    net = SimNetwork(NetworkConfig(engine=config))
+    hub_alg = CopyForwardAlgorithm()
+    hub = net.add_node(hub_alg, name="hub")
+    feeds = [CopyForwardAlgorithm() for _ in range(3)]
+    feeders = [net.add_node(alg) for alg in feeds]
+    sinks = [net.add_node(SinkAlgorithm()) for _ in range(4)]
+    hub_alg.set_downstreams(sinks)
+    for alg in feeds:
+        alg.set_downstreams([hub])
+    net.start()
+    for app, feeder in enumerate(feeders, start=1):
+        net.engine(feeder).start_source(app=app, payload_size=100)
+    net.run(2.0)
+    engine = net.engine(hub)
+    assert len(engine.upstreams()) == 3 and len(engine.downstreams()) == 4
+    expected = {f"{hub}/engine", f"{hub}/report", f"{hub}/boot"}
+    if watchdog:
+        expected.add(f"{hub}/watchdog")
+    live = {t.name for t in net.kernel.live_tasks if t.name.startswith(f"{hub}/")}
+    assert live == expected
+    assert {task.name for task in engine._tasks} == expected
