@@ -40,7 +40,7 @@ class MsgType(IntEnum):
     TRACE = 18               # node -> observer: debugging / measurement trace record
     CONTROL = 19             # observer -> algorithm: generic command, two int params
     HELLO = 20               # first frame on a fresh TCP connection: sender identity
-    PROXY = 21               # proxy envelope: routing metadata + raw inner frame
+    PROXY = 21               # hub -> proxy (downward only): {dest} + raw inner frame
     FLOW_QUERY = 22          # client -> observer: stitched causal path for a trace id
     FLOW_REPLY = 23          # observer -> client: events, path and per-hop latencies
     SHM_ACK = 24             # acceptor -> dialer: verdict on a HELLO's offer of

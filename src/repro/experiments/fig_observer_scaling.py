@@ -2,8 +2,8 @@
 
 PR 5's cluster runs every worker's :class:`~repro.net.proxy.ObserverProxy`
 as a transparent byte funnel: each node's STATUS report (with its full
-telemetry snapshot, hex-doubled inside a PROXY envelope) crosses the
-root observer's sockets on every poll, so root ingress grows with fleet
+telemetry snapshot, forwarded as the very frame the node wrote) crosses
+the root observer's sockets on every poll, so root ingress grows with fleet
 size times poll rate.  This experiment measures what the hierarchical
 observability plane buys: the **same workload** on the **same fleet**
 is run twice —

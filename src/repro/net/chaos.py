@@ -44,6 +44,7 @@ from repro.core.algorithm import Algorithm
 from repro.core.ids import NodeId
 from repro.errors import UnknownNodeError
 from repro.net.engine import AsyncioEngine, NetEngineConfig
+from repro.net.tasks import TaskSet
 from repro.sim.failure import FailureEvent, FailureSchedule
 
 __all__ = [
@@ -302,6 +303,8 @@ class ChaosCluster:
         self._engines: dict[str, AsyncioEngine] = {}
         self._names: dict[NodeId, str] = {}
         self._handles: list[asyncio.TimerHandle] = []
+        #: schedule actions in flight (kills, joins, graceful leaves)
+        self._tasks = TaskSet(type(self).__name__)
         self._t0: float | None = None
         self._node_factory = None
 
@@ -345,7 +348,12 @@ class ChaosCluster:
         for handle in self._handles:
             handle.cancel()
         self._handles.clear()
-        for engine in self._engines.values():
+        # Actions already in flight run to their end first.  Cancelled,
+        # a join could strand a half-started engine (asyncio leaves a
+        # server listening when ``start_server`` is cancelled); left
+        # running, it would add an engine after the loop below.
+        await self._tasks.settle()
+        for engine in list(self._engines.values()):
             await engine.stop()
 
     # --------------------------------------------------------------- schedules
@@ -378,14 +386,14 @@ class ChaosCluster:
     def _fire(self, event: FailureEvent) -> None:
         try:
             if event.kind == "kill_node":
-                asyncio.ensure_future(self.engine(event.node).stop())
+                self._tasks.launch(self.engine(event.node).stop(), f"kill {event.node}")
             elif event.kind == "join_node":
                 assert self._node_factory is not None
-                asyncio.ensure_future(
-                    self._node_factory(self, str(event.node))
+                self._tasks.launch(
+                    self._node_factory(self, str(event.node)), f"join {event.node}"
                 )
             elif event.kind == "leave_node":
-                asyncio.ensure_future(self._graceful_leave(event.node))
+                self._tasks.launch(self._graceful_leave(event.node), f"leave {event.node}")
             elif event.kind == "cut_link":
                 assert event.peer is not None
                 self.chaos.cut_link(self[event.node], self[event.peer])

@@ -275,68 +275,26 @@ def hello_message(node: NodeId, **extra: object) -> Message:
 
 # --- proxy envelopes ----------------------------------------------------------
 #
-# Frames relayed across an observer-proxy hop travel inside a PROXY
-# envelope: a 4-byte length, the JSON routing metadata (origin/dest),
-# then the inner frame's **raw bytes** — hex would double every proxied
-# byte on the observer plane.  The inner frame's header is preserved
-# byte for byte, which is what propagates trace ids across worker
-# boundaries: the id is a pure function of (sender, app, seq), so
-# re-decoding the suffix yields a message with the *identical* trace id
-# the originating worker recorded.
-
-
-def _proxy_envelope(sender: NodeId, meta: dict, frame_bytes: bytes) -> Message:
-    meta_bytes = json.dumps(meta, separators=(",", ":")).encode()
-    payload = b"".join((_META_LEN.pack(len(meta_bytes)), meta_bytes, frame_bytes))
-    return Message(MsgType.PROXY, sender, 0, payload)
-
-
-def wrap_proxy_up(proxy: NodeId, origin: NodeId, frame: Message) -> Message:
-    """Wrap a node's upward frame for the single upstream connection."""
-    return _proxy_envelope(proxy, {"origin": str(origin)}, frame.pack())
-
-
-def wrap_proxy_up_bytes(proxy: NodeId, origin: str, frame_bytes: bytes) -> Message:
-    """Re-wrap an already-serialized inner frame (BOOT replay on redial)."""
-    return _proxy_envelope(proxy, {"origin": origin}, frame_bytes)
+# Upward, a proxy forwards a node's frame unchanged: its header's
+# ``sender`` already names the origin.  Only a *downward* frame for a
+# member behind a proxy needs an address, so it travels inside a PROXY
+# envelope: a 4-byte length, the JSON ``{"dest": ...}``, then the inner
+# frame's raw bytes.
 
 
 def wrap_proxy_down(sender: NodeId, dest: NodeId, frame: Message) -> Message:
     """Wrap an observer's downward frame for a proxied node."""
-    return _proxy_envelope(sender, {"dest": str(dest)}, frame.pack())
+    meta = json.dumps({"dest": str(dest)}, separators=(",", ":")).encode()
+    payload = b"".join((_META_LEN.pack(len(meta)), meta, frame.pack()))
+    return Message(MsgType.PROXY, sender, 0, payload)
 
 
-def proxy_meta(envelope: Message) -> dict:
-    """The envelope's routing metadata ({'origin': ...} or {'dest': ...})."""
+def unwrap_proxy(envelope: Message) -> tuple[NodeId, Message]:
+    """The destination and the decoded inner frame of a PROXY envelope."""
     payload = envelope.payload
     (meta_len,) = _META_LEN.unpack_from(payload)
-    return json.loads(payload[4 : 4 + meta_len])
-
-
-def proxy_frame_bytes(envelope: Message) -> bytes:
-    """The inner frame's raw wire bytes, without decoding them."""
-    payload = envelope.payload
-    (meta_len,) = _META_LEN.unpack_from(payload)
-    return payload[4 + meta_len :]
-
-
-def unwrap_proxy(envelope: Message) -> Message:
-    """Decode the inner frame of a PROXY envelope."""
-    return Message.unpack(proxy_frame_bytes(envelope))
-
-
-def peek_frame_type(envelope: Message) -> int:
-    """The inner frame's message type without decoding the whole frame.
-
-    The type is the first 4 bytes after the metadata — one struct read
-    and one 4-byte slice, O(1) in the frame size; aggregating proxies
-    use this to special-case BOOT frames passing through without paying
-    a full unpack per relayed envelope.
-    """
-    payload = envelope.payload
-    (meta_len,) = _META_LEN.unpack_from(payload)
-    start = 4 + meta_len
-    return int.from_bytes(payload[start : start + 4], "big")
+    dest = json.loads(payload[4 : 4 + meta_len])["dest"]
+    return NodeId.parse(dest), Message.unpack(payload[4 + meta_len :])
 
 
 async def open_identified(

@@ -14,10 +14,10 @@ of that link is one class here:
 - :class:`ObserverHub` — the listening end, subclassed by
   :class:`~repro.net.observer_server.ObserverServer` and the proxy:
   bind, HELLO accept, the writer table, the read loop, member routes
-  learned from ``PROXY`` origins and ``W_AGG`` members, route-down
-  (straight to a direct child, or in a ``PROXY`` envelope to the child
-  that owns the route), purge on disconnect, and stop.  A subclass adds
-  only its frame dispatch.
+  learned from the ``sender`` of frames a proxy forwarded unchanged and
+  from ``W_AGG`` members, route-down (straight to a direct child, or in
+  a ``PROXY`` envelope to the child that owns the route), purge on
+  disconnect, and stop.  A subclass adds only its frame dispatch.
 
 On both ends a frame that does not decode is dropped, counted in
 ``bad_frames`` and reported as a ``control-fault`` trace; the connection
@@ -36,7 +36,6 @@ from repro.errors import CodecError
 from repro.net.framing import (
     expect_hello,
     open_identified,
-    proxy_meta,
     read_message,
     wrap_proxy_down,
     write_batch,
@@ -44,6 +43,7 @@ from repro.net.framing import (
 )
 from repro.net.resilience import BackoffPolicy, ObserverOutbox
 from repro.net.tasks import TaskSet
+from repro.observer.observer import decode_rollup
 
 #: what a dropped stream raises on read
 _LINK_LOST = (asyncio.IncompleteReadError, ConnectionError, OSError, CodecError)
@@ -315,13 +315,12 @@ class ObserverHub:
             self.trace_fault(child, stage="frame", type=msg.type, error=repr(exc))
 
     def _learn_route(self, child: NodeId, msg: Message) -> None:
-        """Members reachable through ``child``: a ``PROXY`` envelope's
-        origin, a ``W_AGG`` roll-up's member list."""
-        if msg.type == MsgType.PROXY:
-            self._routes[NodeId.parse(proxy_meta(msg)["origin"])] = child
-        elif msg.type == MsgType.W_AGG:
-            members = [NodeId.parse(text) for text in msg.fields().get("members", [])]
-            self._routes.update(dict.fromkeys(members, child))
+        """Members reachable through ``child``: a ``W_AGG`` roll-up's
+        member list, or the sender of a frame ``child`` forwarded."""
+        if msg.type == MsgType.W_AGG:
+            self._routes.update(dict.fromkeys(decode_rollup(msg).members, child))
+        elif msg.sender != child:
+            self._routes[msg.sender] = child
 
     def _route_down(self, dest: NodeId, msg: Message) -> bool:
         """Write ``msg`` toward ``dest``; False when no connection carries it.

@@ -3,6 +3,8 @@
 Every overlay node keeps one persistent connection to the observer (or
 to a :mod:`repro.net.proxy` relaying to it); bootstrap requests, status
 updates and traces flow up, control commands flow down the same socket.
+Whatever route a node's frame took, it reaches :class:`Observer` as the
+node wrote it.
 The connection handling is :class:`~repro.net.observer_link.ObserverHub`'s;
 this module adds the frame dispatch into :class:`Observer` and the
 status-poll / lease-sweep loop.
@@ -17,7 +19,6 @@ from typing import Any
 from repro.core.ids import CONTROL_APP, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.net.framing import unwrap_proxy
 from repro.net.observer_link import ObserverHub
 from repro.observer.observer import Observer
 from repro.telemetry.tracing import EventType
@@ -52,10 +53,7 @@ class ObserverServer(ObserverHub):
     # ------------------------------------------------------------ frame dispatch
 
     def _dispatch(self, child: NodeId, msg: Message) -> None:
-        if msg.type == MsgType.PROXY:
-            # A frame relayed on a proxy's single upstream connection.
-            self.observer.on_message(unwrap_proxy(msg))
-        elif msg.type == MsgType.FLOW_QUERY:
+        if msg.type == MsgType.FLOW_QUERY:
             # A causal-path query: answer down the asking connection.
             report = self.observer.flow_report(str(msg.fields().get("trace_id", "")))
             self._route_down(child, Message.with_fields(

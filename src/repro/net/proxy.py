@@ -13,17 +13,17 @@ root's and a node's.  What it adds is the frame dispatch, in one of two
 modes:
 
 **Relay mode** (``flush_interval=None``, the default) is the byte
-funnel of the original paper: every upward frame is wrapped in a
-``PROXY`` envelope tagged with the originating node; downstream
-envelopes carry a destination and are unwrapped here.  Envelopes from a
-nested proxy are forwarded unchanged (only their member routes are
-learned), so funnels compose.
+funnel of the original paper: every upward frame is forwarded unchanged,
+the very bytes the node wrote, whose header ``sender`` names the origin
+to every hub above; downstream ``PROXY`` envelopes carry a destination
+and are unwrapped here.  Funnels compose: a nested proxy's frames pass
+on the same way.
 
 **Aggregation mode** (``flush_interval`` set) turns the proxy into a
 *reducing* node of an observer tree.  Instead of relaying every child
 frame it:
 
-- absorbs ``STATUS`` frames, keeping only each child's latest report;
+- absorbs ``STATUS`` frames, keeping only each member's latest report;
 - polls its direct node children itself (the upstream observer skips
   aggregated members entirely);
 - merges the children's metric snapshots locally — counters summed,
@@ -58,17 +58,10 @@ from typing import TYPE_CHECKING, Any
 from repro.core.ids import CONTROL_APP, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.net.framing import (
-    peek_frame_type,
-    proxy_frame_bytes,
-    proxy_meta,
-    unwrap_proxy,
-    wrap_proxy_up,
-    wrap_proxy_up_bytes,
-    write_message,
-)
+from repro.net.framing import unwrap_proxy
 from repro.net.observer_link import ObserverHub, ObserverUplink
 from repro.net.resilience import BackoffPolicy
+from repro.observer.observer import decode_rollup
 from repro.telemetry.metrics import (
     fold_snapshot,
     merge_snapshots,
@@ -112,19 +105,20 @@ class ObserverProxy(ObserverHub):
             capacity=outbox_capacity,
             on_fault=self.trace_fault,
         )
-        #: downstream connections known to be proxies (they sent PROXY/W_AGG)
-        self._child_proxies: set[NodeId] = set()
+        #: direct children that sent a roll-up: aggregators, even ones
+        #: with no member yet (relays show up as route owners)
+        self._child_aggregators: set[NodeId] = set()
         self.relayed_down = 0
-        #: origin str -> packed BOOT frame bytes, replayed after a redial
+        #: member str -> its BOOT frame, replayed as it is after a redial
         #: (hex-encoded only when riding inside a W_AGG JSON ``boots`` map)
-        self._boot_frames: dict[str, bytes] = {}
+        self._boot_frames: dict[str, Message] = {}
         self.boots_replayed = 0
 
         # ---- aggregation state (flush_interval set) -----------------------
-        #: origin str -> latest status fields (metrics stripped)
+        #: member str -> latest status fields (metrics stripped)
         self._child_status: dict[str, dict] = {}
         self._status_dirty: set[str] = set()
-        #: metrics key (origin str, or "subtree:<child>") -> cumulative snapshot
+        #: metrics key (member str, or "subtree:<child>") -> cumulative snapshot
         self._child_metrics: dict[str, dict] = {}
         #: merged snapshot as of the last *successful* flush (delta baseline)
         self._acked_merged: dict = {}
@@ -158,7 +152,7 @@ class ObserverProxy(ObserverHub):
 
     async def start(self) -> None:
         # Bind before dialing upstream: the HELLO identity and every
-        # envelope origin must carry the *final* address, which with
+        # roll-up's sender must carry the *final* address, which with
         # port 0 is only known once the server socket exists.
         await self._bind()
         try:
@@ -181,59 +175,56 @@ class ObserverProxy(ObserverHub):
 
     # ------------------------------------------------------------- downstream side
 
-    def _dispatch(self, origin: NodeId, msg: Message) -> None:
-        """Fold one upward frame into the roll-up, or relay it.
+    def _dispatch(self, child: NodeId, msg: Message) -> None:
+        """Fold one upward frame into the roll-up, or forward it unchanged.
 
         Aggregation mode absorbs STATUS and W_AGG frames; everything else
-        goes up — a nested proxy's frames unchanged, a node's wrapped in
-        a ``PROXY`` envelope.  BOOTs passing through are remembered in
-        both modes, for the replay after a redial.
+        goes up as the bytes that came in.  BOOTs passing through are
+        remembered in both modes, for the replay after a redial.
         """
-        kind = msg.type
-        if kind in (MsgType.PROXY, MsgType.W_AGG):
-            self._child_proxies.add(origin)
-        if self.aggregating and kind == MsgType.STATUS:
-            self._absorb_status(origin, msg)
-        elif self.aggregating and kind == MsgType.W_AGG:
-            self._absorb_child_agg(origin, msg)
-        elif kind in (MsgType.PROXY, MsgType.W_AGG):
-            if kind == MsgType.PROXY and peek_frame_type(msg) == MsgType.BOOT:
-                member = str(NodeId.parse(proxy_meta(msg)["origin"]))
-                self._boot_frames[member] = proxy_frame_bytes(msg)
-            self._uplink.push(msg)
+        if self.aggregating and msg.type == MsgType.STATUS:
+            self._absorb_status(msg)
+        elif self.aggregating and msg.type == MsgType.W_AGG:
+            self._absorb_child_agg(child, msg)
         else:
-            if kind == MsgType.BOOT:
-                self._boot_frames[str(origin)] = msg.pack()
-            self._uplink.push(wrap_proxy_up(self.addr, origin, msg))
+            if msg.type == MsgType.BOOT:
+                self._boot_frames[str(msg.sender)] = msg
+            self._uplink.push(msg)
 
     def _child_gone(self, child: NodeId, gone: list[NodeId]) -> None:
         """A direct child dropped: purge it and its whole subtree.
 
-        Nothing of the child (or, for a child aggregator, of its whole
+        Nothing of the child (or, for a child proxy, of its whole
         subtree) may linger in the status or metrics caches — a stale
         series would otherwise keep merging into every future flush and
         a restarted child would double-count against its own ghost.
         """
-        self._child_proxies.discard(child)
+        self._child_aggregators.discard(child)
         self._child_metrics.pop(f"subtree:{child}", None)
-        for origin in map(str, gone):
-            if self._forget(origin) and self.aggregating:
-                self._departed.add(origin)
+        for member in map(str, gone):
+            if self._forget(member) and self.aggregating:
+                self._departed.add(member)
 
-    def _forget(self, origin: str) -> bool:
+    def _forget(self, member: str) -> bool:
         """Drop what is held about one member; True if anything was."""
-        self._status_dirty.discard(origin)
+        self._status_dirty.discard(member)
         return (
-            (self._child_status.pop(origin, None) is not None)
-            | (self._child_metrics.pop(origin, None) is not None)
-            | (self._boot_frames.pop(origin, None) is not None)
+            (self._child_status.pop(member, None) is not None)
+            | (self._child_metrics.pop(member, None) is not None)
+            | (self._boot_frames.pop(member, None) is not None)
         )
 
-    def _absorb_status(self, origin: NodeId, msg: Message) -> None:
-        """Keep only the child's latest report; metrics ride the delta path."""
+    def _node_children(self) -> list[NodeId]:
+        """Direct children that are nodes: no member is routed through
+        them and no roll-up came from them."""
+        proxies = self._child_aggregators.union(self._routes.values())
+        return [node for node in self._writers if node not in proxies]
+
+    def _absorb_status(self, msg: Message) -> None:
+        """Keep only the member's latest report; metrics ride the delta path."""
         fields = msg.fields()
         metrics = fields.pop("metrics", None)
-        key = str(origin)
+        key = str(msg.sender)
         if metrics:
             self._child_metrics[key] = fold_snapshot(None, metrics, full=True)
         self._child_status[key] = fields
@@ -243,36 +234,28 @@ class ObserverProxy(ObserverHub):
     def _absorb_child_agg(self, child: NodeId, msg: Message) -> None:
         """Fold a child aggregator's flush into this proxy's own state.
 
-        The frame is decoded whole before anything is applied, and every
-        member it names must parse as a node id: a malformed flush is
-        refused here rather than forwarded to fail at every level above.
+        :func:`~repro.observer.observer.decode_rollup` decodes it whole
+        first — the root's verdict on the same frame — so a malformed
+        flush is refused here, with nothing applied, rather than
+        forwarded to fail above.
         """
-        fields = msg.fields()
-        departed = [str(NodeId.parse(text)) for text in fields.get("departed", [])]
-        boots = {
-            str(NodeId.parse(origin)): bytes.fromhex(frame_hex)
-            for origin, frame_hex in fields.get("boots", {}).items()
-        }
-        statuses = {
-            str(NodeId.parse(origin)): dict(status_fields)
-            for origin, status_fields in fields.get("statuses", {}).items()
-        }
+        rollup = decode_rollup(msg)
         key = f"subtree:{child}"
         metrics = self._child_metrics.get(key)
-        if fields.get("metrics"):
-            metrics = fold_snapshot(metrics, fields["metrics"], bool(fields.get("full")))
-        traces = [event for event in fields.get("traces", []) if isinstance(event, dict)]
-        trace_dropped = int(fields.get("trace_dropped", 0))
-        for origin in departed:
-            self._forget(origin)
-            self._departed.add(origin)
-        self._boot_frames.update(boots)
+        if rollup.metrics:
+            metrics = fold_snapshot(metrics, rollup.metrics, rollup.full)
+        self._child_aggregators.add(child)
+        for member in map(str, rollup.departed):
+            self._forget(member)
+            self._departed.add(member)
+        self._boot_frames.update((str(node), boot) for node, boot in rollup.boots.items())
+        statuses = {str(node): status for node, status in rollup.statuses.items()}
         self._child_status.update(statuses)
         self._status_dirty.update(statuses)
         if metrics is not None:
             self._child_metrics[key] = metrics
-        self._pending_traces.extend(traces)
-        self.trace_dropped += trace_dropped
+        self._pending_traces.extend(rollup.traces)
+        self.trace_dropped += rollup.trace_dropped
         self.agg_absorbed += 1
 
     # --------------------------------------------------------------- upstream side
@@ -281,8 +264,7 @@ class ObserverProxy(ObserverHub):
         """Route one downward envelope to its destination."""
         if envelope.type != MsgType.PROXY:
             return
-        dest = NodeId.parse(proxy_meta(envelope)["dest"])
-        if self._route_down(dest, unwrap_proxy(envelope)):
+        if self._route_down(*unwrap_proxy(envelope)):
             self.relayed_down += 1
 
     def _new_epoch(self) -> list[Message]:
@@ -291,17 +273,15 @@ class ObserverProxy(ObserverHub):
         Every (re)connect starts a new epoch: the delta baseline resets
         (the next flush carries the full accumulated snapshot with
         ``full=True``), all cached statuses are re-marked dirty, and
-        every remembered BOOT frame is replayed ahead of anything queued
-        so the upstream's bootstrap/routing view is rebuilt.
+        every remembered BOOT frame is replayed as it is, ahead of
+        anything queued, so the upstream's bootstrap/routing view is
+        rebuilt.
         """
         self._resync = True
         self._acked_merged = {}
         self._status_dirty.update(self._child_status)
         self.boots_replayed += len(self._boot_frames)
-        return [
-            wrap_proxy_up_bytes(self.addr, origin, frame_bytes)
-            for origin, frame_bytes in self._boot_frames.items()
-        ]
+        return list(self._boot_frames.values())
 
     # ------------------------------------------------------------------- flushing
 
@@ -321,13 +301,9 @@ class ObserverProxy(ObserverHub):
         Replies arrive before the next tick and are absorbed into the
         roll-up, so the upstream observer needs no per-node fan-out.
         """
-        request = Message.with_fields(
-            MsgType.REQUEST, self.addr, CONTROL_APP
-        )
-        for node, writer in list(self._writers.items()):
-            if node in self._child_proxies or writer.is_closing():
-                continue
-            write_message(writer, request.clone())
+        request = Message.with_fields(MsgType.REQUEST, self.addr, CONTROL_APP)
+        for node in self._node_children():
+            self._route_down(node, request.clone())
 
     def _collect_local_traces(self) -> None:
         """Pull fresh head-sampled events from the co-located tracer."""
@@ -362,12 +338,11 @@ class ObserverProxy(ObserverHub):
             self.trace_dropped += len(self._pending_traces) - self.trace_budget
             del self._pending_traces[self.trace_budget:]
         statuses = {
-            origin: self._child_status[origin]
-            for origin in self._status_dirty if origin in self._child_status
+            member: self._child_status[member]
+            for member in self._status_dirty if member in self._child_status
         }
-        members = sorted(set(self._child_status) | {str(o) for o in self._routes}
-                         | {str(n) for n in self._writers
-                            if n not in self._child_proxies})
+        members = sorted(set(self._child_status).union(
+            map(str, [*self._routes, *self._node_children()])))
         frame = Message.with_fields(
             MsgType.W_AGG, self.addr, 0,
             members=members,
@@ -378,7 +353,7 @@ class ObserverProxy(ObserverHub):
             trace_dropped=self.trace_dropped,
             # JSON payload: raw frame bytes must be hex-armoured here (and
             # only here — the relay path ships them raw).
-            boots={origin: frame.hex() for origin, frame in self._boot_frames.items()},
+            boots={member: boot.pack().hex() for member, boot in self._boot_frames.items()},
             full=self._resync,
         )
         if not await self._uplink.send_now(frame):

@@ -62,6 +62,7 @@ from repro.net.framing import (
     read_message,
     write_message,
 )
+from repro.net.tasks import TaskSet
 
 #: default ring capacity per direction (bytes) when shm is enabled
 DEFAULT_RING_BYTES = 1 << 20
@@ -294,7 +295,8 @@ class ShmEndpoint:
         self._closed = False
         self._eof = False
         self._doorbell = asyncio.Event()
-        self._listener = asyncio.ensure_future(self._listen())
+        self._tasks = TaskSet(type(self).__name__)
+        self._tasks.launch(self._listen(), "shm-listen")
 
     # --- socket control channel ------------------------------------------------
 
@@ -444,7 +446,7 @@ class ShmEndpoint:
         self._closed = True
         self._out.close_producer()
         self._in.close_consumer()
-        self._listener.cancel()
+        self._tasks.teardown()
         try:
             self._sock_writer.close()  # FIN doubles as the last doorbell
         except (ConnectionError, OSError, RuntimeError):

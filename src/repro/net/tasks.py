@@ -2,16 +2,17 @@
 
 The control plane's two halves — the supervisor
 (:mod:`repro.cluster.supervise`) and the host (:mod:`repro.cluster.host`)
-— and the observer plane's endpoints (:mod:`repro.net.observer_link`
+— the observer plane's endpoints (:mod:`repro.net.observer_link`
 under :class:`~repro.net.observer_server.ObserverServer` and
-:class:`~repro.net.proxy.ObserverProxy`) run their background work
-through one :class:`TaskSet` each, in the manner of
+:class:`~repro.net.proxy.ObserverProxy`), the chaos harness's schedule
+actions (:class:`~repro.net.chaos.ChaosCluster`) and each shm link's
+socket listener (:class:`~repro.net.shm.ShmEndpoint`) run their
+background work through one :class:`TaskSet` each, in the manner of
 ``EngineCore._launch`` / ``_teardown``: finished tasks drop out on their
 own, an exception nobody awaited is reported at once through the loop's
 exception handler (and the owner's trace log) instead of surfacing at
 garbage collection, and teardown is one call.  :meth:`TaskSet.launch` is
-the only place under ``repro.cluster`` and the observer plane that
-creates a task.
+the only place outside the engines that creates a task.
 """
 
 from __future__ import annotations
@@ -63,3 +64,8 @@ class TaskSet:
         """Cancel what is left (``keep``: the task running the shutdown)."""
         for task in [task for task in self._tasks if task is not keep]:
             task.cancel()
+
+    async def settle(self) -> None:
+        """Wait until every task in the set has ended on its own."""
+        while self._tasks:
+            await asyncio.wait(list(self._tasks))

@@ -20,15 +20,16 @@ via the firewall proxy).
 from __future__ import annotations
 
 import random
-from typing import Protocol
+from typing import Any, NamedTuple, Protocol
 
 from repro.core.ids import CONTROL_APP, AppId, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
+from repro.errors import CodecError
 from repro.observer.status import NodeStatus
 from repro.observer.topology import TopologySnapshot
 from repro.observer.trace import TraceLog
-from repro.telemetry.metrics import fold_snapshot
+from repro.telemetry.metrics import fold_snapshot, merge_snapshots
 from repro.telemetry.tracing import EventType, Tracer
 
 
@@ -40,6 +41,61 @@ class ObserverTransport(Protocol):
 
     def observer_now(self) -> float:
         """Current time (virtual in the simulator, wall-clock live)."""
+
+
+class Rollup(NamedTuple):
+    """One aggregation-tree flush (``W_AGG``), decoded and validated."""
+
+    members: list[NodeId]
+    departed: list[NodeId]
+    statuses: dict[NodeId, dict]
+    #: member -> its remembered BOOT frame, replayed upward as it is
+    boots: dict[NodeId, Message]
+    metrics: dict
+    full: bool
+    traces: list[dict]
+    trace_dropped: int
+
+
+def decode_rollup(msg: Message) -> Rollup:
+    """Decode a ``W_AGG`` frame whole, or raise.
+
+    The root observer and every proxy judge a roll-up only through this
+    one decoder — a relay before it forwards the frame, an aggregator
+    before it folds it — so a malformed flush gets the same verdict at
+    every level: refused whole, before any of it is applied.
+    """
+    fields = msg.fields()
+
+    def typed(key: str, kind: type, default: Any) -> Any:
+        value = fields.get(key, default)
+        if not isinstance(value, kind):
+            raise CodecError(f"W_AGG {key!r} is not a {kind.__name__}")
+        return value
+
+    def frame(text: str) -> Message:
+        boot = Message.unpack(bytes.fromhex(text))
+        if boot.type != MsgType.BOOT:
+            raise CodecError(f"W_AGG boot frame has type {boot.type}")
+        return boot
+
+    statuses = typed("statuses", dict, {})
+    traces = typed("traces", list, [])
+    if not all(isinstance(entry, dict) for entry in [*statuses.values(), *traces]):
+        raise CodecError("W_AGG status or trace entry is not an object")
+    return Rollup(
+        members=[NodeId.parse(text) for text in typed("members", list, [])],
+        departed=[NodeId.parse(text) for text in typed("departed", list, [])],
+        statuses={NodeId.parse(node): status for node, status in statuses.items()},
+        boots={NodeId.parse(node): frame(text)
+               for node, text in typed("boots", dict, {}).items()},
+        # Rebuilt through the merge: a snapshot of the wrong shape raises
+        # here, at a relay as at the levels that fold it.
+        metrics=merge_snapshots([typed("metrics", dict, {})]),
+        full=typed("full", bool, False),
+        traces=traces,
+        trace_dropped=typed("trace_dropped", int, 0),
+    )
 
 
 class Observer:
@@ -123,39 +179,35 @@ class Observer:
         relayed one by one), metric *deltas* since the aggregator's last
         successful flush, and head-sampled lifecycle trace events.  Its
         arrival renews the lease of every member — the subtree's
-        liveness signal is the flush itself.  Every field is decoded
-        before any is applied: a malformed frame raises with the view
-        untouched.
+        liveness signal is the flush itself.  The frame is decoded and
+        folded before anything is applied: a malformed frame raises with
+        the view untouched.
         """
         now = self._transport.observer_now()
-        fields = msg.fields()
-        aggregator = msg.sender
-        members = [NodeId.parse(text) for text in fields.get("members", [])]
-        departed = [NodeId.parse(text) for text in fields.get("departed", [])]
+        rollup = decode_rollup(msg)
         statuses = []
-        for status_fields in fields.get("statuses", {}).values():
+        for status_fields in rollup.statuses.values():
             try:
                 statuses.append(NodeStatus.from_fields(status_fields, received_at=now))
             except Exception:
                 continue  # a malformed roll-up entry never kills the view
-        metrics = self._agg_metrics.get(aggregator)
-        if fields.get("metrics"):
-            metrics = fold_snapshot(metrics, fields["metrics"], bool(fields.get("full")))
-        traces = list(fields.get("traces") or [])
+        metrics = self._agg_metrics.get(msg.sender)
+        if rollup.metrics:
+            metrics = fold_snapshot(metrics, rollup.metrics, rollup.full)
         self.agg_frames += 1
         self.agg_bytes += msg.size
-        for node in members:
+        for node in rollup.members:
             self.alive.setdefault(node, None)
             self.aggregated.add(node)
             if self.lease_timeout is not None:
                 self.last_seen[node] = now
-        for node in departed:
+        for node in rollup.departed:
             self.mark_down(node)
         for status in statuses:
             self.statuses[status.node] = status
         if metrics is not None:
-            self._agg_metrics[aggregator] = metrics
-        self.flow_tracer.ingest(traces)
+            self._agg_metrics[msg.sender] = metrics
+        self.flow_tracer.ingest(rollup.traces)
 
     def _handle_boot(self, msg: Message) -> None:
         """First level of bootstrap support: reply with random alive nodes."""
@@ -246,8 +298,6 @@ class Observer:
         nodes while gauges keep the freshest sample.  Returns ``{}`` when
         no node has reported metrics.
         """
-        from repro.telemetry.metrics import merge_snapshots
-
         snapshots = [
             status.metrics for status in self.statuses.values() if status.metrics
         ]

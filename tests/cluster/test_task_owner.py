@@ -1,10 +1,10 @@
 """AST guard: ``TaskSet.launch`` is the one task-creation site of the
-control plane and the observer plane.
+control plane, the observer plane, the chaos harness and the shm link.
 
 The control plane used to create tasks at 21 sites across four modules,
 some tracked in append-only lists, some tracked nowhere; the observer
-plane's proxy and server added four more.  Both shared control halves
-and both observer endpoints now own one
+plane's proxy and server added four more, the chaos harness three and
+the shm listener one.  Each of them now owns one
 :class:`~repro.net.tasks.TaskSet`; this guard (the twin of
 ``test_backends_create_tasks_only_in_spawn``) keeps a new
 ``ensure_future`` / ``create_task`` from growing back.
@@ -22,6 +22,7 @@ NET = Path(repro.net.__file__).parent
 #: every module under the one-task-owner rule
 GUARDED = [*sorted(PACKAGE.glob("*.py")), *(NET / name for name in (
     "tasks.py", "observer_link.py", "observer_server.py", "proxy.py",
+    "chaos.py", "shm.py",
 ))]
 
 #: calls that create a task, by the attribute or name being called

@@ -360,6 +360,38 @@ def test_failure_schedule_runs_against_the_cluster(seed):
     run_converging(scenario())
 
 
+class Announcer(SinkAlgorithm):
+    """Leaves gracefully: the cluster waits out a grace period first."""
+
+    def announce_leave(self) -> None:
+        pass
+
+
+def test_stop_settles_a_join_and_a_leave_fired_just_before_it():
+    """``stop()`` with a join mid-start and a leave in its grace period:
+    both run to their end first, then every engine — the late joiner
+    included — is stopped, and no task is left behind."""
+
+    async def scenario():
+        cluster = ChaosCluster(ChaosController(seed=1))
+        await cluster.add_node(Announcer(), "a", quiet_config(1))
+        await cluster.add_node(SinkAlgorithm(), "b", quiet_config(1))
+        joining = asyncio.Event()
+
+        async def join(cl, name):
+            joining.set()
+            await cl.add_node(SinkAlgorithm(), name, quiet_config(1))
+
+        cluster.arm(FailureSchedule().join_node(0.0, "late").leave_node(0.0, "a"),
+                    node_factory=join)
+        await joining.wait()
+        await cluster.stop()
+        assert sorted(cluster._engines) == ["a", "b", "late"]
+        assert not any(engine.running for engine in cluster.engines())
+
+    run_converging(scenario())
+
+
 def test_schedule_tolerates_unknown_targets():
     async def scenario():
         cluster = ChaosCluster(ChaosController(seed=1))

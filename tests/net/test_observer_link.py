@@ -7,7 +7,8 @@ end is re-implemented by its users, that an undecodable frame is dropped
 and counted instead of costing its connection, and fuzzes the ``W_AGG``,
 ``PROXY``, ``STATUS`` and ``FLOW_QUERY`` decoders through both
 downstream dispatches and the uplink's reader: no exception escapes, no
-connection is lost, and nothing a proxy accepts fails at its parent.
+connection is lost, nothing a proxy accepts fails at its parent, and a
+roll-up gets the same verdict at the root and at a proxy.
 """
 
 import ast
@@ -19,10 +20,14 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 import repro.net
+from repro.algorithms.forwarding import SinkAlgorithm
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
+from repro.net.engine import AsyncioEngine
 from repro.net.framing import (
     hello_message,
     open_identified,
@@ -34,7 +39,9 @@ from repro.net.observer_link import ObserverUplink
 from repro.net.observer_server import ObserverServer
 from repro.net.proxy import ObserverProxy
 from repro.net.resilience import BackoffPolicy
+from repro.observer.observer import decode_rollup
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.tracing import trace_id
 
 from tests.cluster.helpers import FakeWriter, fed_reader
 from tests.portalloc import next_addr
@@ -145,6 +152,76 @@ def test_uplink_gives_up_after_its_retry_budget():
     assert not uplink.connected
     assert uplink.reconnects == 0
     assert len(uplink.outbox) == 2 and uplink.drops == 1
+
+
+# -------------------------------------------------------- one ingestion route
+
+#: proxies between the node and the root, node side last: ``None`` is a
+#: relay, a number an aggregator flushing at that interval
+LAYOUTS = {
+    "direct": [],
+    "relay": [None],
+    "aggregating": [0.1],
+    "relay-over-relay": [None, None],
+}
+
+
+class RouteRecorder(SinkAlgorithm):
+    """Counts what the observer plane delivered down to the node."""
+
+    def __init__(self):
+        super().__init__()
+        self.boot_replies = 0
+        self.requests = 0
+
+    def on_bootstrapped(self) -> None:
+        self.boot_replies += 1
+
+    def on_status_request(self, msg):
+        self.requests += 1
+        return super().on_status_request(msg)
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_every_layout_reaches_the_root_by_one_route(layout):
+    """Whatever sits between a node and the root, the root ingests the
+    node's own frames and reaches it back through its route table."""
+
+    async def scenario():
+        server = ObserverServer(NodeId("127.0.0.1", 0), poll_interval=0.1)
+        await server.start()
+        arrived = []  # the wire bytes of every frame reaching the root
+        take = server._take
+        server._take = lambda child, msg: (arrived.append(msg.pack()), take(child, msg))
+        proxies, upstream = [], server.addr
+        for flush_interval in LAYOUTS[layout]:
+            proxy = ObserverProxy(NodeId("127.0.0.1", 0), upstream,
+                                  flush_interval=flush_interval)
+            await proxy.start()
+            proxies.append(proxy)
+            upstream = proxy.addr
+        alg = RouteRecorder()
+        engine = AsyncioEngine(next_addr(), alg, observer_addr=upstream)
+        await engine.start()
+        node = engine.node_id
+        about = Message(MsgType.DATA, node, 1, b"payload", seq=5)
+        alg.trace("one route", app=1, about=about)
+        wrote = Message.with_fields(MsgType.TRACE, node, 1, text="one route",
+                                    trace_id=trace_id(about)).pack()
+        try:
+            await wait_for(lambda: node in server.observer.alive
+                           and node in server.observer.statuses
+                           and alg.boot_replies and alg.requests
+                           and wrote in arrived)
+        finally:
+            await engine.stop()
+            for proxy in reversed(proxies):
+                await proxy.stop()
+            await server.stop()
+        return node, server.observer.traces.for_trace(trace_id(about))
+
+    node, records = run(scenario())
+    assert [(record.node, record.text) for record in records] == [(node, "one route")]
 
 
 # ---------------------------------------------------------------------- fuzz
@@ -260,8 +337,8 @@ SENTINEL = Message.with_fields(MsgType.TRACE, CHILD, 1, text="sentinel")
 def _sentinel_arrived(hub) -> bool:
     if isinstance(hub, ObserverServer):
         return bool(hub.observer.traces.matching("sentinel"))
-    last = hub._uplink.outbox.snapshot()[-1]
-    return last.type == MsgType.PROXY and b"sentinel" in last.payload
+    # A proxy forwards the child's frame unchanged: the very bytes.
+    return hub._uplink.outbox.snapshot()[-1].pack() == SENTINEL.pack()
 
 
 async def _feed(hub, frames: list[Message]) -> None:
@@ -328,3 +405,71 @@ def test_fuzz_uplink_reader_survives_any_downward_frame(frames):
         assert uplink.bad_frames <= sum(frame.type == MsgType.PROXY for frame in frames)
 
     run(scenario())
+
+
+ANY_ROLLUP = st.one_of(
+    ROLLUP,
+    st.builds(_json_frame, st.just(MsgType.W_AGG), mostly(AGG_FIELDS)),
+    st.builds(lambda payload: Message(MsgType.W_AGG, SENDER, 0, payload),
+              st.binary(max_size=20)),
+)
+
+
+@given(frame=ANY_ROLLUP, kind=st.sampled_from(["relay", "aggregator"]))
+@example(frame=_json_frame(MsgType.W_AGG, {"traces": [{"node": NODES[0]}, 7]}),
+         kind="aggregator")
+@example(frame=_json_frame(MsgType.W_AGG, {"boots": {NODES[0]: "00ff"}}), kind="aggregator")
+@example(frame=_json_frame(MsgType.W_AGG, {"statuses": {NODES[0]: [1]}}), kind="relay")
+@example(frame=_json_frame(MsgType.W_AGG, {"metrics": {"": None}}), kind="relay")
+@example(frame=_json_frame(MsgType.W_AGG, {"full": "yes"}), kind="aggregator")
+@example(frame=_json_frame(MsgType.W_AGG, {"trace_dropped": "3"}), kind="aggregator")
+@FUZZ
+def test_fuzz_a_rollup_gets_one_verdict_at_root_and_proxy(frame, kind):
+    """One decoder judges every roll-up: refused whole (counted and
+    traced) at the root exactly when it is refused at a proxy."""
+    root, proxy = _hub("root"), _hub(kind)
+    root._take(CHILD, frame)
+    proxy._take(CHILD, frame)
+    assert root.bad_frames == proxy.bad_frames
+    if root.bad_frames:
+        assert root.observer.traces.matching("control-fault")
+        assert root.observer.agg_frames == 0 and not root._routes
+        assert not proxy._routes and len(proxy._uplink.outbox) == 0
+        assert proxy.agg_absorbed == 0
+
+
+TRACE_HEX = Message.with_fields(MsgType.TRACE, SENDER, 1, text="x").pack().hex()
+#: one wrong field each: every one refuses the whole roll-up
+MALFORMED_ROLLUPS = {
+    "member id": {"members": ["not-a-node"]},
+    "departed id": {"departed": [7]},
+    "boot key": {"boots": {"x": BOOT_HEX}},
+    "boot frame": {"boots": {NODES[0]: "00ff"}},
+    "boot type": {"boots": {NODES[0]: TRACE_HEX}},
+    "status key": {"statuses": {"5": {"node": NODES[0]}}},
+    "status entry": {"statuses": {NODES[0]: [1]}},
+    "metrics type": {"metrics": [1]},
+    "metrics shape": {"metrics": {"": None}},
+    "trace entry": {"traces": [{"node": NODES[0]}, 7]},
+    "traces type": {"traces": {}},
+    "trace_dropped": {"trace_dropped": "3"},
+    "full": {"full": "yes"},
+}
+
+
+@pytest.mark.parametrize("fields", list(MALFORMED_ROLLUPS.values()),
+                         ids=list(MALFORMED_ROLLUPS))
+def test_decode_rollup_refuses_a_wrong_field_whole(fields):
+    with pytest.raises(Exception):
+        decode_rollup(_json_frame(MsgType.W_AGG, fields))
+
+
+def test_decode_rollup_hands_boots_back_as_the_frames_they_were():
+    rollup = decode_rollup(_json_frame(MsgType.W_AGG, {
+        "members": NODES[:2], "boots": {NODES[0]: BOOT_HEX},
+        "statuses": {NODES[1]: {"node": NODES[1]}}, "full": True,
+    }))
+    assert rollup.members == [NodeId.parse(text) for text in NODES[:2]]
+    assert rollup.boots[NodeId.parse(NODES[0])].pack().hex() == BOOT_HEX
+    assert rollup.statuses == {NodeId.parse(NODES[1]): {"node": NODES[1]}}
+    assert rollup.full and rollup.metrics == {} and rollup.traces == []

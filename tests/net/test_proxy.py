@@ -1,13 +1,13 @@
 """Dedicated tests for the observer proxy (Section 2.2's firewall relay).
 
 The proxy was previously only exercised incidentally from the engine
-integration tests; these pin down its contract directly: upstream
-envelopes preserve per-origin ordering and carry the right origin
-label, downstream envelopes unwrap to exactly the frame the observer
-sent, an upstream drop is redialed with the members' BOOTs replayed
-while node connections stay up, a frame that cannot be routed is
-dropped without stopping the ones behind it, and ``stop()`` with live
-downstreams closes everything cleanly.
+integration tests; these pin down its contract directly: upward frames
+leave byte for byte as the node wrote them, in per-origin order, their
+header ``sender`` naming the origin; downstream envelopes unwrap to
+exactly the frame the observer sent; an upstream drop is redialed with
+the members' BOOTs replayed while node connections stay up; a frame
+that cannot be routed is dropped without stopping the ones behind it;
+and ``stop()`` with live downstreams closes everything cleanly.
 """
 
 import asyncio
@@ -22,12 +22,8 @@ from repro.core.msgtypes import MsgType
 from repro.net.framing import (
     expect_hello,
     open_identified,
-    proxy_frame_bytes,
-    proxy_meta,
     read_message,
-    unwrap_proxy,
     wrap_proxy_down,
-    wrap_proxy_up,
     write_message,
 )
 from repro.net.proxy import ObserverProxy
@@ -46,7 +42,7 @@ class FakeObserver:
     def __init__(self):
         self.addr = None
         self.hello = None
-        self.envelopes = []
+        self.frames = []  # every upward frame, in arrival order
         self.writer = None
         self.connections = 0
         self._server = None
@@ -63,7 +59,7 @@ class FakeObserver:
         self._connected.set()
         try:
             while True:
-                self.envelopes.append(await read_message(reader))
+                self.frames.append(await read_message(reader))
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
@@ -108,28 +104,25 @@ class TestRelayUp:
             a, b = next_addr(), next_addr()
             _, wa = await open_identified(proxy.addr, a)
             _, wb = await open_identified(proxy.addr, b)
+            written = {a: [], b: []}
             for i in range(5):
-                write_message(wa, trace(a, f"a{i}"))
-                write_message(wb, trace(b, f"b{i}"))
+                for node, writer, label in ((a, wa, "a"), (b, wb, "b")):
+                    frame = trace(node, f"{label}{i}")
+                    written[node].append(frame.pack())
+                    write_message(writer, frame)
             await wa.drain()
             await wb.drain()
-            await wait_for(lambda: len(observer.envelopes) == 10)
+            await wait_for(lambda: len(observer.frames) == 10)
 
             assert observer.hello == proxy.addr
             assert proxy.relayed_up == 10
+            # No envelope: each frame goes up as the bytes its node wrote,
+            # its header sender naming the origin, per-origin FIFO kept.
             by_origin = {}
-            for envelope in observer.envelopes:
-                assert envelope.type == MsgType.PROXY
-                assert envelope.sender == proxy.addr
-                inner = unwrap_proxy(envelope)
-                by_origin.setdefault(proxy_meta(envelope)["origin"], []).append(
-                    inner.fields()["text"]
-                )
-            # per-origin FIFO order survives the relay, labels match
-            assert by_origin == {
-                str(a): [f"a{i}" for i in range(5)],
-                str(b): [f"b{i}" for i in range(5)],
-            }
+            for frame in observer.frames:
+                assert frame.type == MsgType.TRACE
+                by_origin.setdefault(frame.sender, []).append(frame.pack())
+            assert by_origin == written
             wa.close()
             wb.close()
             await proxy.stop()
@@ -147,7 +140,7 @@ class TestRelayDown:
             rb, wb = await open_identified(proxy.addr, b)
             write_message(wa, trace(a, "hello"))  # ensure both registered
             write_message(wb, trace(b, "hello"))
-            await wait_for(lambda: len(observer.envelopes) == 2)
+            await wait_for(lambda: len(observer.frames) == 2)
 
             observer.send_down(a, trace(observer.addr, "for-a"))
             observer.send_down(b, trace(observer.addr, "for-b"))
@@ -169,7 +162,7 @@ class TestRelayDown:
             a = next_addr()
             ra, wa = await open_identified(proxy.addr, a)
             write_message(wa, trace(a, "hello"))
-            await wait_for(lambda: len(observer.envelopes) == 1)
+            await wait_for(lambda: len(observer.frames) == 1)
 
             observer.send_down(next_addr(), trace(observer.addr, "nobody-home"))
             observer.send_down(a, trace(observer.addr, "for-a"))
@@ -201,7 +194,7 @@ class TestUpstreamRedial:
             boot = Message.with_fields(MsgType.BOOT, a, 0, node=str(a))
             write_message(wa, boot)
             write_message(wa, trace(a, "before"))
-            await wait_for(lambda: len(observer.envelopes) == 2)
+            await wait_for(lambda: len(observer.frames) == 2)
 
             # Kill the observer link hard (RST, not a polite FIN): the
             # proxy must notice the loss, not just a half-closed stream.
@@ -214,12 +207,12 @@ class TestUpstreamRedial:
             await wait_for(lambda: proxy.boots_replayed == 1)
             write_message(wa, trace(a, "after"))
             await wa.drain()
-            await wait_for(lambda: len(observer.envelopes) == 4)
+            await wait_for(lambda: len(observer.frames) == 4)
 
-            replayed, after = observer.envelopes[2:]
-            assert proxy_frame_bytes(replayed) == boot.pack()
-            assert proxy_meta(replayed)["origin"] == str(a)
-            assert unwrap_proxy(after).fields()["text"] == "after"
+            replayed, after = observer.frames[2:]
+            assert replayed.pack() == boot.pack()
+            assert replayed.sender == a
+            assert after.sender == a and after.fields()["text"] == "after"
             assert proxy.upstream_reconnects == 1
             assert not wa.is_closing()
             wa.close()
@@ -268,11 +261,14 @@ class TestBadFrames:
             a = next_addr()
             ra, wa = await open_identified(proxy.addr, a)
             write_message(wa, trace(a, "hello"))
-            await wait_for(lambda: len(observer.envelopes) == 1)
+            await wait_for(lambda: len(observer.frames) == 1)
 
             # Routing metadata without a ``dest``.
-            write_message(observer.writer,
-                          wrap_proxy_up(observer.addr, a, trace(observer.addr, "lost")))
+            meta = b'{"origin":"%s"}' % str(a).encode()
+            inner = trace(observer.addr, "lost").pack()
+            write_message(observer.writer, Message(
+                MsgType.PROXY, observer.addr, 0,
+                struct.pack("!I", len(meta)) + meta + inner))
             observer.send_down(a, trace(observer.addr, "for-a"))
             got = await asyncio.wait_for(read_message(ra), 5.0)
             assert got.fields()["text"] == "for-a"

@@ -18,9 +18,7 @@ from repro.core.msgtypes import MsgType
 from repro.net.framing import (
     expect_hello,
     open_identified,
-    proxy_frame_bytes,
     read_message,
-    unwrap_proxy,
     write_message,
 )
 from repro.net.proxy import ObserverProxy
@@ -61,8 +59,9 @@ class FakeParent:
         return [f for f in self.frames if f.type == MsgType.W_AGG]
 
     @property
-    def envelopes(self):
-        return [f for f in self.frames if f.type == MsgType.PROXY]
+    def forwarded(self):
+        """Children's frames the proxy passed on unchanged."""
+        return [f for f in self.frames if f.type != MsgType.W_AGG]
 
     async def start(self):
         self._server = await asyncio.start_server(self._accept, "127.0.0.1", 0)
@@ -169,7 +168,7 @@ class TestRollup:
                 f.fields().get("statuses") for f in parent.aggs))
 
             # The raw STATUS never crossed the root socket.
-            assert parent.envelopes == []
+            assert parent.forwarded == []
             # The first flush of an epoch is always a full replacement.
             assert parent.aggs[0].fields()["full"] is True
             frame = next(f for f in parent.aggs if f.fields().get("statuses"))
@@ -262,7 +261,7 @@ class TestUpstreamRedial:
                 counter_value(f.fields().get("metrics", {}), str(node)) == 4
                 for f in parent.aggs))
             # BOOT was relayed immediately (bootstrap must not wait a flush).
-            assert len(parent.envelopes) == 1
+            assert [f.pack() for f in parent.forwarded] == [boot.pack()]
 
             frames_before_kill = len(parent.frames)
             parent.kill_connection()
@@ -274,8 +273,8 @@ class TestUpstreamRedial:
                 if f.type == MsgType.W_AGG))
 
             # The replayed BOOT is byte-identical to the original.
-            replays = parent.envelopes[1:]
-            assert any(proxy_frame_bytes(e) == boot.pack() for e in replays)
+            replays = parent.forwarded[1:]
+            assert any(f.pack() == boot.pack() for f in replays)
             # The resync flush re-carries the full accumulated snapshot
             # even though nothing changed since the last ack.
             resync = next(
@@ -323,11 +322,8 @@ class TestUpstreamRedial:
                 for f in parent.frames[frames_before:]))
             # The two surviving (newest) traces were delivered after the
             # redial, in order ...
-            texts = []
-            for envelope in parent.envelopes:
-                inner = unwrap_proxy(envelope)
-                if inner.type == MsgType.TRACE:
-                    texts.append(inner.fields()["text"])
+            texts = [f.fields()["text"] for f in parent.forwarded
+                     if f.type == MsgType.TRACE]
             assert texts == ["t3", "t4"]
             # ... and the delta stream resynced with the full snapshot,
             # so the drops cannot have corrupted the metric view.

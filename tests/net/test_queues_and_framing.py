@@ -12,13 +12,9 @@ from repro.net.framing import (
     expect_hello,
     hello_message,
     pack_headers,
-    peek_frame_type,
-    proxy_frame_bytes,
-    proxy_meta,
     read_message,
     unwrap_proxy,
     wrap_proxy_down,
-    wrap_proxy_up,
     write_batch,
     write_message,
 )
@@ -413,26 +409,11 @@ def test_write_batch_loopback_endpoint_hands_objects_over():
 
 
 def test_proxy_envelope_roundtrip_is_raw_bytes():
-    origin = NodeId("10.0.0.1", 4242)
-    inner = Message(MsgType.TRACE, origin, 3, b"\x00\xff binary \x01 payload", seq=9)
-    envelope = wrap_proxy_up(SENDER, origin, inner)
-    # No hex blow-up: the inner frame rides verbatim in the suffix.
-    assert proxy_frame_bytes(envelope) == inner.pack()
-    assert inner.pack() in envelope.payload
-    assert proxy_meta(envelope) == {"origin": str(origin)}
-    assert unwrap_proxy(envelope) == inner
-
-    down = wrap_proxy_down(SENDER, origin, inner)
-    assert proxy_meta(down) == {"dest": str(origin)}
-    assert unwrap_proxy(down) == inner
-
-
-def test_peek_frame_type_reads_only_the_type():
-    origin = NodeId("10.0.0.1", 4242)
-    big = Message(MsgType.BOOT, origin, 0, b"p" * 100_000)
-    envelope = wrap_proxy_up(SENDER, origin, big)
-    assert peek_frame_type(envelope) == MsgType.BOOT
-    # O(1) contract: peeking a corrupt suffix must not decode the frame.
-    corrupt = Message(MsgType.PROXY, SENDER, 0,
-                      envelope.payload[:30])  # truncated mid-frame
-    assert isinstance(peek_frame_type(corrupt), int)
+    dest = NodeId("10.0.0.1", 4242)
+    inner = Message(MsgType.TRACE, SENDER, 3, b"\x00\xff binary \x01 payload", seq=9)
+    down = wrap_proxy_down(SENDER, dest, inner)
+    # No hex blow-up: the inner frame rides verbatim as the suffix.
+    assert down.type == MsgType.PROXY
+    assert down.payload.endswith(inner.pack())
+    assert unwrap_proxy(down) == (dest, inner)
+    assert unwrap_proxy(down)[1].pack() == inner.pack()
