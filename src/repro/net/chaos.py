@@ -4,7 +4,7 @@ The simulator's :mod:`repro.sim.failure` toolkit can stall or cut a
 :class:`~repro.sim.link.SimLink` directly; real sockets offer no such
 handle.  This module closes that gap: a :class:`ChaosController` holds
 seedable fault policies, and engines created with ``config.chaos`` route
-every peer connection through thin stream wrappers that consult it.
+every peer connection through a thin link wrapper that consults it.
 The supported faults mirror (and extend) the sim toolkit:
 
 - **connection refusal** — dialing a refused destination raises
@@ -14,7 +14,7 @@ The supported faults mirror (and extend) the sim toolkit:
   directions of the TCP connection fail loudly on the next IO and the
   underlying transport is aborted;
 - **byte-level stall** (:meth:`ChaosController.stall_link`) — writes on
-  the directed flow are silently swallowed and reads park, with *no*
+  the directed flow are silently swallowed and received frames held, with *no*
   error on either side: only the inactivity -> probe ladder can notice;
 - **delayed accept** — inbound connections are held for a configurable
   time before the HELLO is processed;
@@ -57,7 +57,7 @@ __all__ = [
 class _LinkChaos:
     """Mutable fault state of one directed flow ``src -> dst``."""
 
-    __slots__ = ("mode", "truncate_armed", "swallowed_bytes", "_event")
+    __slots__ = ("mode", "truncate_armed", "swallowed_bytes", "_watchers")
 
     OK = "ok"
     STALL = "stall"
@@ -67,49 +67,73 @@ class _LinkChaos:
         self.mode = self.OK
         self.truncate_armed = False
         self.swallowed_bytes = 0
-        self._event: asyncio.Event = asyncio.Event()
+        self._watchers: list = []
 
     def set_mode(self, mode: str) -> None:
         self.mode = mode
-        # Wake current waiters; later waiters park on a fresh event.
-        event, self._event = self._event, asyncio.Event()
-        event.set()
+        watchers, self._watchers = self._watchers, []
+        for watcher in watchers:
+            watcher()
 
-    async def wait_change(self) -> None:
-        await self._event.wait()
-
-
-class _ChaosReader:
-    """StreamReader proxy that parks or fails per the link's fault state."""
-
-    def __init__(self, state: _LinkChaos, reader: asyncio.StreamReader) -> None:
-        self._state = state
-        self._reader = reader
-
-    async def _gate(self) -> None:
-        state = self._state
-        while state.mode == _LinkChaos.STALL:
-            await state.wait_change()
-        if state.mode == _LinkChaos.RESET:
-            raise ConnectionResetError("chaos: link reset")
-
-    async def read(self, n: int = -1) -> bytes:
-        await self._gate()
-        return await self._reader.read(n)
-
-    def at_eof(self) -> bool:
-        return self._reader.at_eof()
+    def on_change(self, callback) -> None:
+        """Call ``callback()`` once, at the next :meth:`set_mode`."""
+        self._watchers.append(callback)
 
 
-class _ChaosWriter:
-    """StreamWriter proxy that swallows, truncates or resets writes."""
+class _ChaosLink:
+    """A TCP data link whose two flows consult their fault states.
 
-    def __init__(self, state: _LinkChaos, writer: asyncio.StreamWriter) -> None:
-        self._state = state
-        self._writer = writer
+    Outbound, a stall swallows writes, a truncation cuts the next write
+    in half and aborts the connection, and a reset fails the write.
+    Inbound, a stall holds the pushed frames and pauses reading until the
+    flow changes, and a reset loses the link.  Everything else is the
+    wrapped link's.
+    """
+
+    def __init__(self, out_state: _LinkChaos, in_state: _LinkChaos, link) -> None:
+        self._out, self._in, self._link = out_state, in_state, link
+        self._end = None
+        self._held: list = []
+
+    def __getattr__(self, name: str):
+        return getattr(self._link, name)
+
+    # --- inbound: this wrapper is the wrapped link's end -------------------------
+
+    def attach(self, end) -> None:
+        self._end = end
+        self._link.attach(self)
+
+    def on_frames(self, frames: list) -> None:
+        mode = self._in.mode
+        if mode == _LinkChaos.OK:
+            self._end.on_frames(frames)
+            return
+        if mode == _LinkChaos.STALL and not self._held:
+            self._link.pause_reading()
+            self._in.on_change(self._unstall)
+        self._held += frames  # counted by close() if they never go on
+        if mode == _LinkChaos.RESET:
+            self.on_lost(ConnectionResetError("chaos: link reset"))
+
+    def _unstall(self) -> None:
+        held, self._held = self._held, []
+        if self._end is not None and held:
+            self._link.resume_reading()
+            self.on_frames(held)
+
+    def on_lost(self, exc: BaseException) -> None:
+        if self._end is not None:
+            self._end.on_lost(exc)
+
+    def on_writable(self) -> None:
+        if self._end is not None:
+            self._end.on_writable()
+
+    # --- outbound ----------------------------------------------------------------
 
     def write(self, data) -> None:
-        state = self._state
+        state = self._out
         if state.mode == _LinkChaos.RESET:
             raise ConnectionResetError("chaos: link reset")
         if state.mode == _LinkChaos.STALL:
@@ -117,11 +141,11 @@ class _ChaosWriter:
             return
         if state.truncate_armed and len(data) > 1:
             state.truncate_armed = False
-            self._writer.write(bytes(data)[: len(data) // 2])
+            self._link.write(bytes(data)[: len(data) // 2])
             state.set_mode(_LinkChaos.RESET)
-            _abort_writer(self._writer)
+            self._link.transport.abort()  # the remote side sees a loud failure
             return
-        self._writer.write(data)
+        self._link.write(data)
 
     def writelines(self, parts) -> None:
         """A burst: one transport write while the link is healthy.
@@ -130,43 +154,23 @@ class _ChaosWriter:
         part that trips the truncation is cut in half and the rest of the
         burst fails on the reset it leaves behind.
         """
-        state = self._state
+        state = self._out
         if state.mode == _LinkChaos.OK and not state.truncate_armed:
-            self._writer.writelines(parts)
+            self._link.writelines(parts)
             return
         for data in parts:
             self.write(data)
 
-    async def drain(self) -> None:
-        state = self._state
+    def flush(self) -> bool:
+        state = self._out
         if state.mode == _LinkChaos.RESET:
             raise ConnectionResetError("chaos: link reset")
-        if state.mode == _LinkChaos.STALL:
-            return
-        await self._writer.drain()
+        return state.mode == _LinkChaos.STALL or self._link.flush()
 
-    def close(self) -> None:
-        self._writer.close()
-
-    def is_closing(self) -> bool:
-        return self._writer.is_closing()
-
-    async def wait_closed(self) -> None:
-        await self._writer.wait_closed()
-
-    def get_extra_info(self, name, default=None):
-        return self._writer.get_extra_info(name, default)
-
-
-def _abort_writer(writer) -> None:
-    """Hard-kill a transport so the remote side sees a loud failure."""
-    while isinstance(writer, _ChaosWriter):  # unwrap nesting, defensively
-        writer = writer._writer
-    transport = getattr(writer, "transport", None)
-    if transport is not None:
-        transport.abort()
-    else:  # pragma: no cover - non-socket writer in tests
-        writer.close()
+    def close(self) -> list:
+        self._end = None
+        held, self._held = self._held, []
+        return held + self._link.close()
 
 
 class ChaosController:
@@ -214,8 +218,8 @@ class ChaosController:
         """Seconds an inbound accept on ``node`` is held before HELLO."""
         return self._accept_delays.get(node, self.accept_delay)
 
-    def wrap(self, local: NodeId, remote: NodeId, reader, writer):
-        """Wrap one peer connection's streams on ``local``'s side.
+    def wrap(self, local: NodeId, remote: NodeId, link):
+        """Wrap one peer connection's data link on ``local``'s side.
 
         Outgoing bytes ride the ``local -> remote`` flow; incoming bytes
         the ``remote -> local`` flow.  Both sides of a connection wrap
@@ -224,17 +228,17 @@ class ChaosController:
         cross it.
         """
         registered = self._writers.setdefault((local, remote), [])
-        registered[:] = [w for w in registered if not w.is_closing()]
-        registered.append(writer)
+        registered[:] = [w for w in registered if not w.transport.is_closing()]
+        wrapped = _ChaosLink(self.link(local, remote), self.link(remote, local), link)
+        registered.append(wrapped)
         # A fresh connection starts clean: faults are one-shot against the
         # links live at injection time (mirroring the sim, where a redial
         # creates a new, unfaulted SimLink).  Without this, a supervisor
         # redial after a confirmed death would inherit the old fault and
         # the pair would churn teardown/reconnect forever.
-        out_state, in_state = self.link(local, remote), self.link(remote, local)
-        out_state.set_mode(_LinkChaos.OK)
-        in_state.set_mode(_LinkChaos.OK)
-        return _ChaosReader(in_state, reader), _ChaosWriter(out_state, writer)
+        self.link(local, remote).set_mode(_LinkChaos.OK)
+        self.link(remote, local).set_mode(_LinkChaos.OK)
+        return wrapped
 
     # ------------------------------------------------------------- fault verbs
 
@@ -275,7 +279,7 @@ class ChaosController:
         self.link(src, dst).set_mode(_LinkChaos.RESET)
         self.link(dst, src).set_mode(_LinkChaos.RESET)
         for writer in writers:
-            _abort_writer(writer)
+            writer.transport.abort()
 
     def truncate_next(self, src: NodeId, dst: NodeId) -> None:
         """Truncate the next frame written on ``src -> dst``, then reset."""

@@ -6,8 +6,9 @@ pacing, telemetry — and the link table with its teardown live in
 :class:`repro.core.engine_core.EngineCore`.  This module supplies the
 Clock (monotonic time, asyncio tasks) and the Transport: TCP server/dial
 machinery (one dial task per destination, attaching to the send queue
-the core created at the first ``send()``), one receiver task and one
-sender task per persistent full-duplex peer connection, and the
+the core created at the first ``send()``), the two ends of every
+persistent full-duplex peer connection as callbacks on its transport
+(:class:`_Peer`), and the
 resilience layer (:mod:`repro.net.resilience`): peer dials retry with
 bounded, jittered exponential backoff; a watchdog walks every peer link
 through the ``LIVE -> SUSPECT -> PROBING -> DEAD`` ladder so silently
@@ -21,9 +22,10 @@ outbox buffers status/trace messages across observer reconnects
 Co-hosted peers (see :mod:`repro.net.virtual`) skip sockets entirely:
 when the config carries a loopback resolver, dials to nodes on the same
 host return in-process channel endpoints that move :class:`Message`
-objects by reference — the IO loops below never notice the difference
-because every link, socket or not, reads and writes whole bursts through
-one endpoint surface (see the table in ``docs/architecture.md``).
+objects by reference — the link ends never notice the difference
+because every link, socket or not, pushes and takes whole bursts
+through one endpoint surface (see the table in
+``docs/architecture.md``).
 
 Because asyncio is single-threaded, the paper's headline guarantee holds
 natively: the algorithm runs without any thread-safe data structures.
@@ -35,6 +37,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Coroutine, Sequence
 
 from repro.core.algorithm import Algorithm
@@ -44,10 +47,9 @@ from repro.core.ids import CONTROL_APP, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
 from repro.core.switch import ReceiverPort
-from repro.errors import BufferClosedError, CodecError
-from repro.net.framing import (  # noqa: F401 - read_message: bench.trace wraps it here
+from repro.net.framing import (  # noqa: F401 - read_/write_message: bench.trace wraps them here
     MAX_FRAME_PAYLOAD,
-    FramedReader,
+    StreamLink,
     expect_hello_fields,
     open_identified,
     read_message,
@@ -98,31 +100,231 @@ class NetEngineConfig:
     shm_ring_bytes: int = 0
 
 
-@dataclass
-class _Peer:
-    """One persistent, full-duplex connection to another overlay node.
+# States of a link's sending end: IDLE (waiting for its send queue), BUSY
+# (a run is due, running or waiting out the throttle), BLOCKED (the
+# transport pushes back) or CLOSED.
+_IDLE, _BUSY, _BLOCKED, _CLOSED = range(4)
 
-    ``reader`` speaks ``recv_message`` + ``drain_frames`` and ``writer``
-    takes a burst through ``write_batch`` + ``drain`` — a framed TCP
-    stream, an in-process loopback endpoint or a shm ring endpoint.
+
+class _Peer:
+    """One attached transport to another overlay node, and both link ends.
+
+    The paper runs a receiver and a sender thread per connection; here
+    both are callbacks on the transport's push surface, as the
+    simulator's ``_ReceiverEnd`` and ``_SenderLink`` are on a simulated
+    link, so a node has the same few tasks whatever its link count:
+
+    - the **receiving end** is pushed whole bursts (``on_frames``) and
+      the end of the link (``on_lost``).  What the port buffer cannot
+      take yet it keeps in hand, with reading paused, until the buffer's
+      space callback; the receive throttle pauses it on a timer.
+    - the **sending end** is a pump, run when its idle send queue gets a
+      message, when the transport takes more after pushing back
+      (``on_writable``), and by its throttle timer.
+
+    ``writer`` is the link endpoint — a :class:`StreamLink` over TCP, a
+    loopback or a shm endpoint, or a chaos wrapper around the first.
+    A swapped transport (the simultaneous-connect tie-break) gets a fresh
+    ``_Peer`` over the same port and link; the old one's late callbacks
+    find it gone from ``_peers``.
     """
 
-    node: NodeId
-    reader: Any
-    writer: Any
-    port: ReceiverPort
-    sender_task: asyncio.Task | None = None
-    receiver_task: asyncio.Task | None = None
-    #: wall time of the last frame received on this link (watchdog input)
-    last_recv_at: float = 0.0
-    #: failure-detection ladder state (:class:`LinkHealth`)
-    health: str = LinkHealth.LIVE
-    #: when a pending liveness probe is declared unanswered
-    probe_deadline: float | None = None
-    #: bumped when the transport is swapped (simultaneous-connect
-    #: tie-break); IO loops from an older transport must not tear the
-    #: peer down on their way out
-    epoch: int = 0
+    __slots__ = ("engine", "node", "writer", "port", "out", "loop", "last_recv_at",
+                 "health", "probe_deadline", "held", "held_bytes", "data_only",
+                 "reserved", "paused", "state", "unsent")
+
+    def __init__(self, engine: "AsyncioEngine", node: NodeId, writer: Any,
+                 port: ReceiverPort) -> None:
+        self.engine, self.node, self.writer, self.port = engine, node, writer, port
+        self.out, self.loop = engine._out[node], asyncio.get_running_loop()
+        #: wall time of the last frame received on this link (watchdog input)
+        self.last_recv_at = engine.now()
+        #: failure-detection ladder state, and when a pending probe is
+        #: declared unanswered
+        self.health, self.probe_deadline = LinkHealth.LIVE, None
+        #: ``held``: received and not yet placed (``reserved`` leading ones
+        #: past the receive throttle); ``unsent``: taken off the send queue,
+        #: waiting out the send throttle (the head already reserved)
+        self.held, self.unsent = [], []
+        self.held_bytes, self.data_only, self.reserved, self.paused = 0, True, 0, False
+        self.state = _BUSY
+        self.out.queue.on_size_change = self._on_size_change
+        self.loop.call_soon(self._pump)  # what was staged while dialing
+
+    # --- the receiving end --------------------------------------------------------
+
+    def on_frames(self, frames: list[Message]) -> None:
+        """The transport's push: a burst arrived."""
+        # Any inbound frame proves the link alive: reset the
+        # failure-detection ladder before anything can block.
+        self.last_recv_at = now = self.engine.now()
+        if self.health != LinkHealth.LIVE:
+            self.health, self.probe_deadline = LinkHealth.LIVE, None
+        nbytes, data_only, data_type = 0, True, MsgType.DATA
+        for msg in frames:
+            nbytes += msg.size
+            if msg._type != data_type:
+                data_only = False
+        self.port.stats.throughput.record_bulk(nbytes, len(frames), now)
+        if self.held:  # a burst is still in hand: this one queues behind it
+            self.writer.pause_reading()  # and nothing more comes until it is placed
+            self.held += frames
+            self.held_bytes += nbytes
+            self.data_only = self.data_only and data_only
+            return
+        self.held, self.held_bytes, self.data_only = frames, nbytes, data_only
+        self._take()
+
+    def _take(self) -> None:
+        """Place the burst in hand: receive throttle, port buffer, control."""
+        if self.state == _CLOSED:
+            return
+        engine, frames = self.engine, self.held
+        throttle = engine.throttle
+        while throttle.active and self.reserved < len(frames):
+            delay = throttle.reserve_recv(frames[self.reserved].size, engine.now())
+            self.reserved += 1
+            if delay > 0:
+                if engine._ins is not None:
+                    engine._ins.on_throttle_stall("down", delay)
+                self._pause()
+                engine._call_later(delay, self._take)
+                return
+        port, buffer, ins = self.port, self.port.buffer, engine._ins
+        if self.data_only and ins is None:
+            # Pure data burst: one bulk append per buffer-space window
+            # instead of per-message queue bookkeeping.
+            placed = buffer.put_many_nowait(frames)
+            port.note_bytes(self.held_bytes if placed == len(frames)
+                            else sum(msg.size for msg in frames[:placed]))
+        else:
+            placed = 0
+            for msg in frames:
+                if msg._type == MsgType.DATA:
+                    if not buffer.put_nowait(msg):
+                        break
+                    port.note_bytes(msg.size)
+                    if ins is not None:
+                        now, label = engine.now(), port.label
+                        ins.enqueued[label] += 1
+                        port.wait_times.append(now)
+                        msg._hop_t0 = now  # this hop's clock starts here
+                        if ins.tracer.enabled:
+                            ins.trace_msg(now, EventType.ENQUEUE, msg, label)
+                else:
+                    if msg.type == MsgType.BROKEN_SOURCE:
+                        engine._propagate_broken_source(msg, self.node)
+                    engine._control.put_force(msg)
+                placed += 1
+        engine._wake.set()
+        if placed == len(frames):
+            self.held, self.reserved = [], 0
+            if self.paused:
+                self.paused = False
+                self.writer.resume_reading()
+            return
+        # The port buffer is full: keep the rest in hand and stop reading
+        # until the engine frees a slot (where a parked put would wake).
+        self.held = frames[placed:]
+        self.held_bytes = sum(msg.size for msg in self.held)
+        self.reserved = max(0, self.reserved - placed)
+        self._pause()
+        buffer.on_space(partial(self.loop.call_soon, self._take))
+
+    def _pause(self) -> None:
+        if not self.paused:
+            self.paused = True
+            self.writer.pause_reading()
+
+    def on_lost(self, exc: BaseException) -> None:
+        """The transport's push: the link is gone (EOF, reset, bad frame)."""
+        self.engine._peer_failed(self)  # a no-op once torn down
+
+    # --- the sending end ----------------------------------------------------------
+
+    def _on_size_change(self, delta: int) -> None:
+        if delta > 0 and self.state == _IDLE:
+            self.state = _BUSY
+            self.loop.call_soon(self._pump)
+
+    def on_writable(self) -> None:
+        """The transport's push: it takes more after pushing back."""
+        if self.state == _BLOCKED:
+            self.state = _BUSY
+            self._pump()
+
+    def _pump(self) -> None:
+        """Flush staged bursts until the queue empties or the transport pushes back.
+
+        Each pass drains the whole send queue into one ``write_batch``
+        and one ``flush`` — a writev-style flush that turns N per-frame
+        syscalls (or ring publishes) into one, and a switch round's output
+        to one destination into one burst.  The rate limiter still paces
+        per message: it cuts the burst where a reservation asks for a
+        delay, and the rest leaves on a timer.
+        """
+        if self.state == _CLOSED:
+            return
+        engine, queue, writer = self.engine, self.out.queue, self.writer
+        batch, self.unsent = self.unsent, []
+        start = 1 if batch else 0  # a throttled head: its wait is over
+        throttle = engine.throttle
+        try:
+            writable = writer.flush()  # what the transport still holds goes first
+            while writable and (batch or not queue.is_empty):
+                batch = batch or queue.drain()
+                for index in range(start, len(batch) if throttle.active else 0):
+                    delay = throttle.reserve_send(self.node, batch[index].size, engine.now())
+                    if delay > 0:  # the rest leaves on a timer, its head reserved
+                        if engine._ins is not None:
+                            engine._ins.on_throttle_stall("up", delay)
+                        batch, self.unsent = batch[:index], batch[index:]
+                        engine._call_later(delay, self._pump)
+                        break
+                start = 0
+                if batch:
+                    write_batch(writer, batch)
+                    writable = writer.flush()
+                    self._sent(batch)
+                    batch = []
+                if self.unsent:
+                    return  # the throttle timer runs the next pass
+        except (ConnectionError, OSError):
+            engine._peer_failed(self, undelivered=batch)
+            return
+        # a throttled head the pushed-back transport could not take yet
+        self.state, self.unsent = (_IDLE if writable else _BLOCKED), batch
+
+    def _sent(self, batch: list[Message]) -> None:
+        engine, nbytes = self.engine, 0
+        now = engine.now()
+        for msg in batch:
+            nbytes += msg.size
+        self.out.stats.throughput.record_bulk(nbytes, len(batch), now)
+        ins = engine._ins
+        if ins is not None:
+            label = self.port.label
+            for msg in batch:
+                if msg.type == MsgType.DATA:
+                    ins.forwarded[label] += 1
+                    t0 = msg._hop_t0
+                    if t0 is not None:
+                        ins.observe_hop(now - t0 if now > t0 else 0.0)
+                    if ins.tracer.enabled:
+                        ins.trace_msg(now, EventType.FORWARD, msg, label)
+        engine._send_space_freed()
+
+    def close(self) -> None:
+        """Detach from the transport and close it; what this end holds —
+        in hand on either side, or sent to it and never delivered — is
+        counted lost, once, on its link and on the node."""
+        self.state = _CLOSED
+        record = self.engine._record_loss
+        for msg in (*self.held, *self.writer.close()):
+            record(msg, self.port.stats)
+        for msg in self.unsent:
+            record(msg, self.out.stats)
+        self.held, self.unsent = [], []
 
 
 class AsyncioEngine(EngineCore):
@@ -300,23 +502,23 @@ class AsyncioEngine(EngineCore):
                 if not self._running or dest in self._peers:
                     return  # stopped, or an inbound connection won meanwhile
                 try:
-                    reader, writer = await self._open_connection(dest)
+                    link = await self._open_connection(dest)
                 except (OSError, asyncio.TimeoutError):
                     if self._ins is not None:
                         self._ins.n_connect_failures += 1
                     continue
                 existing = self._peers.get(dest)
                 if not self._running:  # stopped while the dial was in flight
-                    writer.close()
+                    link.close()
                 elif existing is None:
-                    self._register_peer(dest, reader, writer, announce=False)
+                    self._register_peer(dest, link, announce=False)
                 elif self._node_id < dest:
                     # Simultaneous connect: both sides dialed each other.
                     # Deterministic tie-break — the connection dialed by
                     # the lower NodeId is canonical on both ends.
-                    self._adopt_connection(existing, reader, writer)
+                    self._adopt_connection(existing, link)
                 else:
-                    writer.close()
+                    link.close()
                 return
         finally:
             if self._dialing.get(dest) is asyncio.current_task():
@@ -324,15 +526,15 @@ class AsyncioEngine(EngineCore):
                 if self._running and dest not in self._peers:
                     self._drop_downstream(dest, notify="down")
 
-    async def _open_connection(self, dest: NodeId) -> tuple[Any, Any]:
+    async def _open_connection(self, dest: NodeId) -> Any:
         loopback = self.config.loopback
         if loopback is not None:
             # Co-hosted peers bypass sockets (and chaos wrapping, which
             # targets the socket layer): the resolver hands both engines
             # in-process channel endpoints in one synchronous step.
-            pair = loopback.dial(self._node_id, dest)
-            if pair is not None:
-                return pair
+            endpoint = loopback.dial(self._node_id, dest)
+            if endpoint is not None:
+                return endpoint
         chaos = self.config.chaos
         if chaos is not None:
             chaos.check_connect(self._node_id, dest)
@@ -346,12 +548,10 @@ class AsyncioEngine(EngineCore):
                 dest, self._node_id, self.config.shm_ring_bytes,
                 self.config.connect_timeout, MAX_FRAME_PAYLOAD,
             )
-        reader, writer = await open_identified(
+        link = StreamLink(*await open_identified(
             dest, self._node_id, timeout=self.config.connect_timeout
-        )
-        if chaos is not None:
-            reader, writer = chaos.wrap(self._node_id, dest, reader, writer)
-        return FramedReader(reader), writer
+        ))
+        return link if chaos is None else chaos.wrap(self._node_id, dest, link)
 
     async def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
@@ -377,79 +577,57 @@ class AsyncioEngine(EngineCore):
                     max_payload=MAX_FRAME_PAYLOAD,
                 )
                 if endpoint is not None:
-                    self.accept_transport(peer_id, endpoint, endpoint)
+                    self.accept_transport(peer_id, endpoint)
                     return
-        except asyncio.CancelledError:
+        except (asyncio.CancelledError, Exception):
             writer.close()
             return
-        except Exception:
-            writer.close()
-            return
+        link = StreamLink(reader, writer)
         if self.config.chaos is not None:
-            reader, writer = self.config.chaos.wrap(self._node_id, peer_id, reader, writer)
-        self.accept_transport(peer_id, FramedReader(reader), writer)
+            link = self.config.chaos.wrap(self._node_id, peer_id, link)
+        self.accept_transport(peer_id, link)
 
-    def accept_transport(self, peer_id: NodeId, reader: Any, writer: Any) -> None:
-        """Admit an identified inbound transport (socket or loopback)."""
+    def accept_transport(self, peer_id: NodeId, link: Any) -> None:
+        """Admit an identified inbound link (socket, shm or loopback)."""
         if not self._running:
-            writer.close()
+            link.close()
             return
         existing = self._peers.get(peer_id)
         if existing is not None:
             # Simultaneous connect resolved deterministically: keep the
             # connection dialed by the lower NodeId, on both ends.
             if peer_id < self._node_id:
-                self._adopt_connection(existing, reader, writer)
+                self._adopt_connection(existing, link)
             else:
-                writer.close()
+                link.close()
             return
-        self._register_peer(peer_id, reader, writer, announce=True)
+        self._register_peer(peer_id, link, announce=True)
 
-    def _register_peer(self, node: NodeId, reader: Any, writer: Any, announce: bool) -> None:
+    def _register_peer(self, node: NodeId, link: Any, announce: bool) -> None:
         """Attach a transport: it carries both directions of the link."""
         if node not in self._out:  # inbound: the link is our way back, too
             self._add_downstream(node)
-        peer = self._peers[node] = _Peer(
-            node=node,
-            reader=reader,
-            writer=writer,
-            port=self._add_upstream(node, announce),
-            last_recv_at=self.now(),
-        )
-        self._start_io(peer)
+        self._attach(node, link, self._add_upstream(node, announce))
 
-    def _start_io(self, peer: _Peer) -> None:
-        name, epoch = f"{self._node_id}/{peer.node}", peer.epoch
-        peer.sender_task = self._launch(self._sender_loop(peer, epoch), name=f"{name}/send")
-        peer.receiver_task = self._launch(self._receiver_loop(peer, epoch), name=f"{name}/recv")
+    def _attach(self, node: NodeId, link: Any, port: ReceiverPort) -> None:
+        peer = self._peers[node] = _Peer(self, node, link, port)
+        link.attach(peer)  # in the table first: the first push may be the link's end
 
-    def _adopt_connection(self, peer: _Peer, reader: Any, writer: Any) -> None:
+    def _adopt_connection(self, peer: _Peer, link: Any) -> None:
         """Swap ``peer``'s transport for the canonical connection.
 
-        Used by the simultaneous-connect tie-break: the losing socket is
-        closed and replaced in place — queues, receiver port, stats and
-        pending forwards all survive, and no BROKEN_LINK is signalled.
-        The epoch bump keeps the old transport's IO loops (already
-        cancelled, but possibly holding a just-raised socket error) from
-        tearing down the adopted link on their way out.
+        Used by the simultaneous-connect tie-break: the losing transport
+        is closed and a fresh ``_Peer`` takes the same link over —
+        queues, receiver port, stats and pending forwards all survive,
+        and no BROKEN_LINK is signalled.
         """
-        peer.epoch += 1
-        peer.sender_task.cancel()
-        peer.receiver_task.cancel()
-        peer.writer.close()
-        peer.reader = reader
-        peer.writer = writer
-        peer.last_recv_at = self.now()
-        peer.health = LinkHealth.LIVE
-        peer.probe_deadline = None
-        self._start_io(peer)
+        peer.close()
+        self._attach(peer.node, link, peer.port)
 
     def _release(self, peer: _Peer) -> None:
-        """Close ``peer``'s transport and stop its IO tasks."""
+        """Take ``peer`` out of the table and close its transport."""
         del self._peers[peer.node]
-        peer.writer.close()
-        peer.sender_task.cancel()
-        peer.receiver_task.cancel()
+        peer.close()
 
     def _peer_failed(self, peer: _Peer, undelivered: Sequence[Message] = ()) -> None:
         """The transport died: both halves of the link fail together."""
@@ -468,169 +646,6 @@ class AsyncioEngine(EngineCore):
         if self._ins is not None:
             self._ins.n_observer_reconnects = self._uplink.reconnects
         return [self._boot_message()]
-
-    # ------------------------------------------------------------------ I/O tasks
-
-    async def _sender_loop(self, peer: _Peer, epoch: int = 0) -> None:
-        """One writer per peer link, flushing whole batches per wakeup.
-
-        Every wakeup drains the entire ``send_queue`` and writes the
-        batch through one ``drain()`` — a writev-style flush that turns
-        N per-frame syscalls (or ring publishes) into one.  The switch
-        stages a round's worth of frames before this task runs again,
-        so a round's output to one destination leaves in a single
-        flush.  The rate limiter still paces per message: when a
-        reservation asks for a delay, everything already written is
-        flushed before the sleep so pacing never holds released bytes
-        hostage.
-        """
-        link = self._out[peer.node]
-        queue = link.queue
-        throttle = self.throttle
-        writer = peer.writer
-        batch: list[Message] = []
-        while self._running:
-            try:
-                batch.append(await queue.get())
-            except BufferClosedError:
-                return
-            if not queue.is_empty:
-                batch.extend(queue.drain())
-            flushed = 0  # messages safely handed to the transport
-            try:
-                if throttle.active:
-                    for written, msg in enumerate(batch):
-                        delay = throttle.reserve_send(peer.node, msg.size, self.now())
-                        if delay > 0:
-                            if written > flushed:
-                                await writer.drain()
-                                flushed = written
-                            if self._ins is not None:
-                                self._ins.on_throttle_stall("up", delay)
-                            await asyncio.sleep(delay)
-                        write_message(writer, msg)
-                else:  # unconstrained: one vectorized stage for the burst
-                    write_batch(writer, batch)
-                await writer.drain()
-                flushed = len(batch)
-            except (ConnectionError, OSError):
-                if self._running and peer.epoch == epoch:
-                    self._peer_failed(peer, undelivered=batch[flushed:])
-                return
-            now = self.now()
-            ins = self._ins
-            nbytes = 0
-            for msg in batch:
-                nbytes += msg.size
-            link.stats.throughput.record_bulk(nbytes, len(batch), now)
-            if ins is not None:
-                for msg in batch:
-                    if msg.type == MsgType.DATA:
-                        label = peer.port.label
-                        ins.forwarded[label] += 1
-                        t0 = msg._hop_t0
-                        if t0 is not None:
-                            ins.observe_hop(now - t0 if now > t0 else 0.0)
-                        if ins.tracer.enabled:
-                            ins.trace_msg(now, EventType.FORWARD, msg, label)
-            batch.clear()
-            self._send_space_freed()
-
-    async def _receiver_loop(self, peer: _Peer, epoch: int = 0) -> None:
-        """One reader per peer link, taking a whole burst per wakeup.
-
-        Every transport hands over what arrived since the last wakeup
-        through the same two calls: one awaited ``recv_message`` and a
-        synchronous ``drain_frames`` for the rest of the burst.  Back
-        pressure is the port buffer: the loop parks on ``buffer.put``
-        before it reads again, so a slow engine stops the reads.  What
-        is in hand when the link goes away — parsed, not yet placed —
-        is counted lost here; what the buffer holds is counted by
-        ``_drop_upstream``.
-        """
-        reader = peer.reader
-        throttle = self.throttle
-        port = peer.port
-        buffer = port.buffer
-        meter = port.stats.throughput
-        data_type = MsgType.DATA
-        batch: list[Message] = []
-        placed = 0  # leading messages of ``batch`` already handed on
-        try:
-            while self._running:
-                try:
-                    batch.append(await reader.recv_message())
-                    batch += reader.drain_frames()
-                except (asyncio.IncompleteReadError, ConnectionError, OSError, CodecError):
-                    if self._running and peer.epoch == epoch:
-                        self._peer_failed(peer)
-                    return
-                now = self.now()
-                # Any inbound frame proves the link alive: reset the
-                # failure-detection ladder before anything can block.
-                peer.last_recv_at = now
-                if peer.health != LinkHealth.LIVE:
-                    peer.health = LinkHealth.LIVE
-                    peer.probe_deadline = None
-                nbytes = 0
-                data_only = True
-                for msg in batch:
-                    nbytes += msg.size
-                    if msg._type != data_type:
-                        data_only = False
-                if throttle.active:
-                    for msg in batch:
-                        delay = throttle.reserve_recv(msg.size, self.now())
-                        if delay > 0:
-                            if self._ins is not None:
-                                self._ins.on_throttle_stall("down", delay)
-                            await asyncio.sleep(delay)
-                meter.record_bulk(nbytes, len(batch), now)
-                ins = self._ins
-                if data_only and ins is None:
-                    # Pure data burst: one bulk append per buffer-space
-                    # window instead of per-message queue bookkeeping.
-                    placed = buffer.put_many_nowait(batch)
-                    if placed == len(batch):
-                        port.note_bytes(nbytes)
-                    else:
-                        port.note_bytes(sum(m.size for m in batch[:placed]))
-                    while placed < len(batch):
-                        # Wake the engine *before* parking for space:
-                        # it is the one that frees the buffer.
-                        self._wake.set()
-                        await buffer.put(batch[placed])  # type: ignore[attr-defined]
-                        start, placed = placed, placed + 1
-                        placed += buffer.put_many_nowait(batch, placed)
-                        port.note_bytes(sum(m.size for m in batch[start:placed]))
-                else:
-                    for msg in batch:
-                        if msg._type == data_type:
-                            if not buffer.put_nowait(msg):
-                                self._wake.set()  # engine frees the space
-                                await buffer.put(msg)  # type: ignore[attr-defined]
-                            port.note_bytes(msg.size)
-                            if ins is not None:
-                                now = self.now()
-                                label = port.label
-                                ins.enqueued[label] += 1
-                                port.wait_times.append(now)
-                                msg._hop_t0 = now  # this hop's clock starts here
-                                if ins.tracer.enabled:
-                                    ins.trace_msg(now, EventType.ENQUEUE, msg, label)
-                        else:
-                            if msg.type == MsgType.BROKEN_SOURCE:
-                                self._propagate_broken_source(msg, peer.node)
-                            self._control.put_force(msg)
-                        placed += 1
-                batch.clear()
-                placed = 0
-                self._wake.set()
-        except BufferClosedError:
-            pass  # the port was dropped under a parked put
-        finally:
-            for msg in batch[placed:]:
-                self._record_loss(msg, port.stats)
 
     # ------------------------------------------------------------------ watchdog
 
@@ -658,7 +673,7 @@ class AsyncioEngine(EngineCore):
                 if self._peers.get(peer.node) is not peer:
                     continue  # torn down while we iterated
                 if now - peer.last_recv_at <= timeout:
-                    continue  # the receiver loop resets health on traffic
+                    continue  # the receiving end resets health on traffic
                 if peer.health == LinkHealth.LIVE:
                     peer.health = LinkHealth.SUSPECT
                     if ins is not None:

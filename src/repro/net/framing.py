@@ -3,10 +3,10 @@
 No extra framing layer is needed: the fixed 24-byte header already
 declares the payload size (Fig. 3 of the paper), so frames are sliced
 straight out of the byte stream.  Data links move whole bursts — one
-read and one parse sweep per receiver wakeup (:class:`FramedReader`),
-one transport write per sender flush (:func:`write_batch`); links that
-are one frame at a time by protocol use :func:`read_message` and
-:func:`write_message`.  The first frame on every fresh connection must be
+parse sweep per received chunk, pushed to the link's end
+(:class:`StreamLink`), one transport write per sender flush
+(:func:`write_batch`); links that are one frame at a time by protocol
+use :func:`read_message` and :func:`write_message`.  The first frame on every fresh connection must be
 a ``HELLO`` carrying the sender's publicized identity, because the
 ephemeral source port of an outgoing TCP connection does not identify
 the overlay node behind it.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from typing import Any
 
 from repro.core.ids import NodeId
 from repro.core.message import HEADER_SIZE, Message
@@ -29,11 +30,6 @@ _META_LEN = struct.Struct("!I")
 #: refuse frames whose declared payload exceeds this (protects the reader)
 MAX_FRAME_PAYLOAD = 64 * 1024 * 1024
 
-#: bytes a data link asks of its stream per wakeup.  Equal to the
-#: ``StreamReader`` default limit, so a receiver never holds more in
-#: hand than the stream had already buffered for it.
-CHUNK = 64 * 1024
-
 #: the payload-size field: the last four bytes of the header
 _PAYLOAD_LEN = struct.Struct("!I")
 _PAYLOAD_LEN_AT = HEADER_SIZE - _PAYLOAD_LEN.size
@@ -44,14 +40,9 @@ async def read_message(reader: asyncio.StreamReader) -> Message:
     and :class:`~repro.errors.CodecError` on malformed frames.
 
     For the links that are one frame at a time by protocol (HELLO and
-    shm negotiation, observer, proxy, cluster control); data links read
-    whole bursts through :class:`FramedReader`.  Endpoints
-    (:mod:`repro.net.virtual`, :mod:`repro.net.shm`) hand over their own
-    next message.
+    shm negotiation, observer, proxy, cluster control); data links are
+    pushed whole bursts through :class:`StreamLink`.
     """
-    recv = getattr(reader, "recv_message", None)
-    if recv is not None:
-        return await recv()
     header = await reader.readexactly(HEADER_SIZE)
     payload_size = _HEADER_STRUCT.unpack(header)[5]
     if payload_size > MAX_FRAME_PAYLOAD:
@@ -69,10 +60,6 @@ def write_message(writer: asyncio.StreamWriter, msg: Message) -> None:
     bytes object reaches the transport by reference instead of being
     copied into a concatenated frame first (zero-copy on the data path).
     """
-    send = getattr(writer, "send_message", None)
-    if send is not None:  # loopback endpoint: pass the object, zero-copy
-        send(msg)
-        return
     frame = msg.cached_frame()
     if frame is not None:  # relay fast path: one pre-built buffer
         writer.write(frame)
@@ -85,8 +72,8 @@ def write_message(writer: asyncio.StreamWriter, msg: Message) -> None:
 
 # --- burst reads --------------------------------------------------------------
 #
-# A data link hands its receiver everything that arrived since the last
-# wakeup: one read, one sweep over the bytes, one list of messages.
+# A data link hands its end everything one chunk of bytes completed:
+# one sweep over the bytes, one list of messages.
 
 
 def parse_frames(
@@ -161,40 +148,98 @@ class FrameAssembler:
         return asyncio.IncompleteReadError(tail[HEADER_SIZE:], payload_size)
 
 
-class FramedReader:
-    """The read half of a data link over a ``StreamReader``.
+class StreamLink(asyncio.Protocol):
+    """A data link over a TCP connection whose handshake is done.
 
-    Wraps the stream once the HELLO has been read.  ``recv_message``
-    awaits one ``read(CHUNK)`` per wakeup and ``drain_frames`` hands over
-    the rest of what that read carried — the endpoint surface the
-    loopback and shm links have.  EOF, clean or mid-frame, raises
-    ``IncompleteReadError`` with the partial bytes.
+    Takes the transport over from the handshake's stream pair
+    (``set_protocol``), carrying over whatever the ``StreamReader`` had
+    already buffered behind the HELLO, so no byte is lost or reordered.
+    From then on every ``data_received`` is one ``FrameAssembler.feed``
+    and one ``on_frames`` push to the attached end; the end of the
+    connection, clean or mid-frame, is one ``on_lost``.  The write side
+    is the transport itself: ``pause_writing`` / ``resume_writing`` are
+    what ``flush`` reports and what wakes the end's pump.
     """
 
-    __slots__ = ("_reader", "_assembler", "_frames")
+    transport_kind = "tcp"
 
-    def __init__(self, reader: asyncio.StreamReader) -> None:
-        self._reader = reader
+    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        # The StreamWriter stays referenced: its __del__ closes the transport.
+        self._stream, transport = writer, writer.transport
+        self.transport = transport
+        # Writes go straight to the transport: a write on a lost
+        # connection is dropped there, and the ``flush`` after it raises.
+        self.write, self.writelines = transport.write, transport.writelines
+        self.pause_reading, self.resume_reading = transport.pause_reading, transport.resume_reading
         self._assembler = FrameAssembler()
-        self._frames: list[Message] = []
+        self._held: list[Message] = []  # frames that arrived before attach()
+        self._end: Any = None
+        self._lost, self._write_paused = None, False  # the end of the connection, if seen
+        # the handshake's leftovers: buffered bytes, and the connection's end
+        buffered, eof = bytes(reader._buffer), reader._eof or reader.exception() is not None
+        transport.set_protocol(self)
+        transport.resume_reading()  # the StreamReader may have paused it
+        if buffered:
+            self.data_received(buffered)
+        if eof:
+            self.connection_lost(reader.exception())
 
-    async def recv_message(self) -> Message:
-        while not self._frames:
-            chunk = await self._reader.read(CHUNK)
-            if not chunk:
-                raise self._assembler.eof_error()
-            self._frames = self._assembler.feed(chunk)
-        return self._frames.pop(0)
+    # --- the transport's callbacks (EOF closes it: connection_lost follows) -----
 
-    def drain_frames(self) -> list[Message]:
-        """The frames already read and not yet handed over."""
-        frames, self._frames = self._frames, []
-        return frames
+    def data_received(self, data: bytes) -> None:
+        try:
+            frames = self._assembler.feed(data)
+        except CodecError as exc:
+            self.transport.abort()
+            return self.connection_lost(exc)
+        if frames and self._end is None:
+            self._held += frames
+        elif frames:
+            self._end.on_frames(frames)
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        if self._lost is not None:
+            return
+        self._lost = exc or self._assembler.eof_error()
+        if self._end is not None:
+            self._end.on_lost(self._lost)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self._end is not None:
+            self._end.on_writable()
+
+    # --- the endpoint surface ---------------------------------------------------
+
+    def attach(self, end: Any) -> None:
+        """Start pushing to ``end``: what arrived so far first."""
+        self._end = end
+        held, self._held = self._held, []
+        if held:
+            end.on_frames(held)
+        if self._lost is not None:
+            end.on_lost(self._lost)
+
+    def flush(self) -> bool:
+        """True while the transport takes more; else ``on_writable`` follows."""
+        if self._lost is not None or self.transport.is_closing():
+            raise ConnectionResetError("connection lost")
+        return not self._write_paused
+
+    def close(self) -> list[Message]:
+        """Detach and close; returns the frames never handed over."""
+        self._end = None
+        self._stream.close()
+        held, self._held = self._held, []
+        return held
 
 
 # --- vectorized batch writes --------------------------------------------------
 #
-# The sender loop drains its whole queue per wakeup, so header packing
+# A link's pump drains its whole queue per run, so header packing
 # is naturally batchable: splice every message's six header fields into
 # ONE precompiled ``struct.Struct`` call covering the burst, then slice
 # the 24-byte views back out.  Python-level call overhead is paid once
@@ -227,7 +272,7 @@ def pack_headers(msgs: list[Message]) -> memoryview:
 
 
 def write_batch(writer: asyncio.StreamWriter, msgs: list[Message]) -> None:
-    """Queue a whole sender-drain burst (caller awaits ``writer.drain()``).
+    """Queue a whole sender-drain burst (the caller then ``flush``-es).
 
     Messages with a cached wire frame go out as that single buffer (the
     relay fast path); everything else has its header batch-packed in one

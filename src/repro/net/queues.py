@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 
 from repro.errors import BufferClosedError
 
@@ -153,6 +153,11 @@ class AsyncBoundedQueue(Generic[T]):
         self._wake(self._putters)
         return item
 
+    def on_space(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, where a parked ``put`` would be woken:
+        when an item leaves, or the queue drains or closes."""
+        self._putters.append(callback)
+
     def drain(self) -> list[T]:
         """Remove and return everything queued, oldest first."""
         items = list(self._items)
@@ -175,5 +180,7 @@ class AsyncBoundedQueue(Generic[T]):
     def _wake(self, waiters: deque) -> None:
         while waiters:
             waiter = waiters.popleft()
-            if not waiter.done():
+            if not isinstance(waiter, asyncio.Future):
+                waiter()  # an on_space callback
+            elif not waiter.done():
                 waiter.set_result(None)

@@ -6,9 +6,9 @@ boot cookie, exchanged in the HELLO frame), the dialer offers a pair of
 single-producer/single-consumer ring buffers in POSIX shared memory —
 one per direction — and the data plane moves to plain ``memcpy``:
 frames are appended to a pending buffer by ``send_message`` and flushed
-into the ring in one batch per ``drain()``, exactly the duck-typed
-endpoint surface (``recv_message``/``send_message``/``drain``/``close``)
-the engine's IO loops already speak for loopback channels.
+into the ring in one batch per ``flush()``, and the inbound ring is
+pushed to the link's end — the push surface the engine speaks for
+loopback channels and TCP links alike.
 
 The TCP connection that carried the HELLO is **kept open** but demoted
 to a control channel with two jobs:
@@ -19,11 +19,12 @@ to a control channel with two jobs:
   the socket can, so the failure-detection ladder (and the watchdog's
   HEARTBEAT probes, which simply ride the ring like any other frame)
   is unchanged;
-- **doorbells** — a consumer that finds its ring empty parks on the
-  socket after setting a ``parked`` flag in the ring header; the
-  producer sends one wake-up byte when it publishes into a parked ring.
-  The same protocol runs in reverse for producers waiting on a full
-  ring.  A short poll fallback bounds the damage of any lost wake-up.
+- **doorbells** — a consumer that finds its ring empty sets a
+  ``parked`` flag in the ring header; the producer sends one wake-up
+  byte when it publishes into a parked ring, and the socket listener
+  sweeps the ring on every byte.  The same protocol runs in reverse for
+  producers waiting on a full ring.  A short poll bounds the damage of
+  any lost wake-up.
 
 Ring layout (one shared-memory segment per direction)::
 
@@ -51,13 +52,15 @@ import os
 import struct
 from collections import deque
 from multiprocessing import resource_tracker, shared_memory
+from typing import Any
 
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
+from repro.errors import CodecError
 from repro.net.framing import (
     FrameAssembler,
-    FramedReader,
+    StreamLink,
     hello_message,
     read_message,
     write_message,
@@ -256,21 +259,20 @@ class RingBuffer:
 
 
 class ShmEndpoint:
-    """Both halves of one shm peer link: reader *and* writer object.
+    """Both halves of one shm peer link, on the push surface every data
+    link speaks (see :class:`repro.net.virtual.LoopbackEndpoint`).
 
-    Slots into the engine's ``_Peer.reader``/``_Peer.writer`` exactly
-    like :class:`repro.net.virtual.LoopbackEndpoint`: the receiver loop
-    calls ``recv_message`` + ``drain_frames`` on every link, and
-    :func:`~repro.net.framing.write_batch` dispatches here on the
-    ``send_message`` attribute.
-
-    ``send_message`` only appends to a pending buffer; ``drain()``
-    flushes the whole pending batch into the outbound ring — that is
-    the writev-style "one flush per destination per wakeup" the batched
-    sender loop relies on.  ``recv_message`` sweeps every available
-    byte out of the inbound ring per wakeup through the frame sweep it
-    shares with TCP links (:class:`~repro.net.framing.FrameAssembler`),
-    so a burst of N frames costs one ring sweep.
+    ``send_message`` (dispatched to by
+    :func:`~repro.net.framing.write_batch`) only appends to a pending
+    buffer; ``flush`` copies the whole pending batch into the outbound
+    ring — the writev-style one flush per pump run.  A full ring parks
+    the producer: ``flush`` says so, and the doorbell of the consumer
+    freeing space brings ``on_writable``.  The doorbell listener sweeps
+    every readable byte out of the inbound ring through the frame sweep
+    it shares with TCP links (:class:`~repro.net.framing.FrameAssembler`)
+    and pushes the burst to the attached end in one ``on_frames``; socket
+    EOF is ``on_lost``.  ``drain`` and ``recv_message`` are the same
+    surface awaited, for a caller with no end attached.
     """
 
     transport_kind = "shm"
@@ -292,9 +294,12 @@ class ShmEndpoint:
         self._pending = bytearray()
         self._assembler = FrameAssembler(max_payload)
         self._frames: deque[Message] = deque()
-        self._closed = False
-        self._eof = False
+        # _blocked: a flush waits for ring space
+        self._closed = self._eof = self._paused = self._blocked = False
+        self._end: Any = None
         self._doorbell = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
+        self._poll = self._loop.call_later(PARK_POLL, self._on_poll)
         self._tasks = TaskSet(type(self).__name__)
         self._tasks.launch(self._listen(), "shm-listen")
 
@@ -307,11 +312,47 @@ class ShmEndpoint:
                 data = await self._sock_reader.read(4096)
                 if not data:
                     break
-                self._doorbell.set()
+                self._rung()
         except (ConnectionError, OSError):
             pass
         self._eof = True
+        self._rung()
+
+    def _on_poll(self) -> None:
+        self._rung()  # a lost doorbell costs at most one poll period
+        if not self._closed:
+            self._poll = self._loop.call_later(PARK_POLL, self._on_poll)
+
+    def _rung(self) -> None:
+        """A doorbell: resume a parked flush, sweep the ring into the end."""
         self._doorbell.set()
+        end = self._end
+        if end is None or self._closed:
+            return
+        if self._blocked and (self._eof or self._out.writable):
+            self._blocked = False
+            self._out.park_producer(False)
+            end.on_writable()
+        ring = self._in
+        while not self._paused and self._end is end:
+            if ring.readable:
+                ring.park_consumer(False)
+                try:
+                    frames = self.drain_frames()
+                except CodecError as exc:  # a bad frame ends the link
+                    return end.on_lost(exc)
+                if frames:
+                    end.on_frames(frames)
+                continue
+            # Idle: announce it, then re-check (the producer may have
+            # published between our check and the flag store).
+            ring.park_consumer(True)
+            if not ring.readable:
+                break
+        if self._eof and self._end is end:
+            # After what the producer published before it went away: the
+            # same EOF a socket reader would see.
+            end.on_lost(self._assembler.eof_error())
 
     def _ring_doorbell(self) -> None:
         try:
@@ -342,108 +383,89 @@ class ShmEndpoint:
         if payload:
             pending += payload
 
+    def flush(self) -> bool:
+        """Copy the whole pending batch into the outbound ring.
+
+        False when the ring filled first: the producer is parked, and
+        the doorbell of the consumer freeing space brings ``on_writable``.
+        """
+        if self._closed or self._eof or self._out.consumer_closed:
+            raise ConnectionResetError("shm peer is gone")
+        pending, out = self._pending, self._out
+        while pending:
+            with memoryview(pending) as data:
+                n = out.write_some(data)
+            if n:
+                del pending[:n]
+                if out.consumer_parked:
+                    self._ring_doorbell()
+                continue
+            # Ring full: announce we are waiting, re-check (the consumer
+            # may have freed space between our check and the flag store).
+            out.park_producer(True)
+            if out.writable == 0:
+                self._blocked = True
+                return False
+            out.park_producer(False)
+        return True
+
     async def drain(self) -> None:
-        """Flush the whole pending batch into the outbound ring."""
-        if self._closed:
-            raise ConnectionResetError("shm link closed")
-        if not self._pending:
-            return
-        data = memoryview(self._pending)
-        written = 0
-        out = self._out
-        try:
-            while written < len(data):
-                if self._closed or self._eof or out.consumer_closed:
-                    raise ConnectionResetError("shm peer is gone")
-                n = out.write_some(data, written)
-                if n:
-                    written += n
-                    if out.consumer_parked:
-                        self._ring_doorbell()
-                    continue
-                # Ring full: announce we are waiting, re-check (the
-                # consumer may have freed space between our check and
-                # the flag store), then park on the doorbell.
-                out.park_producer(True)
-                try:
-                    if out.writable == 0:
-                        await self._park()
-                finally:
-                    if not self._closed:  # close() released the ring memory
-                        out.park_producer(False)
-        finally:
-            data.release()
-            del self._pending[:written]
+        """``flush``, awaiting ring space."""
+        while not self.flush():
+            await self._park()
 
     # --- reader surface --------------------------------------------------------
 
-    def _sweep(self) -> bool:
-        """Move every readable byte out of the ring; True if any arrived."""
-        chunk = self._in.read_available()
-        if not chunk:
-            return False
-        if self._in.producer_parked:
-            self._ring_doorbell()  # we just freed space it waits for
-        self._frames.extend(self._assembler.feed(chunk))
-        return True
+    def attach(self, end: Any) -> None:
+        self._end = end
+        self._loop.call_soon(self._rung)  # what is in the ring already
+
+    def pause_reading(self) -> None:
+        self._paused = True
+        self._in.park_consumer(False)  # the producer stops ringing, fills, parks
+
+    def resume_reading(self) -> None:
+        self._paused = False
+        self._loop.call_soon(self._rung)
 
     def drain_frames(self) -> list[Message]:
-        """Every frame already parsed or sitting in the ring, synchronously.
-
-        The batched receiver loop calls this after one awaited
-        ``recv_message`` wakeup: the whole burst that arrived with that
-        frame is handed over in a single call, so per-message recv
-        overhead (await machinery, accounting) is paid once per burst.
-        Returns an empty list when nothing further is pending.
-        """
-        self._sweep()
-        frames = self._frames
-        if not frames:
+        """Every frame sitting in the inbound ring, in one sweep."""
+        chunk = self._in.read_available()
+        if not chunk:
             return []
-        out = list(frames)
-        frames.clear()
-        return out
+        if self._in.producer_parked:
+            self._ring_doorbell()  # we just freed space it waits for
+        return self._assembler.feed(chunk)
 
     async def recv_message(self) -> Message:
+        """One frame, awaited."""
         frames = self._frames
-        while True:
-            if frames:
-                return frames.popleft()
+        while not frames:
             if self._closed:
                 raise self._assembler.eof_error()
-            if self._sweep():
-                continue
+            frames.extend(self.drain_frames())
+            if frames:
+                break
             if self._eof or self._in.producer_closed:
                 # Drained everything the producer published before it
                 # went away: surface the same EOF a socket reader would.
                 raise self._assembler.eof_error()
-            self._in.park_consumer(True)
-            try:
-                if self._in.readable == 0 and not self._eof:
-                    await self._park()
-            finally:
-                if not self._closed:  # close() released the ring memory
-                    self._in.park_consumer(False)
+            await self._park()
+        return frames.popleft()
 
     # --- shared stream surface -------------------------------------------------
 
-    def is_closing(self) -> bool:
-        return self._closed
-
-    def at_eof(self) -> bool:
-        return (self._eof or self._in.producer_closed) and not self._frames
-
-    def close(self) -> None:
+    def close(self) -> list[Message]:
         """Tear the link down: flag the rings, close the socket, unlink.
 
-        Synchronous and idempotent, matching StreamWriter.close(); any
-        coroutine parked in recv/drain observes ``_closed`` at its next
-        step (asyncio is single-threaded, so no sweep is ever mid-copy
-        when this runs).
+        Synchronous and idempotent; nothing more is pushed to the end.
+        What the ring still holds is not read (the bound is one ring).
         """
+        self._end = None
         if self._closed:
-            return
+            return []
         self._closed = True
+        self._poll.cancel()
         self._out.close_producer()
         self._in.close_consumer()
         self._tasks.teardown()
@@ -454,6 +476,7 @@ class ShmEndpoint:
         self._doorbell.set()
         self._out.release(unlink=self._owns_rings)
         self._in.release(unlink=self._owns_rings)
+        return []
 
 
 # --------------------------------------------------------------- negotiation
@@ -485,54 +508,42 @@ def shm_offer(ring_bytes: int) -> tuple[tuple[RingBuffer, RingBuffer] | None, di
 
 async def dial_shm(
     dest: NodeId, identity: NodeId, ring_bytes: int, timeout: float, max_payload: int
-) -> tuple[object, object]:
+) -> "ShmEndpoint | StreamLink":
     """Open a connection to ``dest``, offering shared-memory rings.
 
     The HELLO carries the offer (boot cookie + segment names); the
     acceptor answers with one SHM_ACK frame.  On acceptance both stream
     ends are replaced by a single :class:`ShmEndpoint`; on denial (or a
     missing/invalid ack) the rings are unlinked and the already-open
-    TCP connection carries the data link, read in bursts like any other.
+    TCP connection carries the data link like any other.
     """
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(dest.ip, dest.port), timeout
     )
     rings, offer = shm_offer(ring_bytes)
+    accepted = False
     try:
         write_message(writer, hello_message(identity, shm=offer))
         await writer.drain()
-        if rings is None:
-            return FramedReader(reader), writer
-        ack = await asyncio.wait_for(read_message(reader), timeout)
-        accepted = ack.type == MsgType.SHM_ACK and bool(ack.fields().get("ok"))
-    except asyncio.TimeoutError:
         if rings is not None:
-            rings[0].release(unlink=True)
-            rings[1].release(unlink=True)
+            ack = await asyncio.wait_for(read_message(reader), timeout)
+            accepted = ack.type == MsgType.SHM_ACK and bool(ack.fields().get("ok"))
+    except (asyncio.CancelledError, Exception) as exc:
         writer.close()
-        raise
-    except asyncio.CancelledError:
-        if rings is not None:
-            rings[0].release(unlink=True)
-            rings[1].release(unlink=True)
-        writer.close()
-        raise
-    except Exception as exc:
-        if rings is not None:
-            rings[0].release(unlink=True)
-            rings[1].release(unlink=True)
-        writer.close()
+        if isinstance(exc, (asyncio.TimeoutError, asyncio.CancelledError)):
+            raise
         raise ConnectionError(f"shm negotiation with {dest} failed: {exc}") from exc
+    finally:
+        if rings is not None and not accepted:
+            rings[0].release(unlink=True)
+            rings[1].release(unlink=True)
     if not accepted:
-        rings[0].release(unlink=True)
-        rings[1].release(unlink=True)
-        return FramedReader(reader), writer
-    endpoint = ShmEndpoint(
+        return StreamLink(reader, writer)
+    return ShmEndpoint(
         ring_out=rings[0], ring_in=rings[1],
         sock_reader=reader, sock_writer=writer,
         owns_rings=True, max_payload=max_payload,
     )
-    return endpoint, endpoint
 
 
 async def accept_shm(

@@ -12,11 +12,12 @@ header serialization, no payload copies).  Peers outside the host are
 reached through the ordinary socket path, so a virtual host drops into
 a physical overlay transparently.
 
-Loopback endpoints speak the endpoint surface the engine's IO loops use
-on every link (``recv_message`` + ``drain_frames`` / ``send_message`` +
-``drain`` / ``close``), and failure semantics mirror sockets: closing
-either side raises ``IncompleteReadError`` at the remote reader and
-``ConnectionError`` at writers, driving the exact ``_peer_failed``
+Loopback endpoints speak the push surface every data link speaks
+(``attach`` an end that is pushed ``on_frames`` / ``on_lost``;
+``send_message`` + ``flush`` with ``on_writable``; ``pause_reading`` /
+``resume_reading``; ``close``), and failure semantics mirror sockets:
+closing either side hands the remote end ``on_lost`` and fails later
+writes with ``ConnectionError``, driving the exact ``_peer_failed``
 teardown a dead socket would.  Dialing a co-hosted node that is not
 running raises ``ConnectionRefusedError`` like a closed port.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.algorithm import Algorithm
 from repro.core.ids import NodeId
@@ -41,68 +42,54 @@ DEFAULT_WINDOW = 64
 
 
 class _LoopbackPipe:
-    """One direction of a loopback connection: a bounded message FIFO."""
+    """One direction of a loopback connection: a bounded message window.
 
-    __slots__ = ("capacity", "items", "closed", "_data", "_space")
+    A push schedules one delivery, which hands everything queued by then
+    to the receiving end in one ``on_frames`` and reopens the window; a
+    sender that found the window full is woken by that take.
+    """
+
+    __slots__ = ("capacity", "items", "closed", "paused", "receiver", "sender",
+                 "blocked", "loop", "_due")
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self.items: deque[Message] = deque()
-        self.closed = False
-        self._data = asyncio.Event()
-        self._space = asyncio.Event()
-        self._space.set()
+        self.closed = self.paused = self.blocked = self._due = False
+        self.receiver: Any = None  # the end items are pushed to
+        self.sender: Any = None  # the end woken when a full window reopens
+        self.loop: Any = None  # the receiving end's, once attached
 
     def send(self, msg: Message) -> None:
         if self.closed:
             raise ConnectionResetError("loopback connection closed")
         self.items.append(msg)
-        self._data.set()
-        if len(self.items) >= self.capacity:
-            self._space.clear()
+        self.schedule()
 
-    async def drain(self) -> None:
-        """Block while the in-flight window is full (socket back pressure)."""
-        while len(self.items) >= self.capacity and not self.closed:
-            self._space.clear()
-            await self._space.wait()
-        if self.closed:
-            raise ConnectionResetError("loopback connection closed")
+    def schedule(self) -> None:
+        if not self._due and not self.paused and self.receiver is not None:
+            self._due = True
+            self.loop.call_soon(self._deliver)
 
-    async def recv(self) -> Message:
-        while not self.items:
-            if self.closed:
-                # The same EOF the socket reader would see: lets the
-                # engine's except-clause run its normal failure path.
-                raise asyncio.IncompleteReadError(partial=b"", expected=1)
-            self._data.clear()
-            await self._data.wait()
-        msg = self.items.popleft()
-        if len(self.items) < self.capacity:
-            self._space.set()
-        return msg
-
-    def take_all(self) -> list[Message]:
-        """Everything in flight, oldest first; the window reopens."""
-        items = list(self.items)
-        self.items.clear()
-        self._space.set()
-        return items
-
-    def close(self) -> None:
-        self.closed = True
-        self._data.set()
-        self._space.set()
+    def _deliver(self) -> None:
+        """Hand everything in flight over at once; the window reopens."""
+        self._due = False
+        if self.items and not (self.closed or self.paused):
+            items = list(self.items)
+            self.items.clear()
+            if self.blocked:
+                self.blocked = False
+                self.sender.on_writable()
+            self.receiver.on_frames(items)
 
 
 class LoopbackEndpoint:
     """One side of a full-duplex in-process connection.
 
-    Serves as both the ``reader`` and the ``writer`` object in the
-    engine's peer state: the receiver loop takes a burst with
-    ``recv_message`` + ``drain_frames``, and
-    :func:`repro.net.framing.write_batch` hands objects over through
-    ``send_message``.
+    The link's endpoint on its engine: the engine's pump hands objects
+    over through ``send_message`` (dispatched to by
+    :func:`repro.net.framing.write_batch`) and ``flush``, and the
+    attached end is pushed every delivery of the other side.
     """
 
     __slots__ = ("_rx", "_tx")
@@ -114,29 +101,50 @@ class LoopbackEndpoint:
         self._rx = rx
         self._tx = tx
 
-    async def recv_message(self) -> Message:
-        return await self._rx.recv()
+    def attach(self, end: Any) -> None:
+        self._rx.receiver = self._tx.sender = end
+        self._rx.loop = asyncio.get_running_loop()
+        if self._tx.closed:  # the other side is already gone
+            _lost(end, self._rx.loop)
+        self._rx.schedule()  # what the other side sent before we attached
 
-    def drain_frames(self) -> list[Message]:
-        """The rest of the burst ``recv_message`` woke up for."""
-        return self._rx.take_all()
+    def pause_reading(self) -> None:
+        self._rx.paused = True
+
+    def resume_reading(self) -> None:
+        self._rx.paused = False
+        self._rx.schedule()
 
     def send_message(self, msg: Message) -> None:
         self._tx.send(msg)
 
-    async def drain(self) -> None:
-        await self._tx.drain()
+    def flush(self) -> bool:
+        """False while the in-flight window is full: the peer's take wakes us."""
+        tx = self._tx
+        if tx.closed:
+            raise ConnectionResetError("loopback connection closed")
+        tx.blocked = len(tx.items) >= tx.capacity
+        return not tx.blocked
 
-    def close(self) -> None:
-        """Tear down the whole connection, like closing a TCP socket."""
-        self._rx.close()
-        self._tx.close()
+    def close(self) -> list[Message]:
+        """Tear down the whole connection, like closing a TCP socket.
 
-    def is_closing(self) -> bool:
-        return self._tx.closed
+        Returns what was sent to this side and never delivered; the other
+        side's end is told the link is lost.
+        """
+        rx, tx = self._rx, self._tx
+        unread = list(rx.items)
+        rx.items.clear()
+        remote, rx.receiver, tx.sender = tx.receiver, None, None
+        rx.closed = tx.closed = True
+        if remote is not None:
+            _lost(remote, tx.loop)
+        return unread
 
-    def at_eof(self) -> bool:
-        return self._rx.closed and not self._rx.items
+
+def _lost(end: Any, loop: asyncio.AbstractEventLoop) -> None:
+    """Tell ``end`` its link is gone: the EOF a socket reader would see."""
+    loop.call_soon(end.on_lost, asyncio.IncompleteReadError(partial=b"", expected=1))
 
 
 def loopback_pair(window: int = DEFAULT_WINDOW) -> tuple[LoopbackEndpoint, LoopbackEndpoint]:
@@ -173,10 +181,10 @@ class LoopbackResolver:
     def __contains__(self, node_id: NodeId) -> bool:
         return node_id in self._engines
 
-    def dial(self, src: NodeId, dest: NodeId) -> tuple[LoopbackEndpoint, LoopbackEndpoint] | None:
+    def dial(self, src: NodeId, dest: NodeId) -> LoopbackEndpoint | None:
         """Connect ``src`` to co-hosted ``dest`` in one synchronous step.
 
-        Returns the dialer's ``(reader, writer)`` endpoints, or ``None``
+        Returns the dialer's endpoint, or ``None``
         when ``dest`` is not on this host (the caller then dials a real
         socket).  The HELLO identification round trip is unnecessary:
         both identities are known, so the remote engine admits the
@@ -189,8 +197,8 @@ class LoopbackResolver:
             raise ConnectionRefusedError(f"co-hosted node {dest} is not running")
         ours, theirs = loopback_pair(self._window)
         self.dials += 1
-        engine.accept_transport(src, theirs, theirs)
-        return ours, ours
+        engine.accept_transport(src, theirs)
+        return ours
 
 
 class VirtualHost:

@@ -2,12 +2,18 @@
 
 Deterministic counts on the discrete-event backend (the benchmark's
 ``sim_chain`` shape: 8 nodes, 5000-byte payloads, ``buffer_capacity``
-10, telemetry on) and one paced count on the asyncio backend.  Before
+10, telemetry on) and two paced counts on the asyncio backend.  Before
 the loop was progress-driven a relay ran four switch passes, one credit
 stall and 6.28 kernel events per message-hop; with a receiver and a
 sender task per link it still took 5.28.  With link ends as callbacks
 a hop is one sender run, one latency timer and one engine wake-up
 (3.29, the rest is the source).
+
+The asyncio backend made the same move: over TCP, one message at a
+time, a hop cost 3.14 event-loop callbacks (``call_soon``) while each
+link had a receiver and a sender task; with the link ends as callbacks
+it is one pump run and one engine wake-up (2.14 on the 8-node chain,
+the rest is the waiting test).
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from __future__ import annotations
 import asyncio
 
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
+from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.net.engine import NetEngineConfig
+from repro.net.engine import AsyncioEngine, NetEngineConfig
 from repro.net.virtual import VirtualHost
 from repro.sim.engine import EngineConfig
 from repro.sim.network import NetworkConfig, SimNetwork
@@ -120,3 +127,64 @@ def test_asyncio_paced_message_costs_one_pass_per_hop():
     before, after, received = asyncio.run(scenario())
     assert received == paced
     assert [b - a for a, b in zip(before, after)] == [paced] * 3
+
+
+class SignallingSink(SinkAlgorithm):
+    """Resolves ``arrived`` at every delivery."""
+
+    arrived: asyncio.Future | None = None
+
+    def on_data(self, msg):
+        if self.arrived is not None and not self.arrived.done():
+            self.arrived.set_result(msg.seq)
+        return super().on_data(msg)
+
+
+def test_asyncio_tcp_paced_hop_costs_at_most_2_2_loop_callbacks():
+    """The benchmark's ``paced_chain`` shape over real TCP: a message sent
+    one at a time costs, per hop, one run of the link's pump and one
+    engine wake-up, counted as ``call_soon`` calls on the event loop (the
+    benchmark wraps the same method)."""
+    paced = 200
+
+    async def scenario() -> tuple[int, int]:
+        loop = asyncio.get_running_loop()
+        algorithms = [CopyForwardAlgorithm() for _ in range(NODES - 1)] + [SignallingSink()]
+        engines = [
+            AsyncioEngine(NodeId("127.0.0.1", 0), algorithm,
+                          config=NetEngineConfig(buffer_capacity=10, report_interval=NEVER))
+            for algorithm in algorithms
+        ]
+        for engine in engines:
+            await engine.start()
+        try:
+            for algorithm, downstream in zip(algorithms, engines[1:]):
+                algorithm.set_downstreams([downstream.node_id])
+            for upstream, downstream in zip(engines, engines[1:]):
+                assert await upstream.connect(downstream.node_id)
+            await asyncio.sleep(0.05)  # NEW_UPSTREAM notices drained
+            source, sink, calls = engines[0], algorithms[-1], 0
+            call_soon = loop.call_soon
+
+            def counting(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return call_soon(*args, **kwargs)
+
+            loop.call_soon = counting
+            try:
+                for seq in range(paced):
+                    sink.arrived = loop.create_future()
+                    msg = Message(MsgType.DATA, source.node_id, APP, b"x" * 5000, seq=seq)
+                    source.send(msg, engines[1].node_id)
+                    await sink.arrived  # the next one leaves once this one is in
+            finally:
+                del loop.call_soon
+            return calls, sink.received
+        finally:
+            for engine in reversed(engines):
+                await engine.stop()
+
+    calls, received = asyncio.run(scenario())
+    assert received == paced
+    assert calls / (paced * (NODES - 1)) <= 2.2

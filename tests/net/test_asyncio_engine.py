@@ -7,6 +7,8 @@ import pytest
 from repro.algorithms.forwarding import ChainRelayAlgorithm, CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.bandwidth import BandwidthSpec
 from repro.core.ids import NodeId
+from repro.core.message import Message
+from repro.core.msgtypes import MsgType
 from repro.net.engine import AsyncioEngine, NetEngineConfig
 from repro.net.observer_server import ObserverServer
 from repro.net.proxy import ObserverProxy
@@ -184,3 +186,36 @@ def test_proxy_relays_boot_status_and_control():
     assert node_id in statuses
     assert not running
     assert relayed[0] > 0 and relayed[1] > 0
+
+
+@pytest.mark.parametrize("transport", ["tcp", "loopback"])
+def test_a_node_holds_the_same_tasks_whatever_its_link_count(transport):
+    """Link ends are callbacks on the transport: 0, 1 or 4 live links
+    (data flowing on each) leave a node with the same named tasks."""
+
+    async def census(links: int) -> set[str]:
+        from repro.net.virtual import VirtualHost
+
+        host = VirtualHost() if transport == "loopback" else None
+        config = NetEngineConfig(report_interval=0.05)
+        if host is None:
+            hub, *peers = await start_engines(*[(SinkAlgorithm(), config) for _ in range(links + 1)])
+        else:
+            hub, *peers = [host.add_node(SinkAlgorithm(), config=config) for _ in range(links + 1)]
+            await host.start()
+        try:
+            for peer in peers:
+                assert await hub.connect(peer.node_id)
+                hub.send(Message(MsgType.DATA, hub.node_id, 1, b"x"), peer.node_id)
+            await asyncio.sleep(0.1)
+            assert all(peer.algorithm.received == 1 for peer in peers)
+            return {name.split("/", 1)[1] for name in (t.get_name() for t in hub._tasks)}
+        finally:
+            for engine in (hub, *peers):
+                await engine.stop()
+
+    async def scenario():
+        return [await census(links) for links in (0, 1, 4)]
+
+    counts = run(scenario())
+    assert counts[0] == counts[1] == counts[2] == {"engine", "report"}

@@ -1,10 +1,11 @@
-"""Burst-native link I/O: one parser for every chunking, one read and one
-write per wakeup, and no frame lost uncounted when a link goes mid-burst.
+"""Burst-native link I/O: one parser for every chunking, one push per
+received chunk and one write per flush, and no frame lost uncounted when
+a link goes mid-burst.
 
 The frame sweep (:func:`repro.net.framing.parse_frames`) is shared by the
-framed TCP reader and the shm endpoint, so the same chunked streams are
-driven through all three: the bare assembler, a ``FramedReader`` over an
-``asyncio.StreamReader``, and a ``ShmEndpoint`` over real rings.
+TCP link protocol and the shm endpoint, so the same chunked streams are
+driven through all three: the bare assembler, a ``StreamLink`` over a real
+connection, and a ``ShmEndpoint`` over real rings.
 """
 
 import asyncio
@@ -21,17 +22,17 @@ from repro.errors import CodecError
 from repro.net.chaos import ChaosController
 from repro.net.engine import AsyncioEngine, NetEngineConfig
 from repro.net.framing import (
-    CHUNK,
     MAX_FRAME_PAYLOAD,
     FrameAssembler,
-    FramedReader,
+    StreamLink,
     hello_message,
     parse_frames,
     write_batch,
     write_message,
 )
 
-from tests.net.test_shm import endpoint_pair
+from tests.engine_suite.test_shared_semantics import SeqSink
+from tests.net.test_shm import RecordingEnd, endpoint_pair
 from tests.portalloc import next_addr
 
 SENDER = NodeId("127.0.0.1", 9999)
@@ -72,28 +73,31 @@ def through_assembler(chunks):
     return got, assembler.eof_error()
 
 
-def through_framed_reader(chunks):
+async def tcp_link():
+    """A ``StreamLink`` on the accepting side of a real connection, and
+    the dialing side's writer."""
+    accepted = asyncio.get_running_loop().create_future()
+    server = await asyncio.start_server(
+        lambda reader, writer: accepted.set_result((reader, writer)), "127.0.0.1", 0)
+    _, dialer = await asyncio.open_connection(*server.sockets[0].getsockname()[:2])
+    link = StreamLink(*await accepted)
+    server.close()
+    return link, dialer
+
+
+def through_stream_link(chunks):
     async def scenario():
-        stream = asyncio.StreamReader()
-        reader = FramedReader(stream)
-        got = []
-
-        async def consume():
-            while True:
-                got.append(await reader.recv_message())
-                got.extend(reader.drain_frames())
-
-        consumer = asyncio.ensure_future(consume())
+        link, dialer = await tcp_link()
+        end = RecordingEnd()
+        link.attach(end)
         for chunk in chunks:
-            stream.feed_data(chunk)
-            await asyncio.sleep(0)  # the consumer takes it before the next one
-            if consumer.done():
+            link.data_received(chunk)  # each chunk as the transport hands it over
+            if end.lost is not None:
                 break
-        stream.feed_eof()
-        try:
-            await asyncio.wait_for(consumer, timeout=2.0)
-        except (CodecError, asyncio.IncompleteReadError) as exc:
-            return got, exc
+        link.connection_lost(None)  # the stream ends
+        link.close()
+        dialer.close()
+        return end.frames, end.lost
 
     return run(scenario())
 
@@ -101,24 +105,23 @@ def through_framed_reader(chunks):
 def through_shm(chunks):
     async def scenario():
         a, b = await endpoint_pair()
-        got = []
-        try:
-            for chunk in chunks:
-                assert a._out.write_some(memoryview(chunk)) == len(chunk)
-                got += b.drain_frames()  # one synchronous sweep per chunk
-            a.close()
-            await asyncio.wait_for(b.recv_message(), timeout=2.0)
-        except (CodecError, asyncio.IncompleteReadError) as exc:
-            return got, exc
-        finally:
-            a.close()
-            b.close()
+        end = RecordingEnd()
+        b.attach(end)
+        for chunk in chunks:
+            assert a._out.write_some(memoryview(chunk)) == len(chunk)
+            b._rung()  # one doorbell: one sweep of the ring into the end
+            if end.lost is not None:
+                break
+        a.close()
+        await end.wait(lambda e: e.lost is not None)
+        b.close()
+        return end.frames, end.lost
 
     return run(scenario())
 
 
 TRANSPORTS = pytest.mark.parametrize(
-    "through", [through_assembler, through_framed_reader, through_shm])
+    "through", [through_assembler, through_stream_link, through_shm])
 
 payload_lists = st.lists(st.binary(max_size=200), min_size=1, max_size=10)
 
@@ -187,36 +190,23 @@ def test_parse_frames_reports_what_it_consumed():
 # --- wakeups and copies --------------------------------------------------------
 
 
-class SpyStream(asyncio.StreamReader):
-    """Records every ``read`` and the object it returned."""
-
-    def __init__(self):
-        super().__init__()
-        self.reads = []
-
-    async def read(self, n=-1):
-        data = await super().read(n)
-        self.reads.append((n, data))
-        return data
-
-
 def test_a_burst_costs_one_read_and_a_single_frame_no_copy():
     async def scenario():
-        stream = SpyStream()
-        reader = FramedReader(stream)
+        link, dialer = await tcp_link()
+        end = RecordingEnd()
+        link.attach(end)
         burst = [frame(seq, b"p" * 100) for seq in range(9)]
-        stream.feed_data(b"".join(burst))
-        got = [await reader.recv_message(), *reader.drain_frames()]
-        assert [msg._raw for msg in got] == burst
-        assert [n for n, _ in stream.reads] == [CHUNK]  # nine frames, one await
+        link.data_received(b"".join(burst))  # nine frames, one push
+        assert [[msg._raw for msg in pushed] for pushed in end.bursts] == [burst]
 
-        # a paced single frame: one await, and the message keeps the very
-        # bytes object the stream handed over
-        stream.feed_data(frame(9, b"q" * 100))
-        msg = await reader.recv_message()
-        assert reader.drain_frames() == []
-        assert len(stream.reads) == 2
-        assert msg._raw is stream.reads[1][1]
+        # a paced single frame: one push, and the message keeps the very
+        # bytes object the transport handed over
+        single = frame(9, b"q" * 100)
+        link.data_received(single)
+        assert len(end.bursts) == 2 and len(end.bursts[1]) == 1
+        assert end.bursts[1][0]._raw is single
+        link.close()
+        dialer.close()
 
     run(scenario())
 
@@ -226,65 +216,67 @@ class CountingController(ChaosController):
 
     def __init__(self):
         super().__init__()
-        self.writers = {}
-        self.readers = {}
+        self.links = {}
 
-    def wrap(self, local, remote, reader, writer):
-        reader, writer = super().wrap(local, remote, reader, writer)
-        writer = self.writers[(local, remote)] = _CountingWriter(writer)
-        reader = self.readers[(local, remote)] = _CountingReader(reader)
-        return reader, writer
+    def wrap(self, local, remote, link):
+        counting = self.links[(local, remote)] = _CountingLink(super().wrap(local, remote, link))
+        return counting
 
 
-class _CountingWriter:
-    def __init__(self, writer):
-        self._writer = writer
-        self.flushes = []  # per drain(): the transport calls made since the last
+class _CountingLink:
+    """Counts the writes per ``flush`` and the pushes to the link's end."""
+
+    def __init__(self, link):
+        self._link = link
+        self._end = None
+        self.flushes = []  # per flush(): the transport calls made since the last
         self._calls = []
+        self.pushes = 0
+
+    def attach(self, end):
+        self._end = end
+        self._link.attach(self)
+
+    def on_frames(self, frames):
+        self.pushes += 1
+        self._end.on_frames(frames)
+
+    def on_lost(self, exc):
+        self._end.on_lost(exc)
+
+    def on_writable(self):
+        self._end.on_writable()
 
     def write(self, data):
         self._calls.append(("write", 1))
-        self._writer.write(data)
+        self._link.write(data)
 
     def writelines(self, parts):
         self._calls.append(("writelines", len(parts)))
-        self._writer.writelines(parts)
+        self._link.writelines(parts)
 
-    async def drain(self):
+    def flush(self):
         if self._calls:
             self.flushes.append(self._calls)
             self._calls = []
-        await self._writer.drain()
+        return self._link.flush()
 
     def __getattr__(self, name):
-        return getattr(self._writer, name)
-
-
-class _CountingReader:
-    def __init__(self, reader):
-        self._reader = reader
-        self.reads = 0
-
-    async def read(self, n=-1):
-        data = await self._reader.read(n)
-        if data:
-            self.reads += 1
-        return data
+        return getattr(self._link, name)
 
 
 TICKS, BURST = 20, 6
 
 
 def test_two_node_chain_one_write_per_flush_one_read_per_burst(monkeypatch):
-    bursts = []
-    drain_frames = FramedReader.drain_frames
+    reads = []
+    data_received = StreamLink.data_received
 
-    def counting_drain_frames(self):
-        frames = drain_frames(self)
-        bursts.append(1 + len(frames))
-        return frames
+    def counting_data_received(self, data):
+        reads.append(len(data))
+        data_received(self, data)
 
-    monkeypatch.setattr(FramedReader, "drain_frames", counting_drain_frames)
+    monkeypatch.setattr(StreamLink, "data_received", counting_data_received)
 
     async def scenario():
         chaos = CountingController()
@@ -301,13 +293,13 @@ def test_two_node_chain_one_write_per_flush_one_read_per_burst(monkeypatch):
             if sink_alg.received == TICKS * BURST:
                 break
             await asyncio.sleep(0.02)
-        writer = chaos.writers[(src.node_id, sink.node_id)]
-        reader = chaos.readers[(sink.node_id, src.node_id)]
+        sent = chaos.links[(src.node_id, sink.node_id)]
+        taken = chaos.links[(sink.node_id, src.node_id)]
         await src.stop()
         await sink.stop()
-        return sink_alg.received, writer.flushes, reader.reads
+        return sink_alg.received, sent.flushes, taken.pushes
 
-    received, flushes, reads = run(scenario())
+    received, flushes, pushes = run(scenario())
     assert received == TICKS * BURST
     multi = [calls for calls in flushes if calls[0][0] == "writelines"]
     # every multi-frame flush reached the transport as ONE call ...
@@ -315,9 +307,9 @@ def test_two_node_chain_one_write_per_flush_one_read_per_burst(monkeypatch):
     # ... and a lone frame keeps the per-message path (header + payload)
     assert all(calls in ([("write", 1)], [("write", 1)] * 2)
                for calls in flushes if calls[0][0] == "write")
-    # 16-byte payloads: every read carries whole frames, so one read per burst
-    assert sum(bursts) == received
-    assert reads == len(bursts) < received
+    # 16-byte payloads: every read carries whole frames, so each
+    # data_received is one push of a whole burst
+    assert len(reads) == pushes < received
 
 
 def test_write_batch_hands_the_transport_one_call():
@@ -343,7 +335,8 @@ def test_write_batch_hands_the_transport_one_call():
 
 
 def test_frames_in_hand_are_counted_when_the_upstream_is_dropped_mid_burst():
-    """emitted = delivered + lost_messages, with the receiver parked mid-burst."""
+    """emitted = delivered + lost_messages, with the receiving end holding
+    the rest of a burst its full port buffer could not take."""
 
     async def scenario():
         sink_alg = SinkAlgorithm()
@@ -361,15 +354,15 @@ def test_frames_in_hand_are_counted_when_the_upstream_is_dropped_mid_burst():
             Message(MsgType.DATA, peer_id, 1, b"x" * 32, seq=seq).pack() for seq in range(emitted)
         ))
         await writer.drain()
-        for _ in range(200):  # until the receiver is parked on a full buffer
+        for _ in range(200):  # until the receiving end holds frames on a full buffer
             ports = sink._scheduler.ports
             if sink_alg.received >= 3 and ports and len(ports[0].buffer) == 4:
                 break
             await asyncio.sleep(0.01)
         port = sink._scheduler.ports[0]
         assert len(port.buffer) == 4 and sink_alg.received < emitted - 4
-        sink._drop_upstream(peer_id, notify="up")
-        await asyncio.sleep(0.05)  # the cancelled receiver unwinds and counts
+        assert sink._peers[peer_id].held  # the rest of the burst, in hand
+        sink._drop_upstream(peer_id, notify="up")  # counts buffer and hand at once
         lost = sink._lost_messages
         writer.close()
         await sink.stop()
@@ -379,3 +372,31 @@ def test_frames_in_hand_are_counted_when_the_upstream_is_dropped_mid_burst():
     assert 3 <= delivered < emitted
     assert emitted == delivered + lost
     assert link_lost == lost  # each counted once, on the link and on the node
+
+
+# --- the hand-off behind the HELLO ----------------------------------------------
+
+
+def test_a_burst_written_with_the_hello_arrives_whole_and_in_order():
+    """The HELLO is read through a stream, the link then runs on its own
+    protocol: bytes already buffered behind the HELLO are carried over,
+    not lost or reordered."""
+
+    async def scenario():
+        sink_alg = SeqSink()
+        sink = AsyncioEngine(next_addr(), sink_alg)
+        await sink.start()
+        peer_id = next_addr()
+        _, writer = await asyncio.open_connection(sink.node_id.ip, sink.node_id.port)
+        burst = [Message(MsgType.DATA, peer_id, 1, b"h" * 64, seq=seq).pack() for seq in range(20)]
+        writer.write(hello_message(peer_id).pack() + b"".join(burst))  # one segment
+        await writer.drain()
+        for _ in range(200):
+            if sink_alg.received == 20:
+                break
+            await asyncio.sleep(0.01)
+        writer.close()
+        await sink.stop()
+        return sink_alg.seqs
+
+    assert run(scenario()) == list(range(20))

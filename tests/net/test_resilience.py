@@ -178,7 +178,7 @@ def test_task_set_holds_only_unfinished_tasks():
         for engine in (a, b):
             tasks = await settled_tasks(engine)
             assert all(not task.done() for task in tasks)
-            assert len(tasks) == baseline + 2  # one sender, one receiver
+            assert len(tasks) == baseline  # a link adds callbacks, not tasks
         for engine in (a, b):
             await engine.stop()
             assert engine._tasks == {} and engine._dialing == {}

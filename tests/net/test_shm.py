@@ -4,9 +4,10 @@ Three layers are pinned down separately:
 
 - :class:`RingBuffer` byte mechanics — wrap-around copies, full-ring
   back pressure, attach-by-name sharing;
-- :class:`ShmEndpoint` framing — batched flushes preserve order and
-  bytes, messages larger than the free ring cross it in pieces, socket
-  EOF surfaces exactly like a dead TCP peer, teardown unlinks segments;
+- :class:`ShmEndpoint` on the push surface — batched flushes preserve
+  order and bytes, traffic larger than the ring crosses it with the
+  producer parked and woken by the doorbell, socket EOF reaches the
+  attached end exactly like a dead TCP peer, teardown unlinks segments;
 - negotiation — two live engines on one machine converge on shm links
   (and report them in ``transport_mix``), while a disabled acceptor or
   a foreign boot cookie degrades the very same dial to plain TCP.
@@ -24,6 +25,7 @@ from repro.core.msgtypes import MsgType
 from repro.net.engine import AsyncioEngine, NetEngineConfig
 from repro.net.framing import MAX_FRAME_PAYLOAD, read_message, write_message
 from repro.net.shm import (
+    PARK_POLL,
     RingBuffer,
     ShmEndpoint,
     accept_shm,
@@ -85,6 +87,34 @@ class TestRingBuffer:
             RingBuffer.attach(name)
 
 
+class RecordingEnd:
+    """A link's end that records what the endpoint pushes to it."""
+
+    def __init__(self):
+        self.bursts = []
+        self.lost = None
+        self.woken = asyncio.Event()  # set by every on_writable
+
+    def on_frames(self, frames):
+        self.bursts.append(frames)
+
+    def on_lost(self, exc):
+        self.lost = exc
+
+    def on_writable(self):
+        self.woken.set()
+
+    @property
+    def frames(self):
+        return [msg for burst in self.bursts for msg in burst]
+
+    async def wait(self, predicate, timeout=2.0):
+        deadline = asyncio.get_running_loop().time() + timeout
+        while not predicate(self):
+            assert asyncio.get_running_loop().time() < deadline, "the end was never pushed"
+            await asyncio.sleep(0.002)
+
+
 async def endpoint_pair(ring_bytes=1 << 16):
     """Two connected ShmEndpoints over real rings + a real socket pair."""
     accepted = asyncio.get_running_loop().create_future()
@@ -111,14 +141,16 @@ class TestShmEndpoint:
     def test_batched_frames_preserve_order_and_bytes(self):
         async def scenario():
             a, b = await endpoint_pair()
+            end = RecordingEnd()
+            b.attach(end)
             sent = [data_msg(i, bytes([i % 251]) * (i * 7 % 400)) for i in range(100)]
             for msg in sent:  # one flush for the whole batch
                 a.send_message(msg)
-            await a.drain()
-            got = [await b.recv_message() for _ in range(100)]
+            assert a.flush()
+            await end.wait(lambda e: len(e.frames) == 100)
             a.close()
             b.close()
-            return sent, got
+            return sent, end.frames
 
         sent, got = run(scenario())
         assert [m.seq for m in got] == [m.seq for m in sent]
@@ -130,23 +162,24 @@ class TestShmEndpoint:
             # 4 KiB rings, ~200 KiB of frames: the producer must park on
             # a full ring and resume as the consumer reclaims space.
             a, b = await endpoint_pair(ring_bytes=4096)
-            n, received = 100, []
-
-            async def producer():
-                for i in range(n):
-                    a.send_message(data_msg(i, b"z" * 2000))
-                    await a.drain()
-
-            async def consumer():
-                for _ in range(n):
-                    received.append(await b.recv_message())
-
-            await asyncio.gather(producer(), consumer())
+            sender, receiver = RecordingEnd(), RecordingEnd()
+            a.attach(sender)
+            b.attach(receiver)
+            n, parked = 100, 0
+            for i in range(n):
+                a.send_message(data_msg(i, b"z" * 2000))
+                sender.woken.clear()
+                while not a.flush():  # ring full: the doorbell brings on_writable
+                    parked += 1
+                    await asyncio.wait_for(sender.woken.wait(), timeout=2.0)
+                    sender.woken.clear()
+            await receiver.wait(lambda e: len(e.frames) == n)
             a.close()
             b.close()
-            return received
+            return receiver.frames, parked
 
-        received = run(scenario())
+        received, parked = run(scenario())
+        assert parked > 0
         assert [m.seq for m in received] == list(range(100))
         assert all(m.payload == b"z" * 2000 for m in received)
 
@@ -154,16 +187,18 @@ class TestShmEndpoint:
         async def scenario():
             a, b = await endpoint_pair()
             a.send_message(data_msg(0, b"last words"))
-            await a.drain()
+            assert a.flush()
             a.close()  # socket FIN + producer_closed flag
-            final = await b.recv_message()  # published data still readable
-            with pytest.raises(asyncio.IncompleteReadError):
-                await b.recv_message()
+            end = RecordingEnd()
+            b.attach(end)
+            await end.wait(lambda e: e.lost is not None)
             b.close()
-            return final
+            return end.frames, end.lost
 
-        final = run(scenario())
-        assert final.payload == b"last words"
+        frames, lost = run(scenario())
+        # published data is handed over first, then the socket's EOF
+        assert [msg.payload for msg in frames] == [b"last words"]
+        assert isinstance(lost, asyncio.IncompleteReadError)
 
     def test_send_after_close_raises_connection_reset(self):
         async def scenario():
@@ -176,28 +211,30 @@ class TestShmEndpoint:
         run(scenario())
 
     def test_close_while_parked_lets_the_cancel_through(self):
-        """``close()`` releases the ring memory; a reader or writer parked
-        at that moment and then cancelled (how the engine tears a peer
-        down) must end as cancelled, not trip over the released ring
-        while clearing its park flag."""
+        """``close()`` releases the ring memory; an end attached at that
+        moment, its consumer parked on an empty ring and its producer on a
+        full one (how the engine tears a peer down), is pushed nothing
+        more, and neither the doorbell listener nor the poll trips over
+        the released ring."""
 
         async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(lambda _, ctx: errors.append(ctx))
             a, b = await endpoint_pair(ring_bytes=4096)
-            reader = asyncio.ensure_future(a.recv_message())  # nothing to read
+            end = RecordingEnd()
+            a.attach(end)  # nothing to read
             for i in range(4):  # twice the ring, nobody consuming
                 a.send_message(data_msg(i, b"z" * 2000))
-            writer = asyncio.ensure_future(a.drain())
-            await asyncio.sleep(0.05)
-            assert not reader.done() and not writer.done()  # both parked
+            assert not a.flush()  # parked on the full ring
+            await asyncio.sleep(0.01)
             a.close()
-            reader.cancel()
-            writer.cancel()
-            outcomes = await asyncio.gather(reader, writer, return_exceptions=True)
             b.close()
-            return outcomes
+            await asyncio.sleep(2 * PARK_POLL)  # a poll period and the socket EOF pass
+            return end, errors
 
-        outcomes = run(scenario())
-        assert [type(o) for o in outcomes] == [asyncio.CancelledError] * 2, outcomes
+        end, errors = run(scenario())
+        assert errors == []
+        assert end.bursts == [] and end.lost is None and not end.woken.is_set()
 
     def test_owner_close_unlinks_both_segments(self):
         async def scenario():
@@ -337,3 +374,25 @@ class TestNegotiation:
         endpoint, ack = run(scenario())
         assert endpoint is None
         assert ack.fields()["ok"] is False
+
+    def test_a_burst_larger_than_the_ring_arrives_whole_with_nothing_after_it(self):
+        """The last flush parks on a full ring with nothing staged behind
+        it: the doorbell alone must bring the rest of it across."""
+
+        async def scenario():
+            dst_alg = SinkAlgorithm()
+            src = await start_engine(SinkAlgorithm(), 4096)
+            dst = await start_engine(dst_alg, 4096)
+            assert await src.connect(dst.node_id)
+            for seq in range(50):
+                src.send(data_msg(seq, b"r" * 2000), dst.node_id)
+            for _ in range(200):
+                if dst_alg.received == 50:
+                    break
+                await asyncio.sleep(0.01)
+            mix = src.transport_mix()
+            await src.stop()
+            await dst.stop()
+            return mix, dst_alg.received
+
+        assert run(scenario()) == ({"shm": 1}, 50)

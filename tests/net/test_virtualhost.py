@@ -24,6 +24,8 @@ from repro.net.engine import NetEngineConfig
 from repro.net.observer_server import ObserverServer
 from repro.net.virtual import VirtualHost, loopback_pair
 
+from tests.net.test_shm import RecordingEnd
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -32,23 +34,31 @@ def run(coro):
 def test_loopback_pair_passes_messages_by_reference():
     async def scenario():
         a, b = loopback_pair()
+        end = RecordingEnd()
+        a.attach(RecordingEnd())
+        b.attach(end)
         msg = Message(MsgType.DATA, NodeId("10.0.0.1", 9), 1, b"x" * 100, seq=3)
         a.send_message(msg)
-        await a.drain()
-        received = await b.recv_message()
-        return msg is received  # zero-copy: the very same object
+        assert a.flush()
+        await asyncio.sleep(0)  # the delivery is one scheduled callback
+        return end.bursts, msg
 
-    assert run(scenario())
+    bursts, msg = run(scenario())
+    assert len(bursts) == 1 and bursts[0][0] is msg  # zero-copy: the very same object
 
 
 def test_loopback_close_raises_socket_like_errors():
     async def scenario():
         a, b = loopback_pair()
+        end = RecordingEnd()
+        b.attach(end)
         a.close()
-        with pytest.raises(asyncio.IncompleteReadError):
-            await b.recv_message()
+        await asyncio.sleep(0)
+        assert isinstance(end.lost, asyncio.IncompleteReadError)
         with pytest.raises(ConnectionError):
             b.send_message(Message(MsgType.DATA, NodeId("10.0.0.1", 9), 1, b""))
+        with pytest.raises(ConnectionError):
+            b.flush()
         return True
 
     assert run(scenario())
@@ -57,18 +67,21 @@ def test_loopback_close_raises_socket_like_errors():
 def test_loopback_window_backpressure():
     async def scenario():
         a, b = loopback_pair(window=4)
+        sender, receiver = RecordingEnd(), RecordingEnd()
+        a.attach(sender)
+        b.attach(receiver)
+        b.pause_reading()  # the receiving end takes nothing for now
         msg = Message(MsgType.DATA, NodeId("10.0.0.1", 9), 1, b"p")
         for _ in range(4):
             a.send_message(msg)
-        drain = asyncio.ensure_future(a.drain())
+        blocked_while_full = not a.flush()
         await asyncio.sleep(0.01)
-        blocked_while_full = not drain.done()
-        for _ in range(4):
-            await b.recv_message()
-        await asyncio.wait_for(drain, timeout=1.0)
-        return blocked_while_full
+        still_blocked = not sender.woken.is_set() and receiver.bursts == []
+        b.resume_reading()  # the take reopens the window and wakes the sender
+        await asyncio.wait_for(sender.woken.wait(), timeout=1.0)
+        return blocked_while_full, still_blocked, len(receiver.frames)
 
-    assert run(scenario())
+    assert run(scenario()) == (True, True, 4)
 
 
 def test_three_node_chain_in_process():

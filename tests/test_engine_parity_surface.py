@@ -147,6 +147,8 @@ def test_backends_do_not_reimplement_core_methods():
         "_up_rate_reports", "_down_rate_reports", "_flush_round",
         "_credit_scale", "_rounds_per_wakeup", "_source_burst", "_source_pacing",
         "_on_engine_start", "_request_connect", "_yield_control",
+        # the per-link IO tasks both backends replaced with callbacks
+        "_sender_loop", "_receiver_loop",
     }
     for cls_name in BACKENDS:
         backend = _backend(cls_name)
