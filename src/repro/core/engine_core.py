@@ -161,6 +161,8 @@ class EngineCore(ABC):
         self._wake = new_event()
         self._send_space = new_event()
         self._running = False
+        #: the engine loop waits on ``_wake`` with nothing left to switch
+        self._parked = False
         #: outbound link table, in creation order
         self._out: dict[NodeId, OutLink] = {}
         #: every unfinished background task, in launch order
@@ -412,29 +414,42 @@ class EngineCore(ABC):
         port waits for (:meth:`_send_space_freed`), a link going away.
         So a pass that leaves the control port empty and the scheduler
         without work has nothing to re-look at, and a pass that moved
-        nothing can only be unblocked by one of those events.
+        nothing can only be unblocked by one of those events.  (A
+        receiver may instead run the passes itself while the loop is
+        parked: see :meth:`_passes`.)
         """
         self.algorithm.on_start()
+        while self._running:
+            if self._passes():
+                # No await happened since the state we just looked at, so
+                # clear-then-wait cannot lose a wake-up (cooperative tasks).
+                self._wake.clear()
+                self._parked = True
+                await self._wake.wait()
+                self._parked = False
+            else:
+                await self._sleep(0)  # let IO tasks breathe under load
+
+    def _passes(self) -> bool:
+        """One wake-up's passes; True once none is left (the loop may park).
+
+        Keeps switching while buffered work remains, up to
+        ``ROUNDS_PER_WAKEUP`` passes, so the senders flush the whole
+        sweep as one batch.  The engine loop runs them at every wake-up;
+        a backend may run them where work lands while the loop is
+        :attr:`_parked`, instead of waking it.
+        """
         control = self._control
         scheduler = self._scheduler
         budget = self.ROUNDS_PER_WAKEUP
-        while self._running:
+        while self._running and budget:
+            budget -= 1
             progressed = self._drain_control()
             if self._switch_round():
                 progressed = True
             if not progressed or (control.is_empty and not scheduler.has_work()):
-                # No await happened since the state we just looked at, so
-                # clear-then-wait cannot lose a wake-up (cooperative tasks).
-                self._wake.clear()
-                await self._wake.wait()
-            elif budget > 1:
-                # Keep switching while buffered work remains, then yield
-                # once: the senders flush the whole sweep as one batch.
-                budget -= 1
-                continue
-            else:
-                await self._sleep(0)  # let IO tasks breathe under load
-            budget = self.ROUNDS_PER_WAKEUP
+                return True
+        return False
 
     def _drain_control(self) -> bool:
         progressed = False
@@ -803,12 +818,16 @@ class EngineCore(ABC):
     def _task_done(self, name: str, task: Any) -> None:
         self._tasks.pop(task, None)
         exc = None if task.cancelled() else task.exception()
-        if exc is None:
-            return
-        # An exception escaped an Algorithm hook (or the engine itself):
-        # count and trace it, then fail the node loudly so neighbours see
-        # its links drop and the domino teardown runs.  (The DES kernel
-        # also re-raises it from ``run``.)
+        if exc is not None:
+            self._fail(name, exc)
+
+    def _fail(self, name: str, exc: BaseException) -> None:
+        """An exception escaped an Algorithm hook (or the engine itself).
+
+        Count and trace it, then fail the node loudly so neighbours see
+        its links drop and the domino teardown runs.  (The DES kernel
+        also re-raises it from ``run``.)
+        """
         logging.getLogger(__name__).error("%s: task %r failed", self._node_id, name, exc_info=exc)
         if self._ins is not None:
             self._ins.on_task_error(self.now(), name, exc)

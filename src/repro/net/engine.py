@@ -117,10 +117,13 @@ class _Peer:
     - the **receiving end** is pushed whole bursts (``on_frames``) and
       the end of the link (``on_lost``).  What the port buffer cannot
       take yet it keeps in hand, with reading paused, until the buffer's
-      space callback; the receive throttle pauses it on a timer.
-    - the **sending end** is a pump, run when its idle send queue gets a
-      message, when the transport takes more after pushing back
-      (``on_writable``), and by its throttle timer.
+      space callback; the receive throttle pauses it on a timer.  What
+      it placed is switched right there when the engine loop is parked
+      (:meth:`AsyncioEngine._land`).
+    - the **sending end** is a pump, run when the pass that gave its idle
+      send queue a message ends (:meth:`AsyncioEngine._flush_later`),
+      when the transport takes more after pushing back (``on_writable``),
+      and by its throttle timer.
 
     ``writer`` is the link endpoint — a :class:`StreamLink` over TCP, a
     loopback or a shm endpoint, or a chaos wrapper around the first.
@@ -149,7 +152,7 @@ class _Peer:
         self.held_bytes, self.data_only, self.reserved, self.paused = 0, True, 0, False
         self.state = _BUSY
         self.out.queue.on_size_change = self._on_size_change
-        self.loop.call_soon(self._pump)  # what was staged while dialing
+        engine._flush_later(self)  # what was staged while dialing
 
     # --- the receiving end --------------------------------------------------------
 
@@ -216,20 +219,21 @@ class _Peer:
                         engine._propagate_broken_source(msg, self.node)
                     engine._control.put_force(msg)
                 placed += 1
-        engine._wake.set()
         if placed == len(frames):
             self.held, self.reserved = [], 0
             if self.paused:
                 self.paused = False
                 self.writer.resume_reading()
-            return
-        # The port buffer is full: keep the rest in hand and stop reading
-        # until the engine frees a slot (where a parked put would wake).
-        self.held = frames[placed:]
-        self.held_bytes = sum(msg.size for msg in self.held)
-        self.reserved = max(0, self.reserved - placed)
-        self._pause()
-        buffer.on_space(partial(self.loop.call_soon, self._take))
+        else:
+            # The port buffer is full: keep the rest in hand and stop
+            # reading until the engine frees a slot (where a parked put
+            # would wake).
+            self.held = frames[placed:]
+            self.held_bytes = sum(msg.size for msg in self.held)
+            self.reserved = max(0, self.reserved - placed)
+            self._pause()
+            buffer.on_space(partial(self.loop.call_soon, self._take))
+        engine._land()
 
     def _pause(self) -> None:
         if not self.paused:
@@ -245,7 +249,7 @@ class _Peer:
     def _on_size_change(self, delta: int) -> None:
         if delta > 0 and self.state == _IDLE:
             self.state = _BUSY
-            self.loop.call_soon(self._pump)
+            self.engine._flush_later(self)
 
     def on_writable(self) -> None:
         """The transport's push: it takes more after pushing back."""
@@ -352,6 +356,10 @@ class AsyncioEngine(EngineCore):
         #: attached transports; a key of ``_out`` is here or in ``_dialing``
         self._peers: dict[NodeId, _Peer] = {}
         self._server: asyncio.AbstractServer | None = None
+        #: ends whose idle send queues got work, pumped together when the
+        #: pass that staged it ends (:meth:`_flush_later`)
+        self._flush_due: list[_Peer] = []
+        self._landing = False  # passes are running in a link end
 
         # resilience: one in-flight dial per destination, seeded backoff
         # policies, and the supervised observer uplink (bounded outbox).
@@ -429,6 +437,53 @@ class AsyncioEngine(EngineCore):
 
     def _call_later(self, delay: float, callback: Any, *args: Any) -> None:
         asyncio.get_running_loop().call_later(delay, callback, *args)
+
+    def _land(self) -> None:
+        """A receiving end placed work: switch it where it landed.
+
+        While the engine loop is parked and nothing has woken it, the
+        passes run right here, in the transport's callback, and every
+        link they made busy flushes when they end: a hop is one loop
+        iteration, not a receive, an engine wake-up and a pump run.
+        Otherwise a pass is already due, or running (this is a landing
+        inside one), and waking the loop is all it takes.
+        """
+        if not self._parked or self._wake.is_set():
+            self._wake.set()
+            return
+        self._parked = False
+        # What an earlier pass staged leaves first, so this pass finds
+        # the room it freed: a landing scheduled ahead of that flush
+        # would overflow the send queue into a pending forward.
+        self._flush()
+        self._landing = True
+        try:
+            done = self._passes()
+        except Exception as exc:  # an Algorithm hook raised: as if in the loop
+            done = True
+            self._fail(f"{self._node_id}/engine", exc)
+        finally:
+            self._parked, self._landing = True, False
+        self._flush()
+        if not done:
+            self._wake.set()  # a backlog past one wake-up's budget
+
+    def _flush_later(self, peer: _Peer) -> None:
+        """``peer``'s idle send queue got work: pump it when the pass ends.
+
+        A pass running in a link end flushes as it returns; any other
+        staging (the engine loop's passes, a source, a timer) is flushed
+        on the next loop iteration, every link of it in one callback.
+        """
+        due = self._flush_due
+        due.append(peer)
+        if len(due) == 1 and not self._landing:
+            peer.loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        due, self._flush_due = self._flush_due, []
+        for peer in due:
+            peer._pump()
 
     # ------------------------------------------------------------------- Transport
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+import threading
 from typing import Any
 
 from repro.core.ids import NodeId
@@ -148,17 +149,38 @@ class FrameAssembler:
         return asyncio.IncompleteReadError(tail[HEADER_SIZE:], payload_size)
 
 
-class StreamLink(asyncio.Protocol):
+#: bytes one read may take (asyncio's own ``recv`` size)
+READ_BYTES = 256 * 1024
+_reads = threading.local()
+
+
+def _read_buffer() -> memoryview:
+    """This thread's receive buffer, shared by its TCP data links.
+
+    A read lands here and is parsed at once: every frame is copied out
+    (``Message.unpack`` keeps only ``bytes``) and so is a partial tail,
+    so nothing refers to the buffer once the read is handled.  Reading
+    into it spares the 256 KiB ``bytes`` a plain ``recv`` allocates and
+    shrinks per read (an mmap round trip, most of a paced hop's read).
+    """
+    view = getattr(_reads, "view", None)
+    if view is None:
+        view = _reads.view = memoryview(bytearray(READ_BYTES))
+    return view
+
+
+class StreamLink(asyncio.BufferedProtocol):
     """A data link over a TCP connection whose handshake is done.
 
     Takes the transport over from the handshake's stream pair
     (``set_protocol``), carrying over whatever the ``StreamReader`` had
     already buffered behind the HELLO, so no byte is lost or reordered.
-    From then on every ``data_received`` is one ``FrameAssembler.feed``
-    and one ``on_frames`` push to the attached end; the end of the
-    connection, clean or mid-frame, is one ``on_lost``.  The write side
-    is the transport itself: ``pause_writing`` / ``resume_writing`` are
-    what ``flush`` reports and what wakes the end's pump.
+    From then on every read (into the thread's :func:`_read_buffer`) is
+    one ``data_received``: one ``FrameAssembler.feed`` and one
+    ``on_frames`` push to the attached end; the end of the connection,
+    clean or mid-frame, is one ``on_lost``.  The write side is the
+    transport itself: ``pause_writing`` / ``resume_writing`` are what
+    ``flush`` reports and what wakes the end's pump.
     """
 
     transport_kind = "tcp"
@@ -167,6 +189,7 @@ class StreamLink(asyncio.Protocol):
         # The StreamWriter stays referenced: its __del__ closes the transport.
         self._stream, transport = writer, writer.transport
         self.transport = transport
+        self._read = _read_buffer()
         # Writes go straight to the transport: a write on a lost
         # connection is dropped there, and the ``flush`` after it raises.
         self.write, self.writelines = transport.write, transport.writelines
@@ -186,7 +209,13 @@ class StreamLink(asyncio.Protocol):
 
     # --- the transport's callbacks (EOF closes it: connection_lost follows) -----
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._read[:nbytes])
+
+    def data_received(self, data: bytes | memoryview) -> None:
         try:
             frames = self._assembler.feed(data)
         except CodecError as exc:

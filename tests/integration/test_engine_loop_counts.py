@@ -11,9 +11,13 @@ a hop is one sender run, one latency timer and one engine wake-up
 
 The asyncio backend made the same move: over TCP, one message at a
 time, a hop cost 3.14 event-loop callbacks (``call_soon``) while each
-link had a receiver and a sender task; with the link ends as callbacks
-it is one pump run and one engine wake-up (2.14 on the 8-node chain,
-the rest is the waiting test).
+link had a receiver and a sender task, and 2.14 callbacks over 3.15
+loop iterations (the read, the engine wake-up, the pump run) once the
+link ends were callbacks.  Now a relay switches where the data lands
+and flushes when the pass ends: a hop is one loop iteration and no
+callback (1.29 iterations and 0.29 callbacks per hop on the 8-node
+chain; the rest is the source's flush and the waiting test's own
+wake-up, per message).
 """
 
 from __future__ import annotations
@@ -140,14 +144,14 @@ class SignallingSink(SinkAlgorithm):
         return super().on_data(msg)
 
 
-def test_asyncio_tcp_paced_hop_costs_at_most_2_2_loop_callbacks():
+def test_asyncio_tcp_paced_hop_is_one_loop_iteration():
     """The benchmark's ``paced_chain`` shape over real TCP: a message sent
-    one at a time costs, per hop, one run of the link's pump and one
-    engine wake-up, counted as ``call_soon`` calls on the event loop (the
-    benchmark wraps the same method)."""
+    one at a time is switched inside each relay's ``data_received`` and
+    written when that pass ends, so a hop costs one event-loop iteration
+    and no ``call_soon`` (the benchmark wraps the same method)."""
     paced = 200
 
-    async def scenario() -> tuple[int, int]:
+    async def scenario() -> tuple[int, int, int]:
         loop = asyncio.get_running_loop()
         algorithms = [CopyForwardAlgorithm() for _ in range(NODES - 1)] + [SignallingSink()]
         engines = [
@@ -163,15 +167,20 @@ def test_asyncio_tcp_paced_hop_costs_at_most_2_2_loop_callbacks():
             for upstream, downstream in zip(engines, engines[1:]):
                 assert await upstream.connect(downstream.node_id)
             await asyncio.sleep(0.05)  # NEW_UPSTREAM notices drained
-            source, sink, calls = engines[0], algorithms[-1], 0
-            call_soon = loop.call_soon
+            source, sink, calls, iterations = engines[0], algorithms[-1], 0, 0
+            call_soon, run_once = loop.call_soon, loop._run_once
 
             def counting(*args, **kwargs):
                 nonlocal calls
                 calls += 1
                 return call_soon(*args, **kwargs)
 
-            loop.call_soon = counting
+            def counting_iteration():
+                nonlocal iterations
+                iterations += 1
+                return run_once()
+
+            loop.call_soon, loop._run_once = counting, counting_iteration
             try:
                 for seq in range(paced):
                     sink.arrived = loop.create_future()
@@ -179,12 +188,15 @@ def test_asyncio_tcp_paced_hop_costs_at_most_2_2_loop_callbacks():
                     source.send(msg, engines[1].node_id)
                     await sink.arrived  # the next one leaves once this one is in
             finally:
-                del loop.call_soon
-            return calls, sink.received
+                del loop.call_soon, loop._run_once
+            return calls, iterations, sink.received
         finally:
             for engine in reversed(engines):
                 await engine.stop()
 
-    calls, received = asyncio.run(scenario())
+    calls, iterations, received = asyncio.run(scenario())
     assert received == paced
-    assert calls / (paced * (NODES - 1)) <= 2.2
+    hops = paced * (NODES - 1)
+    # per message: the source's flush and the test's wake-up (2 / 7)
+    assert calls / hops <= 0.5
+    assert iterations / hops <= 1.5

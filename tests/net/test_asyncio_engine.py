@@ -219,3 +219,85 @@ def test_a_node_holds_the_same_tasks_whatever_its_link_count(transport):
 
     counts = run(scenario())
     assert counts[0] == counts[1] == counts[2] == {"engine", "report"}
+
+
+async def _loopback_relay(capacity: int = 64):
+    """A -> B -> C on one VirtualHost, settled: B is parked with nothing to do."""
+    from repro.net.virtual import VirtualHost
+
+    host = VirtualHost()
+    config = NetEngineConfig(buffer_capacity=capacity, report_interval=1e9)
+    relay = CopyForwardAlgorithm()
+    a, b, c = (host.add_node(alg, config=config)
+               for alg in (CopyForwardAlgorithm(), relay, SinkAlgorithm()))
+    await host.start()
+    relay.set_downstreams([c.node_id])
+    await host.connect_chain()
+    await asyncio.sleep(0.05)  # NEW_UPSTREAM notices drained, the loops parked
+    assert b._parked and not b._wake.is_set()
+    return host, a, b, c
+
+
+def _burst(sender: AsyncioEngine, count: int, first: int = 0) -> list[Message]:
+    return [Message(MsgType.DATA, sender.node_id, 1, b"x", seq=first + i) for i in range(count)]
+
+
+def test_a_landing_is_switched_and_flushed_inside_the_push():
+    """With the engine loop parked, the pass runs in the transport's push
+    and the link it gave work leaves when it ends: by the time
+    ``on_frames`` returns the message is in the pipe to C, and the loop
+    was never woken."""
+
+    async def scenario():
+        host, a, b, c = await _loopback_relay()
+        try:
+            b._peers[a.node_id].on_frames(_burst(a, 3))
+            pipe = b._peers[c.node_id].writer._tx.items
+            landed = (b.algorithm.received, [msg.seq for msg in pipe],
+                      len(b._out[c.node_id].queue), b._parked, b._wake.is_set())
+            await asyncio.sleep(0.05)
+            return landed, c.algorithm.received
+        finally:
+            await host.stop()
+
+    landed, delivered = run(scenario())
+    assert landed == (3, [0, 1, 2], 0, True, False)
+    assert delivered == 3
+
+
+def test_a_landing_while_a_pass_is_due_only_wakes_the_loop():
+    async def scenario():
+        host, a, b, c = await _loopback_relay()
+        try:
+            b._wake.set()  # something else already woke the loop
+            b._peers[a.node_id].on_frames(_burst(a, 2))
+            waiting = (b.algorithm.received, len(b._peers[a.node_id].port.buffer))
+            await asyncio.sleep(0.05)
+            return waiting, c.algorithm.received
+        finally:
+            await host.stop()
+
+    waiting, delivered = run(scenario())
+    assert waiting == (0, 2)
+    assert delivered == 2
+
+
+def test_a_landing_pass_first_flushes_what_an_earlier_pass_staged():
+    """Staging outside a landing is flushed on the next loop iteration; a
+    landing ahead of that flush sends it first, so its own pass finds the
+    room instead of overflowing the send queue into a pending forward."""
+
+    async def scenario():
+        host, a, b, c = await _loopback_relay(capacity=4)
+        try:
+            for msg in _burst(b, 4):
+                b.send(msg, c.node_id)  # the send queue is full, its flush due
+            b._peers[a.node_id].on_frames(_burst(a, 4, first=4))
+            pipe = b._peers[c.node_id].writer._tx.items
+            return b._scheduler.pending_ports(), [msg.seq for msg in pipe]
+        finally:
+            await host.stop()
+
+    pending, order = run(scenario())
+    assert pending == 0
+    assert order == list(range(8))

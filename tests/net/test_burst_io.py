@@ -200,7 +200,8 @@ def test_a_burst_costs_one_read_and_a_single_frame_no_copy():
         assert [[msg._raw for msg in pushed] for pushed in end.bursts] == [burst]
 
         # a paced single frame: one push, and the message keeps the very
-        # bytes object the transport handed over
+        # bytes object handed to data_received (as the HELLO's leftovers
+        # are; a socket read lands in the shared buffer and is copied)
         single = frame(9, b"q" * 100)
         link.data_received(single)
         assert len(end.bursts) == 2 and len(end.bursts[1]) == 1
@@ -209,6 +210,35 @@ def test_a_burst_costs_one_read_and_a_single_frame_no_copy():
         dialer.close()
 
     run(scenario())
+
+
+def test_reads_share_one_buffer_and_every_frame_owns_its_bytes():
+    """Over a real socket every link reads into its thread's one buffer
+    (no 256 KiB ``bytes`` per read); what a read pushed, frames and a
+    partial tail alike, survives the reads that overwrite the buffer."""
+
+    async def scenario():
+        (link, dialer), (other, other_dialer) = await tcp_link(), await tcp_link()
+        end = RecordingEnd()
+        link.attach(end)
+        sent = [frame(seq, bytes([65 + seq]) * 3000) for seq in range(4)]  # 3024 bytes each
+        stream = b"".join(sent)
+        # cut mid-frame: each read completes 1, then 1, then 2 frames
+        for chunk, total in ((stream[:4000], 1), (stream[4000:9000], 2), (stream[9000:], 4)):
+            dialer.write(chunk)
+            for _ in range(400):
+                if len(end.frames) == total:
+                    break
+                await asyncio.sleep(0.005)
+        for closing in (link, other):
+            closing.close()
+        for closing in (dialer, other_dialer):
+            closing.close()
+        return link.get_buffer(-1) is other.get_buffer(-1), [msg._raw for msg in end.frames], sent
+
+    shared, received, sent = run(scenario())
+    assert shared
+    assert received == sent
 
 
 class CountingController(ChaosController):
