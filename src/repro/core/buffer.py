@@ -1,17 +1,23 @@
-"""Bounded circular FIFO used for receiver and sender buffers.
+"""Bounded FIFOs for receiver, sender and control buffers.
 
 The paper implements the shared buffers between receiver, engine and
 sender threads as thread-safe circular queues with a fixed capacity in
 *messages* (Section 2.2).  Buffer capacity is the lever behind the whole
 back-pressure story (Figs. 6 and 7), so capacity accounting must be
-exact.  Synchronization (blocking put/get) lives in the runtime layers
-(:mod:`repro.sim.sync`, asyncio queues); this class is the pure data
-structure both build on.
+exact.
+
+:class:`BoundedQueue` is the one buffer both engines build every port
+from.  It never blocks: the link ends are callbacks, so a producer that
+finds it full registers a one-shot :meth:`BoundedQueue.on_space`
+callback instead of parking a task.  :class:`CircularBuffer` is the
+plain fixed-size ring (``put``/``get`` raise instead of waiting) that
+unit tests and micro-benchmarks drive the switch with.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, TypeVar
+from collections import deque
+from typing import Callable, Generic, Iterator, TypeVar
 
 from repro.errors import BufferClosedError
 
@@ -23,8 +29,7 @@ class CircularBuffer(Generic[T]):
 
     Stores references only — never copies of items — mirroring the
     paper's zero-copy design.  ``put`` on a full buffer and ``get`` on an
-    empty buffer raise ``IndexError``; callers that need blocking
-    semantics wrap the buffer with runtime-specific synchronization.
+    empty buffer raise ``IndexError``.
     """
 
     __slots__ = ("_items", "_capacity", "_head", "_count", "_closed", "on_size_change")
@@ -132,3 +137,123 @@ class CircularBuffer(Generic[T]):
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return f"CircularBuffer({self._count}/{self._capacity}, {state})"
+
+
+class BoundedQueue(Generic[T]):
+    """The engines' message buffer: a deque bounded in messages.
+
+    ``capacity`` ``None`` is unbounded (the publicized control port).
+    ``put_force`` appends past the bound: control traffic must never
+    deadlock behind data back pressure (the paper keeps protocol
+    messages flowing via the publicized port), at the cost of letting
+    the queue exceed its nominal capacity by the (small) control volume.
+    Items still queued at ``close`` may be taken; only puts are refused.
+    """
+
+    __slots__ = ("_items", "_capacity", "_closed", "_space", "on_size_change")
+
+    def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+        self._items: deque[T] = deque()
+        self._capacity = capacity
+        self._closed = False
+        self._space: list[Callable[[], None]] = []
+        #: optional listener called with the size delta after every
+        #: mutation (see :class:`CircularBuffer`)
+        self.on_size_change = None
+
+    @property
+    def capacity(self) -> int | None:
+        """Nominal bound in items (None = unbounded)."""
+        return self._capacity
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    @property
+    def is_full(self) -> bool:
+        """True when at (or past, via put_force) the nominal bound."""
+        return self._capacity is not None and len(self._items) >= self._capacity
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._items
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def put_nowait(self, item: T) -> bool:
+        """Append ``item``; False when the queue is full."""
+        if self._closed:
+            raise BufferClosedError("put on closed queue")
+        if self.is_full:
+            return False
+        self._items.append(item)
+        if self.on_size_change is not None:
+            self.on_size_change(1)
+        return True
+
+    def put_many_nowait(self, items: list[T]) -> int:
+        """Append the leading ``items`` that fit; returns how many did.
+
+        One bulk append and one size report for a whole burst, so the
+        receiving end of a batched link pays no per-message bookkeeping.
+        """
+        if self._closed:
+            raise BufferClosedError("put on closed queue")
+        n = len(items)
+        if self._capacity is not None:
+            n = min(n, self._capacity - len(self._items))
+        if n <= 0:
+            return 0
+        self._items.extend(items if n == len(items) else items[:n])
+        if self.on_size_change is not None:
+            self.on_size_change(n)
+        return n
+
+    def put_force(self, item: T) -> None:
+        """Append past the capacity bound (small control traffic only)."""
+        if self._closed:
+            raise BufferClosedError("put on closed queue")
+        self._items.append(item)
+        if self.on_size_change is not None:
+            self.on_size_change(1)
+
+    def get_nowait(self) -> T:
+        """Remove the oldest item; ``IndexError`` when empty."""
+        if not self._items:
+            raise IndexError("queue empty")
+        item = self._items.popleft()
+        if self.on_size_change is not None:
+            self.on_size_change(-1)
+        if self._space:
+            self._fire_space()
+        return item
+
+    def drain(self) -> list[T]:
+        """Remove and return everything queued, oldest first."""
+        items = list(self._items)
+        self._items.clear()
+        if items and self.on_size_change is not None:
+            self.on_size_change(-len(items))
+        if self._space:
+            self._fire_space()
+        return items
+
+    def close(self) -> None:
+        """Refuse further puts; queued items may still be taken."""
+        if not self._closed:
+            self._closed = True
+            self._fire_space()
+
+    def on_space(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, when an item next leaves (``get_nowait``
+        or ``drain``) or the queue closes: where a blocked put would retry."""
+        self._space.append(callback)
+
+    def _fire_space(self) -> None:
+        space, self._space = self._space, []
+        for callback in space:
+            callback()

@@ -18,6 +18,10 @@ design.  :class:`EngineCore` owns
   the table — every failure, disconnect and shutdown path of both
   backends goes through them, so whatever a dying link still buffers is
   counted in ``lost_messages`` exactly once;
+- the **link-end ledger**: :meth:`EngineCore._place` puts what a
+  receiving end took off its link into the port buffer (or the control
+  port) and :meth:`EngineCore._sent` books what a sending end wrote, so
+  the per-hop accounting and telemetry are the same on every transport;
 - the **task set**: :meth:`EngineCore._launch` tracks every background
   task in a self-pruning set that shutdown cancels in one call.
 
@@ -40,12 +44,11 @@ points once, asserts the count, walks both backends' ASTs for
 core-owned methods, and fails if a backend creates a task anywhere but
 in ``_spawn``.
 
-Synchronization primitives are duck-typed rather than imported: the
-backend hands the constructor a queue factory and an event factory, and
-the core works against any bounded FIFO with the :class:`MessageQueue`
-surface and any level-triggered flag with the :class:`WakeEvent`
-surface (``SimQueue``/``SimEvent`` in the simulator,
-``AsyncBoundedQueue``/``asyncio.Event`` live).
+Every buffer is a :class:`~repro.core.buffer.BoundedQueue`, which never
+blocks, so it is the same on both backends.  The engine loop does park,
+so the backend hands the constructor an event factory: any
+level-triggered flag with the :class:`WakeEvent` surface (``SimEvent``
+in the simulator, ``asyncio.Event`` live).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from typing import Any, Callable, Coroutine, Iterable, Protocol
 
 from repro.core.algorithm import Algorithm, Disposition
 from repro.core.bandwidth import NodeThrottle
+from repro.core.buffer import BoundedQueue
 from repro.core.ids import CONTROL_APP, AppId, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType, is_engine_type
@@ -67,21 +71,6 @@ from repro.telemetry.tracing import EventType
 #: pause between emissions of a source that has no downstream link and
 #: a zero ``SOURCE_INTERVAL`` — nobody to talk to; do not spin
 IDLE_SOURCE_PACING = 0.01
-
-
-class MessageQueue(Protocol):
-    """The bounded-FIFO surface the core requires of every buffer."""
-
-    @property
-    def is_empty(self) -> bool: ...
-    @property
-    def closed(self) -> bool: ...
-    def __len__(self) -> int: ...
-    def put_nowait(self, item: Message) -> bool: ...
-    def put_force(self, item: Message) -> None: ...
-    def get_nowait(self) -> Message: ...
-    def drain(self) -> list[Message]: ...
-    def close(self) -> None: ...
 
 
 class WakeEvent(Protocol):
@@ -102,7 +91,7 @@ class OutLink:
 
     __slots__ = ("dest", "label", "queue", "stats")
 
-    def __init__(self, dest: NodeId, queue: MessageQueue) -> None:
+    def __init__(self, dest: NodeId, queue: BoundedQueue[Message]) -> None:
         self.dest = dest
         #: cached ``str(dest)`` for report keys and telemetry labels
         self.label = str(dest)
@@ -113,9 +102,9 @@ class OutLink:
 class EngineCore(ABC):
     """One overlay node's switching semantics, shared by every transport.
 
-    A backend constructs the core with factories for its own queue and
-    event types (whose blocking flavour matches the backend's
-    scheduler) and implements the abstract Clock/Transport methods.
+    A backend constructs the core with a factory for its event type
+    (whose blocking flavour matches the backend's scheduler) and
+    implements the abstract Clock/Transport methods.
     The core then runs the engine loop, the weighted-round-robin
     switch, pending-forward retries, engine-owned control handling,
     status reporting, source pacing, the link table with its teardown,
@@ -148,7 +137,6 @@ class EngineCore(ABC):
         node_id: NodeId,
         algorithm: Algorithm,
         config: Any,
-        new_queue: Callable[..., MessageQueue],
         new_event: Callable[[], WakeEvent],
     ) -> None:
         self._node_id = node_id
@@ -156,8 +144,7 @@ class EngineCore(ABC):
         self.config = config
         self.throttle = NodeThrottle(config.bandwidth)
         self._scheduler = SwitchScheduler()
-        self._new_queue = new_queue
-        self._control = new_queue()  # the publicized port (unbounded)
+        self._control: BoundedQueue[Message] = BoundedQueue()  # the publicized port
         self._wake = new_event()
         self._send_space = new_event()
         self._running = False
@@ -723,12 +710,12 @@ class EngineCore(ABC):
 
     def _add_downstream(self, dest: NodeId) -> OutLink:
         """Create the table entry (and bounded send queue) toward ``dest``."""
-        link = self._out[dest] = OutLink(dest, self._new_queue(self.config.buffer_capacity))
+        link = self._out[dest] = OutLink(dest, BoundedQueue(self.config.buffer_capacity))
         return link
 
     def _add_upstream(self, peer: NodeId, announce: bool = True) -> ReceiverPort:
         """Register the receiver port for a new inbound link."""
-        port = ReceiverPort(peer=peer, buffer=self._new_queue(self.config.buffer_capacity))
+        port = ReceiverPort(peer=peer, buffer=BoundedQueue(self.config.buffer_capacity))
         self._scheduler.add_port(port)
         if announce:
             self._enqueue_notification(Message.with_fields(
@@ -771,7 +758,7 @@ class EngineCore(ABC):
     def _send_space_freed(self) -> None:
         """A sender took messages off its queue: wake whoever waits for room.
 
-        Backends call this after every flush.  Sources parked on flow
+        :meth:`_sent` calls this after every flush.  Sources parked on flow
         control re-try; the engine is woken only if some port is blocked
         on a pending forward — nothing else in a pass depends on sender
         space, so any other wake-up would find no work.
@@ -801,6 +788,69 @@ class EngineCore(ABC):
             self._notify_broken_link(peer, notify)
             self._domino_upstream_lost(peer)
         self._wake.set()
+
+    # ------------------------------------------------------------------ link ends
+
+    def _place(self, port: ReceiverPort, msgs: list[Message]) -> int:
+        """Place a run a receiving end took off its link; returns how many fit.
+
+        Data goes into ``port``'s buffer until it is full, and the caller
+        keeps the rest in hand until the buffer's ``on_space``.  Control
+        always fits: it goes to the publicized port, and a BROKEN_SOURCE
+        first runs the domino.  Waking the engine is the caller's job.
+        """
+        buffer, ins, data = port.buffer, self._ins, MsgType.DATA
+        if ins is None:
+            nbytes = 0
+            for msg in msgs:
+                if msg._type != data:
+                    break
+                nbytes += msg.size
+            else:  # all data: one bulk append per buffer-space window
+                placed = buffer.put_many_nowait(msgs)
+                if placed:
+                    port.note_bytes(nbytes if placed == len(msgs)
+                                    else sum(msg.size for msg in msgs[:placed]))
+                return placed
+        placed = 0
+        for msg in msgs:
+            if msg._type == data:
+                if not buffer.put_nowait(msg):
+                    break
+                port.note_bytes(msg.size)
+                if ins is not None:
+                    now = self.now()
+                    ins.enqueued[port.label] += 1
+                    port.wait_times.append(now)
+                    msg._hop_t0 = now  # this hop's clock starts here
+                    if ins.tracer.enabled:
+                        ins.trace_msg(now, EventType.ENQUEUE, msg, port.label)
+            else:
+                if msg._type == MsgType.BROKEN_SOURCE:
+                    self._propagate_broken_source(msg, port.peer)
+                self._control.put_force(msg)
+            placed += 1
+        return placed
+
+    def _sent(self, out: OutLink, msgs: list[Message]) -> None:
+        """Book a run a sending end wrote to its link, then free its room."""
+        now = self.now()
+        nbytes = 0
+        for msg in msgs:
+            nbytes += msg.size
+        out.stats.throughput.record_bulk(nbytes, len(msgs), now)
+        ins = self._ins
+        if ins is not None:
+            label, data = out.label, MsgType.DATA
+            for msg in msgs:
+                if msg._type == data:
+                    ins.forwarded[label] += 1
+                    t0 = msg._hop_t0
+                    if t0 is not None:
+                        ins.observe_hop(now - t0 if now > t0 else 0.0)
+                    if ins.tracer.enabled:
+                        ins.trace_msg(now, EventType.FORWARD, msg, label)
+        self._send_space_freed()
 
     # ----------------------------------------------------------------------- tasks
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.buffer import CircularBuffer
+from repro.core.buffer import BoundedQueue
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.stats import LinkStats
@@ -58,10 +58,11 @@ def drop_dest(forwards: list[PendingForward], dest: NodeId) -> list[Message]:
 class ReceiverPort:
     """Engine-side state of one incoming connection.
 
-    ``buffer`` is any bounded FIFO exposing ``is_empty`` and ``__len__``;
-    the simulated engine uses a blocking :class:`~repro.sim.sync.SimQueue`
-    so that a full buffer parks the receiver task (back pressure), while
-    unit tests may use a plain :class:`CircularBuffer`.
+    ``buffer`` is any bounded FIFO exposing ``is_empty``, ``__len__``
+    and the ``on_size_change`` listener.  The engines build a
+    :class:`~repro.core.buffer.BoundedQueue`: a receiving end that finds
+    it full keeps the message in hand until its ``on_space`` (back
+    pressure); unit tests may use a plain ``CircularBuffer``.
 
     ``pending`` holds messages produced while processing this port's
     traffic that could not be fully forwarded (some sender buffers were
@@ -70,7 +71,7 @@ class ReceiverPort:
     """
 
     peer: NodeId
-    buffer: "CircularBuffer[Message]"
+    buffer: "BoundedQueue[Message]"
     weight: int = 1
     pending: list[PendingForward] = field(default_factory=list)
     #: back-reference set by :meth:`SwitchScheduler.add_port`; lets the
@@ -200,12 +201,6 @@ class SwitchScheduler:
         self._buffered = 0
         self._buffered_bytes = 0
         self._pending_ports = 0
-        #: ports whose buffer lacks the size-listener hook; while > 0 the
-        #: aggregate queries fall back to scanning
-        self._unhooked = 0
-        # Bind the listener once so attach/detach identity checks work
-        # (each attribute access would otherwise build a fresh bound method).
-        self._buffer_listener = self._on_buffer_delta
         #: cumulative credit epochs started (telemetry reads this)
         self.epochs = 0
 
@@ -226,17 +221,8 @@ class SwitchScheduler:
             self._pending_ports += 1
         else:
             port._pending_counted = False
-        # Bounded FIFOs in this repo (CircularBuffer, SimQueue,
-        # AsyncBoundedQueue) expose an on_size_change hook; anything else
-        # (e.g. a bare queue stub in a unit test) falls back to lazy
-        # counting.  Only hooked buffers feed ``_buffered`` — an unhooked
-        # buffer's mutations are invisible to the counter, so folding its
-        # current length in would leave a stale residue behind.
-        if hasattr(port.buffer, "on_size_change"):
-            port.buffer.on_size_change = self._buffer_listener
-            self._buffered += len(port.buffer)
-        else:
-            self._unhooked += 1
+        port.buffer.on_size_change = self._on_buffer_delta
+        self._buffered += len(port.buffer)
         # Byte accounting is explicit (note_bytes at the engine enqueue
         # and dequeue sites), so a port arriving with charged bytes just
         # folds them into the scheduler-wide gauge.
@@ -251,14 +237,10 @@ class SwitchScheduler:
                 self._pending_ports -= 1
                 port._pending_counted = False
             port.scheduler = None
-            # Mirror add_port: only a buffer still wired to our listener
-            # contributed to ``_buffered`` (and its current length is
-            # exact, since every mutation flowed through the hook).
-            if getattr(port.buffer, "on_size_change", None) is self._buffer_listener:
-                port.buffer.on_size_change = None
-                self._buffered -= len(port.buffer)
-            elif not hasattr(port.buffer, "on_size_change"):
-                self._unhooked -= 1
+            # Every mutation since add_port flowed through the listener,
+            # so the buffer's current length is exactly its share.
+            port.buffer.on_size_change = None
+            self._buffered -= len(port.buffer)
             self._buffered_bytes -= port.buffered_bytes
             # Drop the reused rotation list's references to the removed
             # port so a caller-held pass cannot see it after removal.
@@ -337,11 +319,7 @@ class SwitchScheduler:
 
     def has_work(self) -> bool:
         """True if any port has buffered or pending messages (O(1))."""
-        if self._buffered > 0 or self._pending_ports > 0:
-            return True
-        if self._unhooked:
-            return any(port.has_work() for port in self._seq)
-        return False
+        return self._buffered > 0 or self._pending_ports > 0
 
     def pending_ports(self) -> int:
         """Ports blocked on a pending forward (the exact tally, O(1)).
@@ -355,8 +333,6 @@ class SwitchScheduler:
 
     def total_buffered(self) -> int:
         """Total messages waiting across all receiver buffers (O(1))."""
-        if self._unhooked:
-            return sum(len(port.buffer) for port in self._seq)
         return self._buffered
 
     def total_buffered_bytes(self) -> int:

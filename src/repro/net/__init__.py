@@ -4,7 +4,6 @@ from repro.net.chaos import ChaosCluster, ChaosController
 from repro.net.engine import AsyncioEngine, NetEngineConfig
 from repro.net.observer_server import ObserverServer
 from repro.net.proxy import ObserverProxy
-from repro.net.queues import AsyncBoundedQueue
 from repro.net.resilience import (
     BackoffPolicy,
     LinkHealth,
@@ -13,7 +12,6 @@ from repro.net.resilience import (
 )
 
 __all__ = [
-    "AsyncBoundedQueue",
     "AsyncioEngine",
     "BackoffPolicy",
     "ChaosCluster",

@@ -57,7 +57,6 @@ from repro.net.framing import (  # noqa: F401 - read_/write_message: bench.trace
     write_message,
 )
 from repro.net.observer_link import ObserverUplink
-from repro.net.queues import AsyncBoundedQueue
 from repro.net.resilience import BackoffPolicy, LinkHealth, ResilienceConfig
 from repro.telemetry import Telemetry
 from repro.telemetry.tracing import EventType
@@ -115,15 +114,16 @@ class _Peer:
     link, so a node has the same few tasks whatever its link count:
 
     - the **receiving end** is pushed whole bursts (``on_frames``) and
-      the end of the link (``on_lost``).  What the port buffer cannot
-      take yet it keeps in hand, with reading paused, until the buffer's
-      space callback; the receive throttle pauses it on a timer.  What
-      it placed is switched right there when the engine loop is parked
+      the end of the link (``on_lost``), and places them with the core's
+      ``_place``.  What the port buffer cannot take yet it keeps in
+      hand, with reading paused, until the buffer's ``on_space``; the
+      receive throttle pauses it on a timer.  What it placed is switched
+      right there when the engine loop is parked
       (:meth:`AsyncioEngine._land`).
     - the **sending end** is a pump, run when the pass that gave its idle
       send queue a message ends (:meth:`AsyncioEngine._flush_later`),
       when the transport takes more after pushing back (``on_writable``),
-      and by its throttle timer.
+      and by its throttle timer; the core's ``_sent`` books each run.
 
     ``writer`` is the link endpoint — a :class:`StreamLink` over TCP, a
     loopback or a shm endpoint, or a chaos wrapper around the first.
@@ -133,8 +133,7 @@ class _Peer:
     """
 
     __slots__ = ("engine", "node", "writer", "port", "out", "loop", "last_recv_at",
-                 "health", "probe_deadline", "held", "held_bytes", "data_only",
-                 "reserved", "paused", "state", "unsent")
+                 "health", "probe_deadline", "held", "reserved", "paused", "state", "unsent")
 
     def __init__(self, engine: "AsyncioEngine", node: NodeId, writer: Any,
                  port: ReceiverPort) -> None:
@@ -149,7 +148,7 @@ class _Peer:
         #: past the receive throttle); ``unsent``: taken off the send queue,
         #: waiting out the send throttle (the head already reserved)
         self.held, self.unsent = [], []
-        self.held_bytes, self.data_only, self.reserved, self.paused = 0, True, 0, False
+        self.reserved, self.paused = 0, False
         self.state = _BUSY
         self.out.queue.on_size_change = self._on_size_change
         engine._flush_later(self)  # what was staged while dialing
@@ -163,19 +162,15 @@ class _Peer:
         self.last_recv_at = now = self.engine.now()
         if self.health != LinkHealth.LIVE:
             self.health, self.probe_deadline = LinkHealth.LIVE, None
-        nbytes, data_only, data_type = 0, True, MsgType.DATA
+        nbytes = 0
         for msg in frames:
             nbytes += msg.size
-            if msg._type != data_type:
-                data_only = False
         self.port.stats.throughput.record_bulk(nbytes, len(frames), now)
         if self.held:  # a burst is still in hand: this one queues behind it
             self.writer.pause_reading()  # and nothing more comes until it is placed
             self.held += frames
-            self.held_bytes += nbytes
-            self.data_only = self.data_only and data_only
             return
-        self.held, self.held_bytes, self.data_only = frames, nbytes, data_only
+        self.held = frames
         self._take()
 
     def _take(self) -> None:
@@ -193,32 +188,7 @@ class _Peer:
                 self._pause()
                 engine._call_later(delay, self._take)
                 return
-        port, buffer, ins = self.port, self.port.buffer, engine._ins
-        if self.data_only and ins is None:
-            # Pure data burst: one bulk append per buffer-space window
-            # instead of per-message queue bookkeeping.
-            placed = buffer.put_many_nowait(frames)
-            port.note_bytes(self.held_bytes if placed == len(frames)
-                            else sum(msg.size for msg in frames[:placed]))
-        else:
-            placed = 0
-            for msg in frames:
-                if msg._type == MsgType.DATA:
-                    if not buffer.put_nowait(msg):
-                        break
-                    port.note_bytes(msg.size)
-                    if ins is not None:
-                        now, label = engine.now(), port.label
-                        ins.enqueued[label] += 1
-                        port.wait_times.append(now)
-                        msg._hop_t0 = now  # this hop's clock starts here
-                        if ins.tracer.enabled:
-                            ins.trace_msg(now, EventType.ENQUEUE, msg, label)
-                else:
-                    if msg.type == MsgType.BROKEN_SOURCE:
-                        engine._propagate_broken_source(msg, self.node)
-                    engine._control.put_force(msg)
-                placed += 1
+        placed = engine._place(self.port, frames)
         if placed == len(frames):
             self.held, self.reserved = [], 0
             if self.paused:
@@ -226,13 +196,11 @@ class _Peer:
                 self.writer.resume_reading()
         else:
             # The port buffer is full: keep the rest in hand and stop
-            # reading until the engine frees a slot (where a parked put
-            # would wake).
+            # reading until the engine takes from it (its on_space).
             self.held = frames[placed:]
-            self.held_bytes = sum(msg.size for msg in self.held)
             self.reserved = max(0, self.reserved - placed)
             self._pause()
-            buffer.on_space(partial(self.loop.call_soon, self._take))
+            self.port.buffer.on_space(partial(self.loop.call_soon, self._take))
         engine._land()
 
     def _pause(self) -> None:
@@ -289,7 +257,7 @@ class _Peer:
                 if batch:
                     write_batch(writer, batch)
                     writable = writer.flush()
-                    self._sent(batch)
+                    engine._sent(self.out, batch)
                     batch = []
                 if self.unsent:
                     return  # the throttle timer runs the next pass
@@ -298,25 +266,6 @@ class _Peer:
             return
         # a throttled head the pushed-back transport could not take yet
         self.state, self.unsent = (_IDLE if writable else _BLOCKED), batch
-
-    def _sent(self, batch: list[Message]) -> None:
-        engine, nbytes = self.engine, 0
-        now = engine.now()
-        for msg in batch:
-            nbytes += msg.size
-        self.out.stats.throughput.record_bulk(nbytes, len(batch), now)
-        ins = engine._ins
-        if ins is not None:
-            label = self.port.label
-            for msg in batch:
-                if msg.type == MsgType.DATA:
-                    ins.forwarded[label] += 1
-                    t0 = msg._hop_t0
-                    if t0 is not None:
-                        ins.observe_hop(now - t0 if now > t0 else 0.0)
-                    if ins.tracer.enabled:
-                        ins.trace_msg(now, EventType.FORWARD, msg, label)
-        engine._send_space_freed()
 
     def close(self) -> None:
         """Detach from the transport and close it; what this end holds —
@@ -348,11 +297,7 @@ class AsyncioEngine(EngineCore):
         observer_addr: NodeId | None = None,
         config: NetEngineConfig | None = None,
     ) -> None:
-        super().__init__(
-            node_id, algorithm, config or NetEngineConfig(),
-            new_queue=AsyncBoundedQueue,
-            new_event=asyncio.Event,
-        )
+        super().__init__(node_id, algorithm, config or NetEngineConfig(), new_event=asyncio.Event)
         #: attached transports; a key of ``_out`` is here or in ``_dialing``
         self._peers: dict[NodeId, _Peer] = {}
         self._server: asyncio.AbstractServer | None = None

@@ -31,14 +31,12 @@ from repro.core.bandwidth import BandwidthSpec
 from repro.core.engine_core import EngineCore, OutLink
 from repro.core.ids import NodeId
 from repro.core.message import Message
-from repro.core.msgtypes import MsgType
 from repro.core.stats import LinkStats
 from repro.core.switch import ReceiverPort
 from repro.sim.kernel import Kernel, Task
 from repro.sim.link import SimLink
-from repro.sim.sync import SimEvent, SimQueue
+from repro.sim.sync import SimEvent
 from repro.telemetry import Telemetry
-from repro.telemetry.tracing import EventType
 
 
 class Fabric(Protocol):
@@ -97,7 +95,8 @@ class _SenderLink:
     It runs where the paper's sender thread would wake: a put into its
     idle send queue (through the queue's ``on_size_change``), its
     throttle timer, and a freed window slot — the last synchronously,
-    inside the receiving end's take.  ``in_flight_since`` is the virtual
+    inside the receiving end's take.  The core's ``_sent`` books each
+    message it puts on the wire.  ``in_flight_since`` is the virtual
     time the current delivery started (None when idle), which the
     watchdog reads to catch silently-stalled links.
     """
@@ -152,7 +151,7 @@ class _SenderLink:
             self.sent_at = engine.kernel.now  # the delivery starts now, not at insertion
             self.state = _BLOCKED
         else:
-            self._sent(engine.kernel.now)
+            self._push(engine.kernel.now)
             return True
         return False
 
@@ -162,7 +161,7 @@ class _SenderLink:
             return
         self.state = _BUSY
         if self.link.alive:
-            self._sent(self.sent_at)
+            self._push(self.sent_at)
             self._pump()
         else:
             self.engine.kernel.call_soon(self._fail)
@@ -171,21 +170,11 @@ class _SenderLink:
         if self.state != _CLOSED:
             self.engine._drop_downstream(self.out.dest, notify="down")
 
-    def _sent(self, sent_at: float) -> None:
-        engine, msg, out = self.engine, self.msg, self.out
+    def _push(self, sent_at: float) -> None:
+        msg = self.msg
         self.link.push(msg, sent_at)
         self.msg = self.in_flight_since = None
-        now = engine.kernel.now
-        out.stats.throughput.record(msg.size, now)
-        ins = engine._ins
-        if ins is not None and msg.type == MsgType.DATA:
-            ins.forwarded[out.label] += 1
-            t0 = msg._hop_t0
-            if t0 is not None:
-                ins.observe_hop(now - t0 if now > t0 else 0.0)
-            if ins.tracer.enabled:
-                ins.trace_msg(now, EventType.FORWARD, msg, out.label)
-        engine._send_space_freed()
+        self.engine._sent(self.out, [msg])
 
     def close(self) -> None:
         """The link left the table: break it; the message in hand is lost."""
@@ -202,8 +191,8 @@ class _ReceiverEnd:
 
     It takes the head of the window, waits out the propagation latency
     on one timer, applies the receive throttle and places the message
-    (parking on the port buffer's space callback while it is full), then
-    takes the next.
+    with the core's ``_place`` (waiting for the port buffer's
+    ``on_space`` while it is full), then takes the next.
     """
 
     __slots__ = ("engine", "link", "port", "state", "msg", "timer")
@@ -242,46 +231,31 @@ class _ReceiverEnd:
         engine = self.engine
         delay = engine.throttle.reserve_recv(self.msg.size, engine.kernel.now)
         if delay <= 0:
-            return self._place()
+            return self._admit()
         if engine._ins is not None:
             engine._ins.on_throttle_stall("down", delay)
-        self.timer = engine.kernel.call_later(delay, self._place)
+        self.timer = engine.kernel.call_later(delay, self._admit)
 
-    def _place(self) -> None:
-        engine, link, msg = self.engine, self.link, self.msg
+    def _admit(self) -> None:
+        engine, link = self.engine, self.link
         peer = link.src
         if engine._upstream_links.get(peer) is not link:
             # Torn down (a re-dial superseded this link) while the
             # message was in hand: it dies with the link, counted.
             return self._lose()
         now = engine.kernel.now
-        self.port.stats.throughput.record(msg.size, now)
+        self.port.stats.throughput.record(self.msg.size, now)
         engine._last_recv_at[peer] = now
-        if msg.type == MsgType.DATA:
-            return self._put()
-        if msg.type == MsgType.BROKEN_SOURCE:
-            engine._propagate_broken_source(msg, peer)
-        engine._control.put_force(msg)
-        self._placed()
+        self._put()
 
     def _put(self) -> None:
-        port, msg = self.port, self.msg
         if self.state == _CLOSED:  # a space callback that outlived the engine
             return
-        if port.buffer.closed:
+        buffer = self.port.buffer
+        if buffer.closed:
             return self._lose()
-        if port.buffer.is_full:
-            return port.buffer.on_space(partial(self.engine.kernel.call_soon, self._put))
-        port.buffer.put_nowait(msg)
-        port.note_bytes(msg.size)
-        ins = self.engine._ins
-        if ins is not None:
-            now = self.engine.kernel.now
-            ins.enqueued[port.label] += 1
-            port.wait_times.append(now)
-            msg._hop_t0 = now  # this hop's clock starts here
-            if ins.tracer.enabled:
-                ins.trace_msg(now, EventType.ENQUEUE, msg, port.label)
+        if not self.engine._place(self.port, [self.msg]):
+            return buffer.on_space(partial(self.engine.kernel.call_soon, self._put))
         self._placed()
 
     def _placed(self) -> None:
@@ -330,11 +304,7 @@ class SimEngine(EngineCore):
         self.kernel = kernel
         self._fabric = fabric
         config = config or EngineConfig()
-        super().__init__(
-            node_id, algorithm, config,
-            new_queue=partial(SimQueue, kernel),
-            new_event=partial(SimEvent, kernel),
-        )
+        super().__init__(node_id, algorithm, config, new_event=partial(SimEvent, kernel))
         self._senders: dict[NodeId, _SenderLink] = {}
         self._upstream_links: dict[NodeId, SimLink] = {}
         #: every live receiving end, superseded links' included

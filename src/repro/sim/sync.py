@@ -1,113 +1,45 @@
-"""Synchronization primitives for kernel tasks: queues and events.
+"""Blocking synchronization for kernel tasks: a queue and an event.
 
-These are the simulated counterparts of the paper's thread-safe circular
-queues and wait/signal relationships between receiver, engine and sender
-threads.  ``SimQueue.put`` on a full queue *blocks the calling task*,
-which is exactly the mechanism that turns bounded buffers into back
-pressure (Fig. 6b of the paper).
+The engines never block on a buffer: their link ends are callbacks on
+:class:`repro.core.buffer.BoundedQueue`.  ``SimQueue`` adds to that
+queue the task-parking ``put``/``get`` of the paper's thread-safe
+circular queues — a ``put`` on a full queue *blocks the calling task*,
+the mechanism that turns bounded buffers into back pressure (Fig. 6b) —
+for code that runs as kernel tasks (tests, micro-benchmarks).
 
-The implementation wakes **all** waiters whenever the queue state
-changes and lets each waiter re-check; a waiter whose task has been
-cancelled is then harmless (its future resolves into the void), which
-keeps node termination (the observer's ``terminate`` command) safe.
-A waiter is any zero-argument callable: a parked task's
-``future.set_result``, or a plain callback registered with
-:meth:`SimQueue.on_space` by code that waits without a task (the
-simulated links' receiving ends).
+A blocked task re-checks the queue whenever it is woken, so a waiter
+whose task has been cancelled is harmless (its future resolves into the
+void).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generic, TypeVar
+from typing import Callable, TypeVar
 
+from repro.core.buffer import BoundedQueue
 from repro.errors import BufferClosedError
 from repro.sim.kernel import Future, Kernel
 
 T = TypeVar("T")
 
 
-class SimQueue(Generic[T]):
-    """A bounded FIFO queue whose put/get block the calling task."""
+class SimQueue(BoundedQueue[T]):
+    """A :class:`BoundedQueue` whose ``put``/``get`` can park a kernel task."""
+
+    __slots__ = ("_kernel", "_getters")
 
     def __init__(self, kernel: Kernel, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+        super().__init__(capacity)
         self._kernel = kernel
-        self._capacity = capacity
-        self._items: deque[T] = deque()
         self._getters: deque[Callable[[], None]] = deque()
-        self._putters: deque[Callable[[], None]] = deque()
-        self._closed = False
-        #: optional listener called with the size delta after every
-        #: mutation (see :class:`repro.core.buffer.CircularBuffer`)
-        self.on_size_change = None
-
-    # --- introspection --------------------------------------------------------------
-
-    @property
-    def capacity(self) -> int | None:
-        return self._capacity
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_full(self) -> bool:
-        return self._capacity is not None and len(self._items) >= self._capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # --- operations -------------------------------------------------------------------
 
     async def put(self, item: T) -> None:
         """Append ``item``, blocking while the queue is full."""
-        while True:
-            if self._closed:
-                raise BufferClosedError("put on closed queue")
-            if not self.is_full:
-                self._items.append(item)
-                if self.on_size_change is not None:
-                    self.on_size_change(1)
-                self._wake(self._getters)
-                return
+        while not self.put_nowait(item):
             waiter = self._kernel.future()
-            self._putters.append(waiter.set_result)
+            self.on_space(waiter.set_result)
             await waiter
-
-    def put_nowait(self, item: T) -> bool:
-        """Append without blocking; returns False if the queue is full."""
-        if self._closed:
-            raise BufferClosedError("put on closed queue")
-        if self.is_full:
-            return False
-        self._items.append(item)
-        if self.on_size_change is not None:
-            self.on_size_change(1)
-        self._wake(self._getters)
-        return True
-
-    def put_force(self, item: T) -> None:
-        """Append even when full (used for small control messages).
-
-        Control traffic must never deadlock behind data back pressure
-        (the paper keeps protocol messages flowing via the publicized
-        port); forcing them past the capacity bound models that, at the
-        cost of letting the queue exceed its nominal capacity by the —
-        small — control volume.
-        """
-        if self._closed:
-            raise BufferClosedError("put on closed queue")
-        self._items.append(item)
-        if self.on_size_change is not None:
-            self.on_size_change(1)
-        self._wake(self._getters)
 
     async def get(self) -> T:
         """Remove and return the oldest item, blocking while empty.
@@ -116,42 +48,29 @@ class SimQueue(Generic[T]):
         only a ``get`` on an empty closed queue raises
         :class:`~repro.errors.BufferClosedError`.
         """
-        while True:
-            if self._items:
-                item = self._items.popleft()
-                if self.on_size_change is not None:
-                    self.on_size_change(-1)
-                self._wake(self._putters)
-                return item
+        while not self._items:
             if self._closed:
                 raise BufferClosedError("get on closed, drained queue")
             waiter = self._kernel.future()
             self._getters.append(waiter.set_result)
             await waiter
+        return self.get_nowait()
 
-    def get_nowait(self) -> T:
-        """Remove and return the oldest item; raises ``IndexError`` when empty."""
-        if not self._items:
-            raise IndexError("queue empty")
-        item = self._items.popleft()
-        if self.on_size_change is not None:
-            self.on_size_change(-1)
-        self._wake(self._putters)
-        return item
+    def put_nowait(self, item: T) -> bool:
+        if not BoundedQueue.put_nowait(self, item):
+            return False
+        self._wake_getters()
+        return True
 
-    def on_space(self, callback: Callable[[], None]) -> None:
-        """Call ``callback()`` once, where a parked ``put`` would be woken:
-        when an item leaves, or the queue drains or closes."""
-        self._putters.append(callback)
+    def put_many_nowait(self, items: list[T]) -> int:
+        n = BoundedQueue.put_many_nowait(self, items)
+        if n:
+            self._wake_getters()
+        return n
 
-    def drain(self) -> list[T]:
-        """Remove and return all queued items."""
-        items = list(self._items)
-        self._items.clear()
-        if items and self.on_size_change is not None:
-            self.on_size_change(-len(items))
-        self._wake(self._putters)
-        return items
+    def put_force(self, item: T) -> None:
+        BoundedQueue.put_force(self, item)
+        self._wake_getters()
 
     def close(self) -> None:
         """Refuse further puts and fail blocked waiters.
@@ -160,17 +79,13 @@ class SimQueue(Generic[T]):
         :class:`~repro.errors.BufferClosedError` — the simulated analogue
         of a socket operation failing on a torn-down connection.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._wake(self._getters)
-        self._wake(self._putters)
+        self._wake_getters()
+        BoundedQueue.close(self)
 
-    # --- internals ----------------------------------------------------------------------
-
-    def _wake(self, waiters: deque[Callable[[], None]]) -> None:
-        while waiters:
-            waiters.popleft()()
+    def _wake_getters(self) -> None:
+        getters = self._getters
+        while getters:
+            getters.popleft()()
 
 
 class SimEvent:

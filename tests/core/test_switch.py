@@ -181,58 +181,6 @@ def test_prune_resyncs_counters_after_direct_pending_append():
     assert not scheduler.has_work()
 
 
-class PlainBuffer:
-    """A FIFO without the on_size_change hook (the unhooked fallback)."""
-
-    def __init__(self):
-        self._items = []
-
-    def put(self, item):
-        self._items.append(item)
-
-    def get(self):
-        return self._items.pop(0)
-
-    @property
-    def is_empty(self):
-        return not self._items
-
-    def __len__(self):
-        return len(self._items)
-
-
-def test_unhooked_buffer_mutations_leave_no_residue_after_removal():
-    # Regression: an unhooked buffer's length was seeded into _buffered
-    # on add and its *current* length subtracted on remove, so any size
-    # change in between left permanent ghost work (or a negative count).
-    scheduler = SwitchScheduler()
-    port = ReceiverPort(peer=A, buffer=PlainBuffer())
-    port.buffer.put(object())
-    port.buffer.put(object())
-    scheduler.add_port(port)
-    assert scheduler.total_buffered() == 2  # scan fallback sees them
-    port.buffer.get()
-    port.buffer.get()  # drained while registered: no listener updates
-    assert scheduler.total_buffered() == 0
-    scheduler.remove_port(A)
-    assert scheduler.total_buffered() == 0
-    assert not scheduler.has_work()
-
-
-def test_unhooked_buffer_growth_cannot_go_negative_on_removal():
-    scheduler = SwitchScheduler()
-    hooked = make_port(A)
-    raw = ReceiverPort(peer=B, buffer=PlainBuffer())
-    scheduler.add_port(hooked)
-    scheduler.add_port(raw)
-    raw.buffer.put(object())  # grew while registered
-    scheduler.remove_port(B)
-    hooked.buffer.put(object())
-    # Back on the O(1) path: the hooked port's message must be visible.
-    assert scheduler.total_buffered() == 1
-    assert scheduler.has_work()
-
-
 def test_completed_forward_owes_no_work():
     port = make_port(A)
     forward = PendingForward(msg=object(), remaining=[B])

@@ -8,8 +8,9 @@ engine.  (Reading high costs one empty pass and is allowed — a forward
 completed in place stays counted until it is pruned.)
 
 The machine drives a scheduler through every mutation the core and the
-backends perform — ports come and go with hooked buffers of all three
-kinds or an unhooked one, possibly prefilled or already blocked;
+backends perform — ports come and go with either kind of buffer (the
+engines' ``BoundedQueue`` or a ``CircularBuffer`` ring), possibly
+prefilled or already blocked;
 buffers fill, drain and outlive their port; forwards are added, grow
 while their message is still being processed, complete in place, are
 retried, pruned, and lose dead destinations — and checks after every
@@ -26,12 +27,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core.buffer import CircularBuffer
+from repro.core.buffer import BoundedQueue, CircularBuffer
 from repro.core.ids import NodeId
 from repro.core.switch import PendingForward, ReceiverPort, SwitchScheduler
-from repro.net.queues import AsyncBoundedQueue
-from repro.sim.kernel import Kernel
-from repro.sim.sync import SimQueue
 
 PEERS = [NodeId("10.0.0.1", 7000 + i) for i in range(4)]
 DESTS = [NodeId("10.0.1.1", 8000 + i) for i in range(3)]
@@ -39,33 +37,6 @@ CAPACITY = 3
 
 indices = st.integers(min_value=0, max_value=7)
 dest_lists = st.lists(st.sampled_from(DESTS), max_size=2, unique=True)
-
-
-class PlainBuffer:
-    """A FIFO without the ``on_size_change`` hook (the scanning fallback)."""
-
-    def __init__(self) -> None:
-        self._items: list = []
-
-    def put_nowait(self, item) -> bool:
-        if len(self._items) >= CAPACITY:
-            return False
-        self._items.append(item)
-        return True
-
-    def get_nowait(self):
-        return self._items.pop(0)
-
-    def drain(self) -> list:
-        items, self._items = self._items, []
-        return items
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 class RingAdapter(CircularBuffer):
@@ -82,13 +53,7 @@ class RingAdapter(CircularBuffer):
 
 
 def new_buffer(kind: str):
-    if kind == "ring":
-        return RingAdapter(CAPACITY)
-    if kind == "sim":
-        return SimQueue(Kernel(), CAPACITY)
-    if kind == "asyncio":
-        return AsyncBoundedQueue(CAPACITY)
-    return PlainBuffer()
+    return RingAdapter(CAPACITY) if kind == "ring" else BoundedQueue(CAPACITY)
 
 
 class SchedulerCounters(RuleBasedStateMachine):
@@ -110,7 +75,7 @@ class SchedulerCounters(RuleBasedStateMachine):
 
     @precondition(lambda self: len(self.ports) < len(PEERS))
     @rule(
-        kind=st.sampled_from(["ring", "sim", "asyncio", "plain"]),
+        kind=st.sampled_from(["ring", "queue"]),
         prefill=st.integers(0, CAPACITY),
         owed=st.none() | dest_lists,
     )
@@ -146,7 +111,7 @@ class SchedulerCounters(RuleBasedStateMachine):
     def put_burst(self, index, count):
         buffer = self.pick(index).buffer
         burst = [object() for _ in range(count)]
-        if isinstance(buffer, AsyncBoundedQueue):
+        if isinstance(buffer, BoundedQueue):
             buffer.put_many_nowait(burst)
         else:
             for item in burst:

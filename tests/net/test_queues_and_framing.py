@@ -1,13 +1,14 @@
-"""Unit tests for the asyncio bounded queue and the wire framing."""
+"""Unit tests for the link queue's bounds and the wire framing."""
 
 import asyncio
 
 import pytest
 
+from repro.core.buffer import BoundedQueue
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.errors import BufferClosedError, CodecError
+from repro.errors import CodecError
 from repro.net.framing import (
     expect_hello,
     hello_message,
@@ -18,7 +19,6 @@ from repro.net.framing import (
     write_batch,
     write_message,
 )
-from repro.net.queues import AsyncBoundedQueue
 
 SENDER = NodeId("127.0.0.1", 9999)
 
@@ -27,109 +27,10 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def test_queue_fifo_and_capacity():
-    async def scenario():
-        queue = AsyncBoundedQueue(capacity=2)
-        assert queue.put_nowait(1) and queue.put_nowait(2)
-        assert not queue.put_nowait(3)
-        assert queue.is_full
-        queue.put_force(3)  # control traffic exceeds nominal capacity
-        return [await queue.get() for _ in range(3)]
-
-    assert run(scenario()) == [1, 2, 3]
-
-
-def test_blocked_put_resumes_on_get():
-    async def scenario():
-        queue = AsyncBoundedQueue(capacity=1)
-        await queue.put("a")
-        order = []
-
-        async def producer():
-            await queue.put("b")
-            order.append("put-b")
-
-        task = asyncio.ensure_future(producer())
-        await asyncio.sleep(0.01)
-        assert not task.done()
-        order.append(f"got-{await queue.get()}")
-        await task
-        assert await queue.get() == "b"
-        return order
-
-    assert run(scenario()) == ["got-a", "put-b"]
-
-
-def test_blocked_get_resumes_on_put():
-    async def scenario():
-        queue = AsyncBoundedQueue(capacity=1)
-
-        async def consumer():
-            return await queue.get()
-
-        task = asyncio.ensure_future(consumer())
-        await asyncio.sleep(0.01)
-        queue.put_nowait("x")
-        return await task
-
-    assert run(scenario()) == "x"
-
-
-def test_close_wakes_blocked_waiters():
-    async def scenario():
-        queue = AsyncBoundedQueue(capacity=1)
-
-        async def consumer():
-            try:
-                await queue.get()
-            except BufferClosedError:
-                return "closed"
-
-        task = asyncio.ensure_future(consumer())
-        await asyncio.sleep(0.01)
-        queue.close()
-        return await task
-
-    assert run(scenario()) == "closed"
-
-
-def test_drain_and_nowait_behaviour():
-    async def scenario():
-        queue = AsyncBoundedQueue(capacity=5)
-        for i in range(3):
-            queue.put_nowait(i)
-        drained = queue.drain()
-        with pytest.raises(IndexError):
-            queue.get_nowait()
-        return drained
-
-    assert run(scenario()) == [0, 1, 2]
-
-
-def test_cancelled_waiter_cleanly_removed():
-    async def scenario():
-        queue = AsyncBoundedQueue(capacity=1)
-
-        async def consumer():
-            await queue.get()
-
-        task = asyncio.ensure_future(consumer())
-        await asyncio.sleep(0.01)
-        task.cancel()
-        await asyncio.gather(task, return_exceptions=True)
-        # A later put must not be swallowed by the dead waiter.
-        queue.put_nowait("survivor")
-        return await queue.get()
-
-    assert run(scenario()) == "survivor"
-
-
 def test_invalid_capacity():
+    # The asyncio engine's link queues are core BoundedQueues.
     with pytest.raises(ValueError):
-        AsyncBoundedQueue(capacity=0)
-
-
-# --- framing -----------------------------------------------------------------
+        BoundedQueue(capacity=0)
 
 
 def test_stream_roundtrip_multiple_messages():

@@ -7,6 +7,8 @@ methods plus 7 policy hooks).  This static check pins it down:
 - the override points are listed **once**, here, and their number is
   asserted, so the seam cannot regrow silently;
 - a backend may define nothing :class:`EngineCore` owns concretely;
+- a backend module keeps no per-hop ledger of its own: placing what a
+  link end received and booking what it sent is the core's;
 - a backend may create tasks only inside ``_spawn`` — every task is then
   launched through the core's tracked, self-pruning set.
 """
@@ -37,6 +39,11 @@ ALWAYS_ALLOWED = {"__init__"}
 
 #: calls that create a task, by the attribute or name being called
 TASK_CREATORS = {"ensure_future", "create_task", "spawn"}
+
+#: the per-hop ledger ``EngineCore._place`` / ``_sent`` keep: port byte
+#: gauges, the forwarded counter and the ENQUEUE / FORWARD trace events
+LEDGER_ATTRS = {"note_bytes", "forwarded"}
+LEDGER_EVENTS = {"ENQUEUE", "FORWARD"}
 
 
 def _class_def(tree: ast.Module, name: str) -> ast.ClassDef:
@@ -131,7 +138,7 @@ def test_core_owns_the_switching_semantics():
         "start_source", "stop_source", "set_timer", "set_port_weight", "measure",
         "downstreams", "disconnect", "_connect", "_add_upstream",
         "_drop_downstream", "_drop_upstream", "_send_buffer_levels",
-        "_stats_in", "_stats_out", "_launch", "_teardown",
+        "_stats_in", "_stats_out", "_launch", "_teardown", "_place", "_sent",
     ):
         assert essential in owned, f"EngineCore no longer owns {essential}"
 
@@ -185,3 +192,18 @@ def test_backends_create_tasks_only_in_spawn():
             if name in TASK_CREATORS:
                 offenders.append(f"{path.name}:{node.lineno} {name}()")
     assert not offenders, f"task created outside _spawn: {offenders}"
+
+
+def test_backends_leave_the_link_end_ledger_to_the_core():
+    """No backend module does placement or sent accounting of its own:
+    its link ends hand each run to ``_place`` / ``_sent``."""
+    offenders = []
+    for path in BACKENDS.values():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            event = (node.attr in LEDGER_EVENTS and isinstance(node.value, ast.Name)
+                     and node.value.id == "EventType")
+            if node.attr in LEDGER_ATTRS or event:
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not offenders, f"per-hop ledger kept outside EngineCore: {offenders}"

@@ -1,9 +1,12 @@
-"""tools/loc.py: the committed code-line and task-site counter."""
+"""tools/loc.py: the committed code-line, task-site and seam counter."""
 
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "loc.py"
+from tests.test_engine_parity_surface import MAX_OVERRIDE_POINTS
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "loc.py"
 
 spec = importlib.util.spec_from_file_location("loc_tool", TOOL)
 loc = importlib.util.module_from_spec(spec)
@@ -50,3 +53,10 @@ def test_cli_totals_a_directory(capsys, tmp_path):
     assert capsys.readouterr().out.splitlines()[-1].split()[:2] == ["10", "total"]
     assert loc.main(["--tasks", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split()[:2] == ["1", "total"]
+
+
+def test_seam_reads_the_parity_guards_bound(capsys):
+    assert loc.main(["--seam", str(ROOT / "src")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].split()[:2] == [str(MAX_OVERRIDE_POINTS), "total"]
+    assert len(out) - 1 == MAX_OVERRIDE_POINTS == 12

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count code lines and task-creation sites, the way the PRs report them.
+"""Count code lines, task-creation sites and the engine seam, the way the PRs report them.
 
 A *code line* is a physical line that carries at least one token that is
 neither a comment nor part of a docstring; blank lines do not count.
@@ -10,9 +10,13 @@ classified the way the interpreter sees it.
     python3 tools/loc.py                 # src/, per package, and the total
     python3 tools/loc.py src/repro/cluster --files
     python3 tools/loc.py --tasks src/repro/cluster
+    python3 tools/loc.py --seam
 
 ``--tasks`` lists the ``create_task`` / ``ensure_future`` call sites
-instead (the one-task-owner guards count the same calls).
+instead (the one-task-owner guards count the same calls).  ``--seam``
+lists the core/backend override points: ``EngineCore``'s abstract
+methods and upper-case pacing attributes (the parity guard in
+``tests/test_engine_parity_surface.py`` bounds the same set).
 """
 
 from __future__ import annotations
@@ -67,6 +71,25 @@ def task_sites(source: str) -> list[tuple[int, str]]:
     return sorted(sites)
 
 
+def seam_points(source: str, cls: str = "EngineCore") -> list[str]:
+    """Override points of ``cls`` in one module: abstract methods, then
+    upper-case class attributes (none when the module lacks the class)."""
+    methods, values = [], []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                getattr(deco, "id", getattr(deco, "attr", "")) == "abstractmethod"
+                for deco in item.decorator_list
+            ):
+                methods.append(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                values += [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return methods + values
+
+
 def _python_files(root: Path) -> list[Path]:
     return [root] if root.is_file() else sorted(root.rglob("*.py"))
 
@@ -85,6 +108,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="one row per file instead of per package")
     parser.add_argument("--tasks", action="store_true",
                         help="list create_task/ensure_future call sites instead")
+    parser.add_argument("--seam", action="store_true",
+                        help="list EngineCore's override points instead")
     args = parser.parse_args(argv)
 
     total = 0
@@ -92,6 +117,12 @@ def main(argv: list[str] | None = None) -> int:
         rows: dict[str, int] = {}
         for path in _python_files(root):
             source = path.read_text()
+            if args.seam:
+                points = seam_points(source)
+                for name in points:
+                    print(f"{path.as_posix()} {name}")
+                total += len(points)
+                continue
             if args.tasks:
                 sites = task_sites(source)
                 for line, name in sites:
@@ -103,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
         for key, count in rows.items():
             print(f"{count:7d}  {key}")
         total += sum(rows.values())
-    print(f"{total:7d}  total {'task sites' if args.tasks else 'code lines'}")
+    what = "override points" if args.seam else "task sites" if args.tasks else "code lines"
+    print(f"{total:7d}  total {what}")
     return 0
 
 
