@@ -194,7 +194,7 @@ class Algorithm:
 
     def process(self, msg: Message) -> Disposition | None:
         """Entry point called by the engine for every non-engine message."""
-        handler = self._handlers.get(msg.type, self.on_unhandled)
+        handler = self._handlers.get(msg._type, self.on_unhandled)
         return handler(msg)
 
     # --- the one engine call + conveniences --------------------------------------------

@@ -188,7 +188,8 @@ class BoundedQueue(Generic[T]):
         """Append ``item``; False when the queue is full."""
         if self._closed:
             raise BufferClosedError("put on closed queue")
-        if self.is_full:
+        capacity = self._capacity  # is_full, inlined: this runs per message
+        if capacity is not None and len(self._items) >= capacity:
             return False
         self._items.append(item)
         if self.on_size_change is not None:

@@ -72,6 +72,8 @@ from repro.telemetry.tracing import EventType
 #: a zero ``SOURCE_INTERVAL`` — nobody to talk to; do not spin
 IDLE_SOURCE_PACING = 0.01
 
+_DATA = MsgType.DATA  # read per message: a module global, not an enum attribute
+
 
 class WakeEvent(Protocol):
     """The level-triggered flag surface (``SimEvent`` / ``asyncio.Event``)."""
@@ -89,7 +91,7 @@ class OutLink:
     ``queue`` once attached.
     """
 
-    __slots__ = ("dest", "label", "queue", "stats")
+    __slots__ = ("dest", "label", "queue", "stats", "apps")
 
     def __init__(self, dest: NodeId, queue: BoundedQueue[Message]) -> None:
         self.dest = dest
@@ -97,6 +99,9 @@ class OutLink:
         self.label = str(dest)
         self.queue = queue
         self.stats = LinkStats()
+        #: applications whose data was staged here, in first-seen order
+        #: (an insertion-ordered set: the BROKEN_SOURCE domino's targets)
+        self.apps: dict[AppId, None] = {}
 
 
 class EngineCore(ABC):
@@ -156,8 +161,6 @@ class EngineCore(ABC):
         self._tasks: dict[Any, None] = {}
         self._sources: dict[AppId, Any] = {}
         self._local_apps: set[AppId] = set()
-        self._app_upstreams: dict[AppId, set[NodeId]] = {}
-        self._app_downstreams: dict[AppId, set[NodeId]] = {}
         # switching context: which receiver port (or source) produced the
         # message the algorithm is currently processing
         self._current_port: ReceiverPort | None = None
@@ -259,13 +262,13 @@ class EngineCore(ABC):
         """
         if not self._running:
             return
-        if dest == self._node_id:
+        link = self._out.get(dest)
+        if link is None and dest == self._node_id:  # never in _out: see _connect
             self._control.put_force(msg)
             self._wake.set()
             return
-        if self._ins is not None and msg.type == MsgType.DATA:
+        if self._ins is not None and msg._type == _DATA:
             self._data_sends += 1
-        link = self._out.get(dest)
         if link is None:
             self._connect(dest, first=msg)
         else:
@@ -277,8 +280,8 @@ class EngineCore(ABC):
         Data respects the queue bound (deferring on overflow so the
         switch retries next round); control traffic is forced past it.
         """
-        if msg.type == MsgType.DATA:
-            self._track_downstream(msg.app, link.dest)
+        if msg._type == _DATA:
+            link.apps[msg._app] = None
             if not link.queue.put_nowait(msg):
                 self._defer_data(msg, link.dest)
         else:
@@ -519,7 +522,7 @@ class EngineCore(ABC):
             },
             lost_messages=self._lost_messages,
             lost_bytes=self._lost_bytes,
-            apps=sorted(self._local_apps | set(self._app_upstreams)),
+            apps=sorted(self._local_apps.union(*(p.apps for p in self._scheduler.ports_view()))),
             queues=self.queue_snapshot(),
         )
         if self.config.telemetry is not None:
@@ -568,6 +571,7 @@ class EngineCore(ABC):
                 if ins is not None:
                     ins.n_credit_epochs += 1
         moved = 0
+        process = self.algorithm.process
         for port in scheduler.rotation():
             if not port.has_work():
                 continue
@@ -586,20 +590,24 @@ class EngineCore(ABC):
                 if completed:
                     port.credit -= completed
                     progressed = True
-                if port.blocked or port.credit <= 0:
+                if port.pending or port.credit <= 0:
                     continue
-            while port.credit > 0 and not port.blocked and not port.buffer.is_empty:
-                msg = port.buffer.get_nowait()  # type: ignore[attr-defined]
+            # Every forward a port holds owes a delivery (the retry just
+            # pruned the done ones, and a drop prunes what it strikes), so
+            # a non-empty ``pending`` is exactly ``port.blocked``.
+            buffer, apps = port.buffer, port.apps
+            while port.credit > 0 and not port.pending and not buffer.is_empty:
+                msg = buffer.get_nowait()
                 port.note_bytes(-msg.size)
                 port.switched += 1
                 moved += 1
                 if ins is not None:
                     self._record_pick(port, msg)
-                self._track_upstream(msg.app, port.peer)
+                apps[msg._app] = None
                 self._current_port = port
                 sends_before = self._data_sends
                 try:
-                    disposition = self.algorithm.process(msg)
+                    disposition = process(msg)
                 finally:
                     self._current_port = None
                 if disposition is Disposition.HOLD:
@@ -609,7 +617,7 @@ class EngineCore(ABC):
                     if ins.tracer.enabled:
                         ins.trace_msg(self.now(), EventType.DELIVER, msg)
                 progressed = True
-                if not port.blocked:
+                if not port.pending:
                     port.credit -= 1
         if ins is not None:
             ins.n_switch_rounds += 1
@@ -701,7 +709,7 @@ class EngineCore(ABC):
         order, is flow-controlled like any full sender buffer, and shows
         in :meth:`queue_snapshot`.
         """
-        if dest in self._out or not self._running:
+        if dest in self._out or dest == self._node_id or not self._running:
             return
         link = self._add_downstream(dest)
         if first is not None:
@@ -748,8 +756,6 @@ class EngineCore(ABC):
             self._record_loss(msg, link.stats)
         link.queue.close()
         self.throttle.drop_link(dest)
-        for peers in self._app_downstreams.values():
-            peers.discard(dest)
         if notify is not None:
             self._notify_broken_link(dest, notify)
         self._send_space.set()
@@ -786,7 +792,7 @@ class EngineCore(ABC):
         port.buffer.close()
         if notify is not None:
             self._notify_broken_link(peer, notify)
-            self._domino_upstream_lost(peer)
+            self._domino_upstream_lost(port)
         self._wake.set()
 
     # ------------------------------------------------------------------ link ends
@@ -799,7 +805,7 @@ class EngineCore(ABC):
         always fits: it goes to the publicized port, and a BROKEN_SOURCE
         first runs the domino.  Waking the engine is the caller's job.
         """
-        buffer, ins, data = port.buffer, self._ins, MsgType.DATA
+        buffer, ins, data = port.buffer, self._ins, _DATA
         if ins is None:
             nbytes = 0
             for msg in msgs:
@@ -813,13 +819,13 @@ class EngineCore(ABC):
                                     else sum(msg.size for msg in msgs[:placed]))
                 return placed
         placed = 0
+        now = self.now()
         for msg in msgs:
             if msg._type == data:
                 if not buffer.put_nowait(msg):
                     break
                 port.note_bytes(msg.size)
                 if ins is not None:
-                    now = self.now()
                     ins.enqueued[port.label] += 1
                     port.wait_times.append(now)
                     msg._hop_t0 = now  # this hop's clock starts here
@@ -827,7 +833,7 @@ class EngineCore(ABC):
                         ins.trace_msg(now, EventType.ENQUEUE, msg, port.label)
             else:
                 if msg._type == MsgType.BROKEN_SOURCE:
-                    self._propagate_broken_source(msg, port.peer)
+                    self._propagate_broken_source(msg, port)
                 self._control.put_force(msg)
             placed += 1
         return placed
@@ -841,9 +847,9 @@ class EngineCore(ABC):
         out.stats.throughput.record_bulk(nbytes, len(msgs), now)
         ins = self._ins
         if ins is not None:
-            label, data = out.label, MsgType.DATA
+            label = out.label
             for msg in msgs:
-                if msg._type == data:
+                if msg._type == _DATA:
                     ins.forwarded[label] += 1
                     t0 = msg._hop_t0
                     if t0 is not None:
@@ -939,41 +945,41 @@ class EngineCore(ABC):
                 await self._sleep(IDLE_SOURCE_PACING)
 
     def _broadcast_broken_source(self, app: AppId) -> None:
-        downstreams = self._app_downstreams.pop(app, set())
-        if self._ins is not None and downstreams:
-            self._ins.n_domino += 1
+        """Tell every downstream that carried ``app`` that its source is gone."""
         notice = Message.with_fields(
             MsgType.BROKEN_SOURCE, self._node_id, app, app=app, origin=str(self._node_id)
         )
-        for dest in downstreams:
-            link = self._out.get(dest)
-            if link is not None:
+        told = False
+        for link in self._out.values():
+            if app in link.apps:
+                del link.apps[app]
                 link.queue.put_force(notice.clone())
+                told = True
+        if told and self._ins is not None:
+            self._ins.n_domino += 1
 
-    def _propagate_broken_source(self, msg: Message, peer: NodeId) -> None:
-        """Domino effect: the path through ``peer`` lost its source.
+    def _propagate_broken_source(self, msg: Message, port: ReceiverPort) -> None:
+        """Domino effect: the path through ``port`` lost its source.
 
-        Only when the *last* upstream feeding the application is gone
-        (and we are not the source ourselves) does the failure cascade
-        to our downstreams — multi-path topologies keep flowing.
+        Only when the *last* live upstream feeding the application is
+        gone (and we are not the source ourselves) does the failure
+        cascade to our downstreams — multi-path topologies keep flowing.
         """
         app = AppId(msg.fields().get("app", msg.app))
-        upstreams = self._app_upstreams.get(app)
-        if upstreams is not None:
-            upstreams.discard(peer)
-            if upstreams:
-                return
-            del self._app_upstreams[app]
-        if app not in self._local_apps:
+        port.apps.pop(app, None)
+        if not self._fed(app):
             self._broadcast_broken_source(app)
 
-    def _domino_upstream_lost(self, peer: NodeId) -> None:
-        """Cascade for every application fed exclusively by a dead upstream."""
-        for app, ups in list(self._app_upstreams.items()):
-            ups.discard(peer)
-            if not ups and app not in self._local_apps:
-                del self._app_upstreams[app]
+    def _domino_upstream_lost(self, port: ReceiverPort) -> None:
+        """Cascade for every application a dead upstream fed exclusively."""
+        for app in port.apps:
+            if not self._fed(app):
                 self._broadcast_broken_source(app)
+
+    def _fed(self, app: AppId) -> bool:
+        """True while this node sources ``app`` or a live port carries it."""
+        return app in self._local_apps or any(
+            app in port.apps for port in self._scheduler.ports_view())
 
     # -------------------------------------------------------------------- reports
 
@@ -1030,16 +1036,3 @@ class EngineCore(ABC):
             self._ins.n_dropped_bytes += msg.size
             if self._ins.tracer.enabled:
                 self._ins.trace_msg(self.now(), EventType.DROP, msg)
-
-    def _track_downstream(self, app: AppId, dest: NodeId) -> None:
-        # get-then-add: setdefault would allocate a throwaway set per call
-        peers = self._app_downstreams.get(app)
-        if peers is None:
-            peers = self._app_downstreams[app] = set()
-        peers.add(dest)
-
-    def _track_upstream(self, app: AppId, peer: NodeId) -> None:
-        peers = self._app_upstreams.get(app)
-        if peers is None:
-            peers = self._app_upstreams[app] = set()
-        peers.add(peer)

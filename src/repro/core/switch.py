@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.buffer import BoundedQueue
-from repro.core.ids import NodeId
+from repro.core.ids import AppId, NodeId
 from repro.core.message import Message
 from repro.core.stats import LinkStats
 
@@ -111,6 +111,10 @@ class ReceiverPort:
     #: :meth:`note_bytes` — which keeps the per-port and scheduler-wide
     #: byte gauges O(1) to read (no buffer scan).
     buffered_bytes: int = field(init=False, default=0)
+    #: applications whose data this port has switched, in first-seen
+    #: order (an insertion-ordered set): the BROKEN_SOURCE domino asks
+    #: the live ports whether any still carries an application
+    apps: dict[AppId, None] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.label = str(self.peer)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.algorithm import Disposition
-from repro.core.ids import NodeId
+from repro.core.ids import CONTROL_APP, NodeId
+from repro.core.message import Message
+from repro.core.msgtypes import MsgType
 
 APP = 7
 
@@ -115,6 +117,29 @@ def test_graceful_disconnect_is_locally_silent(cluster):
     assert src_alg.broken_links == [], (
         f"{cluster.backend} raised BROKEN_LINK on graceful disconnect"
     )
+
+
+def test_connect_to_itself_is_refused_and_self_sends_stay_local(cluster):
+    """A node never holds a link to itself.
+
+    So a CONNECT naming the node creates no table entry and dials
+    nothing, and ``send`` to the node's own id (which it tests only on
+    a table miss) still lands on the publicized port.
+    """
+    alg = RecordingSink()
+    node = cluster.add_node(alg)
+    cluster.start()
+    dials = []
+    node._open_link = dials.append
+    node._enqueue_notification(Message.with_fields(
+        MsgType.CONNECT, node.node_id, CONTROL_APP, dest=str(node.node_id)))
+    cluster.settle(0.05)
+    assert node.downstreams() == [] and dials == []
+    seen = []
+    alg.register(MsgType.CONTROL, seen.append)
+    node.send(Message.with_fields(MsgType.CONTROL, node.node_id, CONTROL_APP), node.node_id)
+    cluster.settle(0.05)
+    assert len(seen) == 1 and node.downstreams() == [] and dials == []
 
 
 def test_stop_source_broadcasts_broken_source(cluster):

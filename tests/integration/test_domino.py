@@ -1,7 +1,10 @@
 """The Domino Effect: source/path failures cascade down, and only down."""
 
+import asyncio
+
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.bandwidth import BandwidthSpec
+from repro.net.virtual import VirtualHost
 from repro.sim.failure import kill_node
 from repro.sim.network import SimNetwork
 
@@ -96,3 +99,47 @@ def test_multipath_node_survives_single_upstream_loss():
     before = sink.received
     net.run(5)
     assert sink.received > before
+
+
+def test_domino_after_a_graceful_upstream_disconnect():
+    """A gracefully dropped upstream no longer counts as carrying the app.
+
+    S1 and S2 both feed app 1 into relay X, which forwards it to C.  X
+    then disconnects S1 (a deliberate local act: no BROKEN_LINK, no
+    domino) and S2 stops its source.  X has no live upstream left for
+    app 1, so C must hear BROKEN_SOURCE.  Asyncio only: its links are
+    full duplex, so ``disconnect`` drops the upstream half too, while
+    the simulator's links are simplex.
+    """
+
+    async def scenario():
+        host = VirtualHost()
+        s1_alg, s2_alg, x_alg = (CopyForwardAlgorithm() for _ in range(3))
+        sink = RecordingSink()
+        s1, s2, x, c = (host.add_node(alg) for alg in (s1_alg, s2_alg, x_alg, sink))
+        await host.start()
+        s1_alg.set_downstreams([x.node_id])
+        s2_alg.set_downstreams([x.node_id])
+        x_alg.set_downstreams([c.node_id])
+        for up in (s1, s2):
+            assert await up.connect(x.node_id)
+        assert await x.connect(c.node_id)
+        s1.start_source(app=1, payload_size=500)
+        s2.start_source(app=1, payload_size=500)
+        for _ in range(200):  # until X has switched app 1 from both upstreams
+            ports = [x._scheduler.get_port(up.node_id) for up in (s1, s2)]
+            if all(port.switched for port in ports):
+                break
+            await asyncio.sleep(0.01)
+        s1_alg.set_downstreams([])  # S1 keeps its source but sends nothing
+        x.disconnect(s1.node_id)
+        await asyncio.sleep(0.05)
+        assert s1.node_id not in x.upstreams()
+        s2.stop_source(1)
+        await asyncio.sleep(0.2)
+        await host.stop()
+        return sink.broken_sources, sink.received
+
+    broken_sources, received = asyncio.run(scenario())
+    assert received > 0
+    assert broken_sources == [1]

@@ -103,10 +103,8 @@ def test_two_upstreams_die_in_the_same_round_no_stale_state():
     for port in relay._scheduler.ports:
         for forward in port.pending:
             assert set(forward.remaining) <= {c}
-    for app, ups in relay._app_upstreams.items():
-        assert not (ups & {a, b}), (app, ups)
-    for app, downs in relay._app_downstreams.items():
-        assert not (downs & {a, b}), (app, downs)
+    # The domino's app sets live on the ports and links checked above,
+    # so they left with A's and B's; STATUS `apps` is checked below.
 
     # The domino reached the sink for both dead apps...
     assert sorted(set(algs["C"].broken_sources)) == [1, 2]
@@ -121,3 +119,5 @@ def test_two_upstreams_die_in_the_same_round_no_stale_state():
     assert not (set(status["send_rates"]) & dead)
     assert not (set(status["upstreams"]) & dead)
     assert not (set(status["downstreams"]) & dead)
+    # Apps 1 and 2 only ever arrived through A and B.
+    assert status["apps"] == [3]
