@@ -183,7 +183,6 @@ class DecodingSinkAlgorithm(Algorithm):
         self._done_below = 0
         self._done_ahead: set[int] = set()
         self.effective = ThroughputMeter()
-        self.raw = ThroughputMeter()
         self.decoded_generations = 0
         self.innovative_payloads = 0
         self.duplicate_payloads = 0
@@ -193,7 +192,6 @@ class DecodingSinkAlgorithm(Algorithm):
 
     def on_data(self, msg: Message) -> Disposition:
         now = self.engine.now()
-        self.raw.record(msg.size, now)
         for dest in self._forward_to:
             self.send(msg, dest)
         try:
@@ -254,6 +252,3 @@ class DecodingSinkAlgorithm(Algorithm):
     def effective_rate(self) -> float:
         """Innovative bytes per second, measured over the sliding window."""
         return self.effective.rate(self.engine.now())
-
-    def raw_rate(self) -> float:
-        return self.raw.rate(self.engine.now())

@@ -168,9 +168,6 @@ class ContentBasedClient(Algorithm):
         self.register(PUBLISH, self._on_delivery)
         self._subscription_seq = 0
 
-    def set_broker(self, broker: NodeId) -> None:
-        self.broker = broker
-
     def subscribe(self, predicate: Predicate) -> None:
         if self.broker is None:
             raise RuntimeError("client has no broker configured")

@@ -120,12 +120,6 @@ class FederationAlgorithm(Algorithm):
     def overhead_bytes(self, kind: str | None = None) -> int:
         return sum(r.size for r in self.overhead if kind is None or r.kind == kind)
 
-    def overhead_since(self, t0: float, t1: float, kind: str | None = None) -> int:
-        return sum(
-            r.size for r in self.overhead
-            if t0 <= r.time < t1 and (kind is None or r.kind == kind)
-        )
-
     @property
     def active_sessions(self) -> int:
         return len(self.sessions)
@@ -192,14 +186,15 @@ class FederationAlgorithm(Algorithm):
             MsgType.S_AWARE, msg.sender, msg.app, seq=msg.seq, **(fields | {"ttl": ttl - 1})
         )
         if self.hosted:
-            # An existing service node: forward to peers of adjacent types.
-            targets = {
+            # An existing service node: forward to peers of adjacent types,
+            # in directory order (a set would order them by the salted hash).
+            targets = dict.fromkeys(
                 info.node
                 for hosted_type in self.hosted
                 for adjacent in (hosted_type - 1, hosted_type + 1)
                 for info in self.directory.get(adjacent, {}).values()
                 if info.node not in (self.node_id, origin)
-            }
+            )
             sent = 0
             for target in targets:
                 self.send(forwarded.clone(), target)

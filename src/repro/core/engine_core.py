@@ -487,6 +487,9 @@ class EngineCore(ABC):
                 return
             peer = msg.sender
             rtt = self.now() - float(fields["t0"])
+            stats = self._stats_out(peer) or self._stats_in(peer)
+            if stats is not None:
+                stats.latency.record(rtt)
             self._enqueue_notification(Message.with_fields(
                 MsgType.MEASURE_REPLY, self._node_id, CONTROL_APP,
                 peer=str(peer), rtt=rtt, send_rate=self.send_rate(peer),
@@ -661,11 +664,9 @@ class EngineCore(ABC):
         placed_any = False
         still_remaining: list[NodeId] = []
         for dest in forward.remaining:
-            link = self._out.get(dest)
-            if link is None:
-                placed_any = True  # destination vanished; drop the obligation
-                continue
-            if link.queue.put_nowait(forward.msg):
+            # ``_drop_downstream`` strikes a dropped destination from every
+            # pending forward (and counts the copy lost), so it is live here.
+            if self._out[dest].queue.put_nowait(forward.msg):
                 placed_any = True
             else:
                 still_remaining.append(dest)

@@ -25,24 +25,12 @@ class LinkDownError(IOverlayError):
     """A send was attempted on a link that has failed or been torn down."""
 
 
-class NodeTerminatedError(IOverlayError):
-    """An operation reached a node that has been terminated."""
-
-
-class BootstrapError(IOverlayError):
-    """A node failed to bootstrap from the observer."""
-
-
 class UnknownNodeError(IOverlayError):
     """A node id did not resolve to any live node."""
 
 
 class SimulationError(IOverlayError):
     """The discrete-event kernel detected an inconsistent state."""
-
-
-class DeadlockError(SimulationError):
-    """The kernel ran out of events while tasks were still blocked."""
 
 
 class ConfigurationError(IOverlayError):

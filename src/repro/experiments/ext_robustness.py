@@ -310,7 +310,7 @@ def _run_parity_net(seed: int) -> ParityRun:
             for i, alg in enumerate(sinks)
         ]
         src_alg.set_downstreams([engine.node_id for engine in engines])
-        cluster.arm(_parity_schedule())
+        _parity_schedule().arm(cluster)
         src.start_source(app=1, payload_size=PARITY_PAYLOAD)
         await asyncio.sleep(PARITY_HORIZON)
         before = [alg.received for alg in sinks]

@@ -14,9 +14,10 @@ Two legs, one protocol:
 
 * **Live leg** — full :class:`~repro.net.engine.AsyncioEngine` nodes
   running :class:`~repro.algorithms.stabilize.SelfStabilizingRingAlgorithm`
-  packed on a :class:`~repro.net.virtual.VirtualHost`, with the same
-  declarative churn schedule replayed in wall-clock time.  Convergence
-  is judged against the ground-truth oracle
+  on a :class:`~repro.net.chaos.ChaosCluster` (localhost sockets), with
+  the same churn schedule lowered to a
+  :class:`~repro.sim.failure.FailureSchedule` and replayed in wall-clock
+  time.  Convergence is judged against the ground-truth oracle
   (:func:`~repro.algorithms.stabilize.ring.ideal_successors`), and the
   run also reports how many asyncio tasks remained after teardown —
   the leak check that makes "survived churn" mean *cleanly* survived.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.experiments.common import Table
@@ -131,7 +133,7 @@ def run_slotted_curves(
 
 @dataclass
 class LiveChurnRun:
-    """Outcome of the wall-clock VirtualHost leg."""
+    """Outcome of the wall-clock ChaosCluster leg."""
 
     n_start: int
     n_final: int
@@ -164,59 +166,55 @@ async def _run_live(
         SelfStabilizingRingAlgorithm,
         ideal_successors,
     )
+    from repro.errors import UnknownNodeError
+    from repro.net.chaos import ChaosCluster
     from repro.net.engine import NetEngineConfig
-    from repro.net.virtual import VirtualHost
 
-    def swim_config() -> SwimConfig:
-        return SwimConfig(
-            period=period,
-            ping_timeout=period * 0.4,
-            suspicion_mult=3.0,
-        )
-
-    def net_config() -> NetEngineConfig:
-        return NetEngineConfig(report_interval=1000.0)
-
-    host = VirtualHost()
-    alive: dict[str, SelfStabilizingRingAlgorithm] = {}
-    engines: dict[str, object] = {}
+    cluster = ChaosCluster()
     next_seed = [seed]
 
-    def new_algorithm() -> SelfStabilizingRingAlgorithm:
+    async def add_node(name: str) -> SelfStabilizingRingAlgorithm:
         next_seed[0] += 1
-        return SelfStabilizingRingAlgorithm(
-            config=swim_config(), seed=next_seed[0]
+        algorithm = SelfStabilizingRingAlgorithm(
+            config=SwimConfig(
+                period=period, ping_timeout=period * 0.4, suspicion_mult=3.0
+            ),
+            seed=next_seed[0],
         )
+        await cluster.add_node(
+            algorithm, name, NetEngineConfig(report_interval=1000.0)
+        )
+        return algorithm
 
     names = [f"n{i}" for i in range(n_nodes)]
-    for name in names:
-        alive[name] = new_algorithm()
-        engines[name] = host.add_node(alive[name], config=net_config())
-    await host.start()
-
+    algorithms = [await add_node(name) for name in names]
     # Adversarial bootstrap knowledge: a line (i knows only i+1), the
     # slowest-mixing weakly connected topology.
-    for left, right in zip(names, names[1:]):
-        alive[left].known_hosts.add(engines[right].node_id)
-    for name in names:
-        alive[name].on_bootstrapped()
+    for algorithm, right in zip(algorithms, names[1:]):
+        algorithm.known_hosts.add(cluster[right])
+    for algorithm in algorithms:
+        algorithm.on_bootstrapped()
 
-    def ring_converged() -> bool:
-        algorithms = list(alive.values())
-        if len(algorithms) < 2:
+    def ring_converged(alive: set[str]) -> bool:
+        try:
+            members = [cluster.engine(name).algorithm for name in alive]
+        except UnknownNodeError:
+            return False  # a joiner is still starting
+        if len(members) < 2:
             return True
-        oracle = ideal_successors([alg.node_id for alg in algorithms])
+        oracle = ideal_successors([alg.node_id for alg in members])
         return all(
             alg.ring_legal() and alg.successor() == oracle[alg.node_id]
-            for alg in algorithms
+            for alg in members
         )
 
-    t0 = asyncio.get_running_loop().time()
-    booted = await _poll(ring_converged, convergence_timeout)
-    bootstrap_seconds = asyncio.get_running_loop().time() - t0
+    loop = asyncio.get_running_loop()
+    t0 = loop.time()
+    booted = await _poll(lambda: ring_converged(set(names)), convergence_timeout)
+    bootstrap_seconds = loop.time() - t0
 
     # Replay the seeded churn schedule in wall time.
-    schedule = ChurnSchedule.generate(
+    churn = ChurnSchedule.generate(
         ChurnConfig(
             seed=seed,
             duration=duration,
@@ -228,50 +226,39 @@ async def _run_live(
         ),
         names,
     )
-    joins = crashes = leaves = 0
-    loop = asyncio.get_running_loop()
-    t_churn = loop.time()
-    for event in sorted(schedule.events, key=lambda e: e.at):
-        await asyncio.sleep(max(0.0, t_churn + event.at - loop.time()))
-        if event.kind == "join":
-            algorithm = new_algorithm()
-            engine = host.add_node(algorithm, config=net_config())
-            await host.start_node(engine)
-            contact = next(iter(alive), None)
-            if contact is not None:
-                algorithm.known_hosts.add(engines[contact].node_id)
-            algorithm.on_bootstrapped()
-            alive[event.name] = algorithm
-            engines[event.name] = engine
-            joins += 1
-        elif event.name in alive:
-            algorithm = alive.pop(event.name)
-            engine = engines.pop(event.name)
-            if event.kind == "leave":
-                algorithm.announce_leave()
-                await asyncio.sleep(0.05)
-                leaves += 1
-            else:
-                crashes += 1
-            await host.stop_node(engine)
+    joined_at = {event.name: event.at for event in churn.joins()}
+    seniority = names + list(joined_at)
+
+    async def join(_: ChaosCluster, name: str) -> None:
+        # The joiner's one contact: the senior-most node alive when it arrives.
+        alive = churn.alive_after(joined_at[name])
+        contact = next(node for node in seniority if node in alive and node != name)
+        algorithm = await add_node(name)
+        algorithm.known_hosts.add(cluster[contact])
+        algorithm.on_bootstrapped()
+
+    churn.to_failure_schedule().arm(cluster, node_factory=join)
+    await asyncio.sleep(max((event.at for event in churn.events), default=0.0))
 
     t1 = loop.time()
-    converged = await _poll(ring_converged, convergence_timeout)
+    final = churn.final_alive()
+    converged = await _poll(lambda: ring_converged(final), convergence_timeout)
     reconverge_seconds = loop.time() - t1
 
-    await host.stop()
+    await cluster.stop()
     await asyncio.sleep(0.05)  # let cancellations unwind
     current = asyncio.current_task()
     leaked = [
         task for task in asyncio.all_tasks()
         if task is not current and not task.done()
     ]
+    kinds = Counter(event.kind for event in churn.events)
     return LiveChurnRun(
         n_start=n_nodes,
-        n_final=len(alive),
-        joins=joins,
-        crashes=crashes,
-        leaves=leaves,
+        n_final=len(final),
+        joins=kinds["join"],
+        crashes=kinds["crash"],
+        leaves=kinds["leave"],
         bootstrap_seconds=bootstrap_seconds,
         reconverge_seconds=reconverge_seconds,
         converged=bool(booted and converged),
@@ -286,7 +273,7 @@ def run_live_churn(
     period: float = 0.25,
     convergence_timeout: float = 25.0,
 ) -> LiveChurnRun:
-    """Run the live VirtualHost leg (its own event loop)."""
+    """Run the live ChaosCluster leg (its own event loop)."""
     return asyncio.run(
         _run_live(n_nodes, seed, duration, period, convergence_timeout)
     )
@@ -325,7 +312,7 @@ class ChurnConvergenceResult:
         tables.append(curve)
         if self.live is not None:
             live = Table(
-                "Churn convergence — live VirtualHost leg",
+                "Churn convergence — live ChaosCluster leg",
                 ["metric", "value"],
             )
             run = self.live

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the asyncio transport.
 
-The simulator's :mod:`repro.sim.failure` toolkit can stall or cut a
-:class:`~repro.sim.link.SimLink` directly; real sockets offer no such
-handle.  This module closes that gap: a :class:`ChaosController` holds
-seedable fault policies, and engines created with ``config.chaos`` route
-every peer connection through a thin link wrapper that consults it.
+The simulator can stall or cut a :class:`~repro.sim.link.SimLink`
+directly; real sockets offer no such handle.  This module closes that
+gap: a :class:`ChaosController` holds seedable fault policies, and
+engines created with ``config.chaos`` route every peer connection
+through a thin link wrapper that consults it.
 The supported faults mirror (and extend) the sim toolkit:
 
 - **connection refusal** — dialing a refused destination raises
@@ -29,23 +29,25 @@ resume.  Convergence after a fault therefore means *reconnected or torn
 down*, never a permanent churn loop.
 
 :class:`ChaosCluster` builds a localhost fleet of
-:class:`~repro.net.engine.AsyncioEngine` nodes sharing one controller
-and can arm a :class:`~repro.sim.failure.FailureSchedule` against it —
-the same declarative schedule object that drives the simulator, so
-robustness experiments run unchanged on either backend.
+:class:`~repro.net.engine.AsyncioEngine` nodes sharing one controller,
+with the fault verbs a :class:`~repro.sim.failure.FailureSchedule`
+replays: ``schedule.arm(cluster)`` runs the same declarative schedule
+object that drives the simulator, so robustness experiments run
+unchanged on either backend.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+from typing import Callable
 
 from repro.core.algorithm import Algorithm
 from repro.core.ids import NodeId
 from repro.errors import UnknownNodeError
 from repro.net.engine import AsyncioEngine, NetEngineConfig
 from repro.net.tasks import TaskSet
-from repro.sim.failure import FailureEvent, FailureSchedule
+from repro.sim.failure import LEAVE_GRACE, FailureSchedule, NodeFactory, announce_leave
 
 __all__ = [
     "ChaosController",
@@ -261,9 +263,6 @@ class ChaosController:
         self.n_stalls += 1
         self.link(src, dst).set_mode(_LinkChaos.STALL)
 
-    def unstall_link(self, src: NodeId, dst: NodeId) -> None:
-        self.link(src, dst).set_mode(_LinkChaos.OK)
-
     def cut_link(self, src: NodeId, dst: NodeId) -> None:
         """Reset the connection between ``src`` and ``dst`` mid-stream.
 
@@ -291,9 +290,12 @@ class ChaosCluster:
     """A localhost fleet of asyncio engines wired through one controller.
 
     Provides just enough of :class:`~repro.sim.network.SimNetwork`'s
-    surface (``engine()``, ``net[name]``, schedule arming) that failure
+    surface (``engine()``, ``net[name]``, the fault verbs) that failure
     experiments written against the simulator run on real sockets too.
     """
+
+    #: each engine carries its own telemetry; the cluster traces no churn
+    telemetry = None
 
     def __init__(
         self,
@@ -309,8 +311,6 @@ class ChaosCluster:
         self._handles: list[asyncio.TimerHandle] = []
         #: schedule actions in flight (kills, joins, graceful leaves)
         self._tasks = TaskSet(type(self).__name__)
-        self._t0: float | None = None
-        self._node_factory = None
 
     # ---------------------------------------------------------------- topology
 
@@ -360,66 +360,31 @@ class ChaosCluster:
         for engine in list(self._engines.values()):
             await engine.stop()
 
-    # --------------------------------------------------------------- schedules
+    # ------------------------------------------------------------- fault verbs
+    # The verbs a FailureSchedule replays (repro.sim.failure); schedule
+    # times are wall seconds after the call, so after ``arm()``.
 
-    def arm(self, schedule: FailureSchedule, node_factory=None) -> None:
-        """Fire the schedule's events at wall-clock offsets from *now*.
+    def schedule(self, at: float, callback: Callable[..., None], *args) -> None:
+        self._handles.append(asyncio.get_running_loop().call_later(at, callback, *args))
 
-        The same :class:`FailureSchedule` object arms against a
-        :class:`~repro.sim.network.SimNetwork` (virtual time) or against
-        this cluster (wall time): event semantics map one to one, with
-        the chaos controller standing in for direct link handles.
+    def kill_node(self, node: NodeId | str) -> None:
+        self._tasks.launch(self.engine(node).stop(), f"kill {node}")
 
-        ``node_factory`` (required when the schedule contains
-        ``join_node`` events) is an async callable ``(cluster, name)``
-        that creates and starts the arriving node — typically a wrapper
-        around :meth:`add_node` that also seeds a membership contact.
-        """
-        if node_factory is None and any(
-            e.kind == "join_node" for e in schedule.events
-        ):
-            raise ValueError(
-                "schedule contains join_node events: arm(schedule, node_factory=...)"
-            )
-        self._node_factory = node_factory
-        loop = asyncio.get_running_loop()
-        self._t0 = loop.time()
-        for event in sorted(schedule.events, key=lambda e: e.at):
-            self._handles.append(loop.call_later(event.at, self._fire, event))
-
-    def _fire(self, event: FailureEvent) -> None:
-        try:
-            if event.kind == "kill_node":
-                self._tasks.launch(self.engine(event.node).stop(), f"kill {event.node}")
-            elif event.kind == "join_node":
-                assert self._node_factory is not None
-                self._tasks.launch(
-                    self._node_factory(self, str(event.node)), f"join {event.node}"
-                )
-            elif event.kind == "leave_node":
-                self._tasks.launch(self._graceful_leave(event.node), f"leave {event.node}")
-            elif event.kind == "cut_link":
-                assert event.peer is not None
-                self.chaos.cut_link(self[event.node], self[event.peer])
-            elif event.kind == "stall_link":
-                assert event.peer is not None
-                self.chaos.stall_link(self[event.node], self[event.peer])
-            elif event.kind == "kill_source":
-                assert event.app is not None
-                self.engine(event.node).stop_source(event.app)
-        except UnknownNodeError:
-            # The target already failed or was torn down first; an
-            # injected fault racing a real one is not an experiment error.
-            pass
-
-    async def _graceful_leave(self, node: NodeId | str) -> None:
+    def leave_node(self, node: NodeId | str) -> None:
         """Announce departure (when the algorithm can), then stop."""
-        try:
-            engine = self.engine(node)
-        except UnknownNodeError:
-            return
-        announce = getattr(engine.algorithm, "announce_leave", None)
-        if callable(announce):
-            announce()
-            await asyncio.sleep(0.05)  # let the final gossip blast drain
-        await engine.stop()
+        if announce_leave(self.engine(node).algorithm):
+            self.schedule(LEAVE_GRACE, self.kill_node, node)
+        else:
+            self.kill_node(node)
+
+    def join_node(self, name: str, node_factory: NodeFactory) -> None:
+        self._tasks.launch(node_factory(self, name), f"join {name}")
+
+    def cut_link(self, src: NodeId | str, dst: NodeId | str) -> None:
+        self.chaos.cut_link(self[src], self[dst])
+
+    def stall_link(self, src: NodeId | str, dst: NodeId | str) -> None:
+        self.chaos.stall_link(self[src], self[dst])
+
+    def kill_source(self, node: NodeId | str, app: int) -> None:
+        self.engine(node).stop_source(app)

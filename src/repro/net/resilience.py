@@ -75,8 +75,6 @@ class ResilienceConfig:
     inactivity_timeout: float | None = None
     #: how long a liveness probe may go unanswered before DEAD
     probe_timeout: float = 1.0
-    #: watchdog wake period; ``None`` derives it from the timeouts
-    check_interval: float | None = None
     #: bounded observer outbox capacity (messages); overflow drops oldest
     observer_outbox: int = 256
     #: ceiling on one observer-reconnect backoff delay (seconds)
@@ -87,9 +85,7 @@ class ResilienceConfig:
     observer_retry_budget: int | None = None
 
     def watchdog_interval(self) -> float:
-        """The wake period of the inactivity watchdog."""
-        if self.check_interval is not None:
-            return self.check_interval
+        """The wake period of the inactivity watchdog, derived from the timeouts."""
         assert self.inactivity_timeout is not None
         return max(min(self.inactivity_timeout, self.probe_timeout) / 2.0, 0.01)
 

@@ -58,9 +58,6 @@ class TraceLog:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self._records)
 
-    def from_node(self, node: NodeId) -> list[TraceRecord]:
-        return [record for record in self._records if record.node == node]
-
     def matching(self, substring: str) -> list[TraceRecord]:
         return [record for record in self._records if substring in record.text]
 

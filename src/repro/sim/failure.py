@@ -2,13 +2,16 @@
 
 The paper's observer injects faults "in a controlled fashion, while any
 possible exceptions are handled by the engine, transparent to the
-algorithm" (Section 3.1).  This module is the experiment-side toolkit:
-immediate or scheduled node kills, link cuts (loud) and link stalls
-(silent — only traffic-inactivity detection catches them), plus a
-declarative schedule runner.
+algorithm" (Section 3.1).  A :class:`FailureSchedule` is the one
+declarative fault timeline: node kills, link cuts (loud), link stalls
+(silent — only traffic-inactivity detection catches them), source
+kills, and churn.  :meth:`FailureSchedule.arm` replays it on either
+*fleet*: the simulator's :class:`~repro.sim.network.SimNetwork`
+(absolute virtual times) or the real-socket
+:class:`~repro.net.chaos.ChaosCluster` (wall seconds after ``arm()``).
 
 Churn support: schedules may also *grow* the deployment.  A
-``join_node`` event asks a caller-supplied ``node_factory(net, name)``
+``join_node`` event asks a caller-supplied ``node_factory(fleet, name)``
 to create and start a new node at fire time, and ``leave_node`` performs
 a graceful departure — the algorithm gets a chance to announce it (via
 an ``announce_leave()`` method, e.g. SWIM's gossip blast) before the
@@ -20,66 +23,34 @@ into a sustained-churn driver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import TYPE_CHECKING, Any, Callable, Literal
 
 from repro.core.ids import NodeId
 from repro.errors import ConfigurationError, UnknownNodeError
-from repro.sim.network import SimNetwork
+
+if TYPE_CHECKING:
+    from repro.net.chaos import ChaosCluster
+    from repro.sim.network import SimNetwork
 
 FailureKind = Literal[
     "kill_node", "cut_link", "stall_link", "kill_source", "join_node", "leave_node"
 ]
 
-#: virtual seconds between a leave announcement and the engine teardown,
-#: so the departing node's final gossip blast drains its send queues
+#: seconds between a leave announcement and the engine teardown, so the
+#: departing node's final gossip blast drains its send queues
 LEAVE_GRACE = 0.05
 
-#: a join event's factory: create + start one node named ``name``
-NodeFactory = Callable[[SimNetwork, str], None]
+#: a join event's factory: create + start one node named ``name``.  On a
+#: ChaosCluster it returns an awaitable, which the cluster runs as a task.
+NodeFactory = Callable[[Any, str], Any]
 
 
-def kill_node(net: SimNetwork, node: NodeId | str) -> None:
-    """Terminate a node abruptly; neighbours detect via socket errors."""
-    net.engine(node).terminate()
-
-
-def leave_node(net: SimNetwork, node: NodeId | str) -> None:
-    """Gracefully depart: announce (if the algorithm can), then terminate."""
-    engine = net.engine(node)
-    announce = getattr(engine.algorithm, "announce_leave", None)
+def announce_leave(algorithm) -> bool:
+    """Let ``algorithm`` announce its departure if it can; True if it did."""
+    announce = getattr(algorithm, "announce_leave", None)
     if callable(announce):
         announce()
-        net.kernel.call_later(LEAVE_GRACE, engine.terminate)
-    else:
-        engine.terminate()
-
-
-def cut_link(net: SimNetwork, src: NodeId | str, dst: NodeId | str) -> None:
-    """Break the directed overlay link src -> dst with a loud failure."""
-    src_engine = net.engine(src)
-    dst_id = net[dst] if isinstance(dst, str) else dst
-    sender = src_engine._senders.get(dst_id)
-    if sender is None:
-        raise UnknownNodeError(f"no live link {src} -> {dst}")
-    sender.link.break_()
-
-
-def stall_link(net: SimNetwork, src: NodeId | str, dst: NodeId | str) -> None:
-    """Silently stall src -> dst: no errors, no traffic.
-
-    Only engines with ``inactivity_timeout`` configured will ever notice.
-    """
-    src_engine = net.engine(src)
-    dst_id = net[dst] if isinstance(dst, str) else dst
-    sender = src_engine._senders.get(dst_id)
-    if sender is None:
-        raise UnknownNodeError(f"no live link {src} -> {dst}")
-    sender.link.stall()
-
-
-def kill_source(net: SimNetwork, node: NodeId | str, app: int) -> None:
-    """Fail an application data source prematurely."""
-    net.engine(node).stop_source(app)
+    return callable(announce)
 
 
 @dataclass(frozen=True)
@@ -102,10 +73,11 @@ _CHURN_TRACE = {
 
 @dataclass
 class FailureSchedule:
-    """A declarative list of faults applied at virtual times.
+    """A declarative list of faults applied at schedule times.
 
-    Call :meth:`arm` once after ``net.start()``; each event fires from a
-    kernel callback, so the schedule composes with any experiment loop.
+    Call :meth:`arm` once after the fleet has started; each event fires
+    from a callback on the fleet's clock, so the schedule composes with
+    any experiment loop.
     """
 
     events: list[FailureEvent] = field(default_factory=list)
@@ -135,42 +107,45 @@ class FailureSchedule:
         self.events.append(FailureEvent(at, "kill_source", node, app=app))
         return self
 
-    def arm(self, net: SimNetwork, node_factory: NodeFactory | None = None) -> None:
+    def arm(
+        self, fleet: SimNetwork | ChaosCluster, node_factory: NodeFactory | None = None
+    ) -> None:
+        """Schedule every event on ``fleet``'s clock.
+
+        A fleet offers ``schedule(at, callback, *args)`` on its own clock,
+        one verb per event kind, of the same name, each raising
+        :class:`~repro.errors.UnknownNodeError` for a target that is gone,
+        and ``telemetry`` (plus ``now`` when that is set) for the churn
+        trace.  ``node_factory`` is required when the schedule contains
+        ``join_node`` events.
+        """
         if node_factory is None and any(e.kind == "join_node" for e in self.events):
             raise ConfigurationError(
-                "schedule contains join_node events: arm(net, node_factory=...)"
+                "schedule contains join_node events: arm(fleet, node_factory=...)"
             )
         for event in sorted(self.events, key=lambda e: e.at):
-            net.kernel.call_at(event.at, self._fire, net, event, node_factory)
+            fleet.schedule(event.at, self._fire, fleet, event, node_factory)
 
     @staticmethod
     def _fire(
-        net: SimNetwork, event: FailureEvent, node_factory: NodeFactory | None = None
+        fleet: SimNetwork | ChaosCluster,
+        event: FailureEvent,
+        node_factory: NodeFactory | None,
     ) -> None:
+        # The six event kinds are the fleet's six verbs of the same name.
+        args = {
+            "join_node": (str(event.node), node_factory),
+            "cut_link": (event.node, event.peer),
+            "stall_link": (event.node, event.peer),
+            "kill_source": (event.node, event.app),
+        }.get(event.kind, (event.node,))
         try:
-            if event.kind == "kill_node":
-                kill_node(net, event.node)
-            elif event.kind == "join_node":
-                assert node_factory is not None
-                node_factory(net, str(event.node))
-            elif event.kind == "leave_node":
-                leave_node(net, event.node)
-            elif event.kind == "cut_link":
-                assert event.peer is not None
-                cut_link(net, event.node, event.peer)
-            elif event.kind == "stall_link":
-                assert event.peer is not None
-                stall_link(net, event.node, event.peer)
-            elif event.kind == "kill_source":
-                assert event.app is not None
-                kill_source(net, event.node, event.app)
+            getattr(fleet, event.kind)(*args)
         except UnknownNodeError:
             # The target already failed or was torn down first; an injected
             # fault racing a real one is not an experiment error.
             return
         trace_event = _CHURN_TRACE.get(event.kind)
-        tel = net.config.telemetry
+        tel = fleet.telemetry
         if trace_event is not None and tel is not None and tel.tracer.enabled:
-            tel.tracer.append_raw(
-                net.kernel.now, str(event.node), trace_event, "", 0, {}
-            )
+            tel.tracer.append_raw(fleet.now, str(event.node), trace_event, "", 0, {})

@@ -14,7 +14,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.algorithm import Algorithm
@@ -24,6 +24,7 @@ from repro.core.message import Message
 from repro.errors import ConfigurationError, UnknownNodeError
 from repro.observer.observer import Observer
 from repro.sim.engine import EngineConfig, SimEngine
+from repro.sim.failure import LEAVE_GRACE, NodeFactory, announce_leave
 from repro.sim.kernel import Kernel
 from repro.sim.link import SimLink
 from repro.telemetry import Telemetry
@@ -43,7 +44,6 @@ class NetworkConfig:
     #: number of messages without advancing virtual time.
     default_latency: float = 0.005
     socket_buffer: int = 4
-    observer_latency: float = DEFAULT_OBSERVER_LATENCY
     observer_poll_interval: float = 1.0
     bootstrap_fanout: int = 8
     engine: EngineConfig = field(default_factory=EngineConfig)
@@ -109,15 +109,7 @@ class SimNetwork:
             node_id = NodeId(f"10.0.{host // 250}.{host % 250 + 1}", 7000)
         if node_id in self.engines:
             raise ConfigurationError(f"duplicate node id {node_id}")
-        template = self.config.engine
-        engine_config = config or EngineConfig(
-            buffer_capacity=template.buffer_capacity,
-            report_interval=template.report_interval,
-            inactivity_timeout=template.inactivity_timeout,
-            source_interval=template.source_interval,
-            bandwidth=BandwidthSpec(),
-            telemetry=template.telemetry,
-        )
+        engine_config = config or replace(self.config.engine, bandwidth=BandwidthSpec())
         if bandwidth is not None:
             engine_config.bandwidth = bandwidth
         if engine_config.telemetry is None and self.config.telemetry is not None:
@@ -154,6 +146,49 @@ class SimNetwork:
         """Open a persistent overlay connection src -> dst (engine-level)."""
         self.engine(src).connect(self[dst] if isinstance(dst, str) else dst)
 
+    # --------------------------------------------------------------- fault verbs
+    # The verbs a FailureSchedule replays (repro.sim.failure); schedule
+    # times are absolute virtual times.
+
+    def schedule(self, at: float, callback: Callable[..., None], *args) -> None:
+        self.kernel.call_at(at, callback, *args)
+
+    def kill_node(self, node: NodeId | str) -> None:
+        """Terminate a node abruptly; neighbours detect via socket errors."""
+        self.engine(node).terminate()
+
+    def leave_node(self, node: NodeId | str) -> None:
+        """Gracefully depart: announce (if the algorithm can), then terminate."""
+        engine = self.engine(node)
+        if announce_leave(engine.algorithm):
+            self.kernel.call_later(LEAVE_GRACE, engine.terminate)
+        else:
+            engine.terminate()
+
+    def join_node(self, name: str, node_factory: NodeFactory) -> None:
+        node_factory(self, name)
+
+    def cut_link(self, src: NodeId | str, dst: NodeId | str) -> None:
+        """Break the directed overlay link src -> dst with a loud failure."""
+        self._link(src, dst).break_()
+
+    def stall_link(self, src: NodeId | str, dst: NodeId | str) -> None:
+        """Silently stall src -> dst: no errors, no traffic.
+
+        Only engines with ``inactivity_timeout`` configured will ever notice.
+        """
+        self._link(src, dst).stall()
+
+    def kill_source(self, node: NodeId | str, app: int) -> None:
+        """Fail an application data source prematurely."""
+        self.engine(node).stop_source(app)
+
+    def _link(self, src: NodeId | str, dst: NodeId | str) -> SimLink:
+        sender = self.engine(src)._senders.get(self[dst] if isinstance(dst, str) else dst)
+        if sender is None:
+            raise UnknownNodeError(f"no live link {src} -> {dst}")
+        return sender.link
+
     # --------------------------------------------------------------------- Fabric
 
     def open_link(self, src: NodeId, dst: NodeId) -> SimLink | None:
@@ -170,7 +205,7 @@ class SimNetwork:
         return link
 
     def to_observer(self, msg: Message) -> None:
-        self.kernel.call_later(self.config.observer_latency, self.observer.on_message, msg)
+        self.kernel.call_later(DEFAULT_OBSERVER_LATENCY, self.observer.on_message, msg)
 
     def node_terminated(self, node: NodeId) -> None:
         self.observer.mark_down(node)
@@ -181,7 +216,7 @@ class SimNetwork:
         engine = self.engines.get(node)
         if engine is None or not engine.running:
             return
-        self.kernel.call_later(self.config.observer_latency, engine.deliver_control, msg)
+        self.kernel.call_later(DEFAULT_OBSERVER_LATENCY, engine.deliver_control, msg)
 
     def observer_now(self) -> float:
         return self.kernel.now

@@ -35,8 +35,3 @@ def install_shutdown_handlers(
                 signal.signal(sig, lambda *_: loop.call_soon_threadsafe(stop.set))
             except (ValueError, OSError):
                 pass
-
-
-async def wait_for_shutdown(stop: asyncio.Event) -> None:
-    """Park until a shutdown signal arrives (readable call-site name)."""
-    await stop.wait()

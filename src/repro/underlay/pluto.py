@@ -100,8 +100,5 @@ class PlutoUnderlay:
             raise ValueError("no candidates")
         return min(candidates, key=lambda c: (self.latency(node, c), str(c)))
 
-    def same_site(self, a: NodeId, b: NodeId) -> bool:
-        return self._site_of.get(a) is self._site_of.get(b)
-
     def nodes(self) -> list[NodeId]:
         return list(self._site_of)

@@ -186,6 +186,18 @@ def test_measure_round_trip(cluster):
     assert send_rate >= 0.0
 
 
+def test_measure_records_the_link_srtt(cluster):
+    """The RTT of a measure() reply feeds the link's smoothed RTT."""
+    prober, echoer = cluster.add_node(RecordingSink()), cluster.add_node(SinkAlgorithm())
+    cluster.start()
+    cluster.connect(prober, echoer)
+    assert prober.link_stats(echoer.node_id).srtt is None
+    prober.measure(echoer.node_id)
+    cluster.settle(0.3)
+    srtt = prober.link_stats(echoer.node_id).srtt
+    assert isinstance(srtt, float) and srtt > 0.0
+
+
 class SeqSink(SinkAlgorithm):
     """Sink that records the sequence number of every data message."""
 
@@ -293,3 +305,38 @@ def test_dead_upstream_receive_buffer_is_counted_lost(cluster):
     assert held <= _lost_messages(relay) <= held + 8, (
         f"{cluster.backend} discarded a receiver buffer without counting it"
     )
+
+
+def test_dropping_a_destination_counts_what_a_port_and_a_source_owed_it(cluster):
+    """A relay port and the relay's own source each wait on the full send
+    queue toward the sink when that link is dropped: the queue and both
+    owed copies are counted lost, and no port is left blocked."""
+    up_alg, relay_alg = CopyForwardAlgorithm(), CopyForwardAlgorithm()
+    upstream, relay = cluster.add_node(up_alg), cluster.add_node(relay_alg)
+    sink = cluster.add_node(SinkAlgorithm(), down=100_000.0)
+    cluster.start()
+    up_alg.set_downstreams([relay.node_id])
+    relay_alg.set_downstreams([sink.node_id])
+    cluster.connect(upstream, relay)
+    cluster.connect(relay, sink)
+    upstream.start_source(app=APP, payload_size=500)
+    relay.start_source(app=APP + 1, payload_size=500)
+
+    def both_owe() -> bool:
+        source_owes = any(f.remaining for f in relay._source_pending or ())
+        return source_owes and relay._scheduler.pending_ports() > 0
+
+    for _ in range(100):
+        cluster.settle(0.05)
+        if both_owe():
+            break
+    assert both_owe()
+    queued = relay.queue_snapshot()["send"][str(sink.node_id)]
+    # A DES sender blocked on its window holds one message off the queue;
+    # that one is lost with the link too.
+    sender = getattr(relay, "_senders", {}).get(sink.node_id)
+    in_hand = int(sender is not None and sender.msg is not None)
+    lost = _lost_messages(relay)
+    relay.disconnect(sink.node_id)
+    assert _lost_messages(relay) == lost + queued + in_hand + 2
+    assert relay._scheduler.pending_ports() == 0

@@ -15,10 +15,19 @@ and 3.12).  A change meant to keep the schedule — such as replacing
 the simulated links' per-link tasks with callbacks — must leave both
 digests alone.  A change that alters the schedule on purpose updates
 them in the same commit and says why.
+
+One process has one hash seed, so none of the above can see an
+iteration order that follows the salted ``str`` hash.  The Fig. 18
+check runs a short experiment in two fresh interpreters under two
+``PYTHONHASHSEED`` values and compares what they print.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.bandwidth import BandwidthSpec
@@ -31,6 +40,8 @@ from repro.telemetry.exporters import chrome_trace_events
 
 FIG5_CHAIN_SEED7_SHA256 = "78374eb9048e9af8efab85fa71b936ddcba6f49b36a521c4b345a070e8e58152"
 FIG8_BUTTERFLY_SEED3_SHA256 = "ddb9eb7d60cc6161897f2dc01de75a2630c45303d33413b6544eecafa942f8d9"
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _serialize(telemetry: Telemetry) -> str:
@@ -114,3 +125,26 @@ def test_different_seeds_may_diverge_but_never_crash():
     a = _run_fig5_chain(seed=1)
     b = _run_fig5_chain(seed=2)
     assert json.loads(a)["trace"] and json.loads(b)["trace"]
+
+
+def _fig18_stdout(hash_seed: str) -> str:
+    """A one-minute Fig. 18 run, printed by a fresh interpreter."""
+    code = (
+        "from repro.experiments.fig18_pernode_overhead import run_fig18\n"
+        "run_fig18(duration=60.0).table().print()\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return done.stdout
+
+
+def test_fig18_does_not_depend_on_the_hash_seed():
+    """``str`` hashes are salted per process, so a set of NodeIds iterates
+    in a different order under each ``PYTHONHASHSEED``; nothing an
+    experiment prints may follow that order."""
+    first = _fig18_stdout("0")
+    assert "sAware" in first
+    assert first == _fig18_stdout("1")

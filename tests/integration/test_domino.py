@@ -5,7 +5,6 @@ import asyncio
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.bandwidth import BandwidthSpec
 from repro.net.virtual import VirtualHost
-from repro.sim.failure import kill_node
 from repro.sim.network import SimNetwork
 
 KB = 1000.0
@@ -55,7 +54,7 @@ def build_deep_chain(length=5):
 
 def test_source_node_death_cascades_to_every_descendant():
     net, algorithms, nodes = build_deep_chain(5)
-    kill_node(net, nodes[0])
+    net.kill_node(nodes[0])
     net.run(5)
     # Direct child sees the broken link; everyone further down sees the
     # domino BROKEN_SOURCE for app 9.
@@ -66,7 +65,7 @@ def test_source_node_death_cascades_to_every_descendant():
 
 def test_midpath_death_notifies_only_downstream():
     net, algorithms, nodes = build_deep_chain(5)
-    kill_node(net, nodes[2])
+    net.kill_node(nodes[2])
     net.run(5)
     # Upstream of the failure: a broken *downstream* link, no broken source.
     assert str(nodes[2]) in algorithms[1].broken_links
@@ -92,7 +91,7 @@ def test_multipath_node_survives_single_upstream_loss():
     net.start()
     net.observer.deploy_source(n_src, app=3, payload_size=5000)
     net.run(5)
-    kill_node(net, n_a)
+    net.kill_node(n_a)
     net.run(8)
     # One upstream remains: no BROKEN_SOURCE at the sink, data still flows.
     assert 3 not in sink.broken_sources

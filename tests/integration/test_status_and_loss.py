@@ -5,7 +5,6 @@ import pytest
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.bandwidth import BandwidthSpec
 from repro.sim.engine import EngineConfig
-from repro.sim.failure import kill_node
 from repro.sim.network import NetworkConfig, SimNetwork
 
 KB = 1000.0
@@ -20,7 +19,7 @@ def test_loss_counted_after_downstream_death():
     net.start()
     net.observer.deploy_source(src, app=1, payload_size=5000)
     net.run(10)  # slow receiver: src's buffers fill up
-    kill_node(net, dst)
+    net.kill_node(dst)
     net.run(5)
     report = net.engine(src)._status_report().fields()
     # The queued/in-flight messages at the moment of death were lost.
@@ -52,7 +51,7 @@ def test_observer_sees_loss_through_status():
     net.start()
     net.observer.deploy_source(src, app=1, payload_size=5000)
     net.run(10)
-    kill_node(net, dst)
+    net.kill_node(dst)
     net.run(3)  # next poll cycle collects the post-failure status
     status = net.observer.statuses[src]
     assert status.downstreams == []  # link gone from the report

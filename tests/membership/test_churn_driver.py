@@ -151,8 +151,8 @@ def test_chaos_arm_requires_node_factory_for_joins():
             events=[], initial=()
         ).to_failure_schedule().join_node(0.5, "late")
         try:
-            with pytest.raises(ValueError):
-                cluster.arm(schedule)
+            with pytest.raises(ConfigurationError):
+                schedule.arm(cluster)
         finally:
             await cluster.stop()
 

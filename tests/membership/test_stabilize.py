@@ -9,7 +9,6 @@ from repro.algorithms.stabilize import (
     ring_targets,
 )
 from repro.core.ids import NodeId
-from repro.sim.failure import kill_node
 from repro.sim.network import NetworkConfig, SimNetwork
 
 
@@ -88,7 +87,7 @@ def test_ring_reconverges_after_crash():
     net, algorithms = build_ring_net(8)
     net.run(20)
     assert_ring_converged(net, algorithms)
-    kill_node(net, "r0")
+    net.kill_node("r0")
     survivors = algorithms[1:]
     net.run(25)  # detect the death, then repair around the gap
     assert_ring_converged(net, survivors)

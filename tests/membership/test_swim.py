@@ -6,7 +6,6 @@ import pytest
 
 from repro.membership.protocol import DEAD, LEFT, SwimConfig
 from repro.membership.swim import SwimMembershipAlgorithm
-from repro.sim.failure import kill_node, leave_node
 from repro.sim.network import NetworkConfig, SimNetwork
 from repro.telemetry import Telemetry
 
@@ -36,7 +35,7 @@ def test_crash_is_detected_and_pruned_from_known_hosts():
     net, algorithms = build_swim_net(6)
     net.run(10)
     victim = algorithms[0].node_id
-    kill_node(net, "s0")
+    net.kill_node("s0")
     net.run(15)  # probe -> suspect -> dead -> rumour spread
     for alg in algorithms[1:]:
         assert alg.core.state_of(victim) == DEAD
@@ -48,7 +47,7 @@ def test_graceful_leave_gossips_left_immediately():
     net, algorithms = build_swim_net(6)
     net.run(10)
     victim = algorithms[2].node_id
-    leave_node(net, "s2")
+    net.leave_node("s2")
     # A LEFT rumour needs only dissemination, not a suspicion timeout:
     # well under the ~suspicion_mult periods a crash detection takes.
     net.run(4)
@@ -63,7 +62,7 @@ def test_membership_telemetry_counters_recorded():
     tel = Telemetry()
     net, algorithms = build_swim_net(5, telemetry=tel)
     net.run(10)
-    kill_node(net, "s0")
+    net.kill_node("s0")
     net.run(15)
     events = tel.registry.get("ioverlay_membership_events_total")
     assert events is not None
@@ -80,7 +79,7 @@ def test_broken_link_fast_paths_suspicion():
     net, algorithms = build_swim_net(4)
     net.run(10)
     victim = algorithms[3].node_id
-    kill_node(net, "s3")
+    net.kill_node("s3")
     # Fail-fast via BROKEN_LINK plus the probe cycle: detection must not
     # need more than a couple of suspicion windows.
     net.run(3.0 * SwimConfig().suspicion_mult * SwimConfig().period)

@@ -347,7 +347,7 @@ def test_failure_schedule_runs_against_the_cluster(seed):
 
         schedule = FailureSchedule()
         schedule.stall_link(0.05, "src", "a").kill_node(0.2, "b")
-        cluster.arm(schedule)
+        schedule.arm(cluster)
 
         done = await wait_until(
             lambda: bool(sink_a.broken) and not b.running, timeout=2.5)
@@ -382,8 +382,8 @@ def test_stop_settles_a_join_and_a_leave_fired_just_before_it():
             joining.set()
             await cl.add_node(SinkAlgorithm(), name, quiet_config(1))
 
-        cluster.arm(FailureSchedule().join_node(0.0, "late").leave_node(0.0, "a"),
-                    node_factory=join)
+        FailureSchedule().join_node(0.0, "late").leave_node(0.0, "a").arm(
+            cluster, node_factory=join)
         await joining.wait()
         await cluster.stop()
         assert sorted(cluster._engines) == ["a", "b", "late"]
@@ -402,7 +402,7 @@ def test_schedule_tolerates_unknown_targets():
             cluster.chaos.cut_link(cluster["solo"], NodeId("127.0.0.1", 1))
         # ... and a schedule racing a real failure swallows it.
         schedule = FailureSchedule().cut_link(0.01, "solo", "ghost")
-        cluster.arm(schedule)
+        schedule.arm(cluster)
         await asyncio.sleep(0.1)  # must not raise
         await converged(cluster)
 

@@ -6,7 +6,7 @@ from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.bandwidth import BandwidthSpec
 from repro.errors import UnknownNodeError
 from repro.sim.engine import EngineConfig
-from repro.sim.failure import FailureSchedule, cut_link, kill_node, stall_link
+from repro.sim.failure import FailureSchedule
 from repro.sim.network import NetworkConfig, SimNetwork
 
 KB = 1000.0
@@ -31,7 +31,7 @@ def test_kill_node_stops_traffic_downstream():
     net.run(5)
     before = sink.received
     assert before > 0
-    kill_node(net, "B")
+    net.kill_node("B")
     net.run(10)
     settled = sink.received
     net.run(5)
@@ -41,7 +41,7 @@ def test_kill_node_stops_traffic_downstream():
 def test_cut_link_detected_by_both_sides():
     net, (a, b, c), (a_alg, _, _) = build_chain()
     net.run(5)
-    cut_link(net, "A", "B")
+    net.cut_link("A", "B")
     net.run(5)
     assert b not in net.engine(a).downstreams()
     assert a not in net.engine(b).upstreams()
@@ -52,21 +52,21 @@ def test_cut_unknown_link_raises():
     net, _, _ = build_chain()
     net.run(2)
     with pytest.raises(UnknownNodeError):
-        cut_link(net, "C", "A")
+        net.cut_link("C", "A")
 
 
 def test_stall_link_only_caught_with_inactivity_detection():
     # Without a watchdog the stalled link lingers forever.
     net, (a, b, _), _ = build_chain(inactivity=None)
     net.run(5)
-    stall_link(net, "A", "B")
+    net.stall_link("A", "B")
     net.run(30)
     assert b in net.engine(a).downstreams()  # nobody noticed
 
     # With the watchdog both endpoints clean up.
     net, (a, b, _), _ = build_chain(inactivity=4.0)
     net.run(5)
-    stall_link(net, "A", "B")
+    net.stall_link("A", "B")
     net.run(30)
     assert b not in net.engine(a).downstreams()
     assert a not in net.engine(b).upstreams()

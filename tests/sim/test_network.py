@@ -5,6 +5,7 @@ import pytest
 from repro.algorithms.forwarding import SinkAlgorithm
 from repro.core.ids import NodeId
 from repro.errors import ConfigurationError, UnknownNodeError
+from repro.sim.engine import EngineConfig
 from repro.sim.network import NetworkConfig, SimNetwork
 
 
@@ -74,3 +75,12 @@ def test_run_advances_virtual_time_only():
     assert net.now == 5.0
     net.run(2.5)
     assert net.now == 7.5
+
+
+def test_nodes_inherit_every_engine_template_field():
+    """``bootstrap_refresh=None`` in the template means one BOOT per node."""
+    net = SimNetwork(NetworkConfig(engine=EngineConfig(bootstrap_refresh=None)))
+    for _ in range(2):
+        net.add_node(SinkAlgorithm())
+    net.run(12.0)
+    assert net.observer.boot_count == 2
