@@ -1,9 +1,13 @@
 """The child-controller process: one fleet shard of a federated cluster.
 
-``python -m repro.cluster.child --join IP:PORT`` runs a full
+A :class:`ChildControllerHost` runs a full
 :class:`~repro.cluster.controller.ClusterController` — worker fleet,
 placement, supervision, respawn — that answers to a federation root
-instead of owning the observer:
+instead of owning the observer.  A root spawns one as ``python -m
+repro.cluster.child SPEC`` (``SPEC``: the JSON document of this class's
+keyword arguments); a controller on another machine joins with
+``ioverlay cluster --join IP:PORT``, which builds the same host in its
+own process.  Either way it runs:
 
 - **bootstrap**: dial the root, send ``W_REGISTER`` (name, pid,
   declared worker count / capacity / weight), wait for ``C_WELCOME`` —
@@ -31,8 +35,8 @@ keep placing nobody's specs against nobody's observer.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import json
 import sys
 
 from repro.cluster.controller import ClusterConfig, ClusterController
@@ -91,19 +95,21 @@ class ChildControllerHost(ControlHost):
     def __init__(
         self,
         name: str,
-        root_addr: NodeId,
-        config: ClusterConfig,
+        root_addr: NodeId | str,
+        config: ClusterConfig | dict,
         capacity: float = 0.0,
         weight: float = 1.0,
-        flush_interval: float = 0.2,
     ) -> None:
+        if isinstance(config, dict):  # a spec's fields
+            config = ClusterConfig(**config)
         super().__init__(name, root_addr, config.heartbeat_interval)
         self.config = config
         self.capacity = capacity
         self.weight = weight
-        #: the shard proxy always aggregates: it is a mid-tree node of
-        #: the root's observer tree (one ingress per child controller)
-        self.flush_interval = flush_interval
+        #: the shard proxy always aggregates, at its workers' period: it
+        #: is a mid-tree node of the root's observer tree (one ingress
+        #: per child controller)
+        self.flush_interval = config.observer_flush_interval or 0.2
         self.proxy: ObserverProxy | None = None
         self.controller: ClusterController | None = None
         #: node identity (ip:port) -> spec name, for upward node-down
@@ -207,61 +213,6 @@ class ChildControllerHost(ControlHost):
 
 # ----------------------------------------------------------------- entry point
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster.child",
-        description="One federated child controller (joins a root).",
-    )
-    parser.add_argument("--name", required=True, help="controller name in the tree")
-    parser.add_argument("--join", required=True, metavar="IP:PORT",
-                        help="root controller bootstrap endpoint")
-    parser.add_argument("--ip", default="127.0.0.1")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="worker fleet size of this shard")
-    parser.add_argument("--placement", default="round-robin",
-                        help="stage-two policy across this shard's workers")
-    parser.add_argument("--capacity", type=float, default=0.0,
-                        help="declared fleet capacity (total spec weight; "
-                             "0 = unbounded) for root-side placement")
-    parser.add_argument("--weight", type=float, default=1.0,
-                        help="share scaling under the root's weighted policy")
-    parser.add_argument("--heartbeat-interval", type=float, default=0.5)
-    parser.add_argument("--flush-interval", type=float, default=0.2,
-                        help="aggregation flush period for this shard's proxy "
-                             "and its workers' proxies")
-    parser.add_argument("--respawn", action="store_true",
-                        help="respawn this shard's workers when they die")
-    parser.add_argument("--worker-telemetry", action="store_true",
-                        help="enable metrics + tracing inside the workers")
-    parser.add_argument("--shm-ring-bytes", type=int, default=1 << 20,
-                        help="shared-memory ring capacity for co-machine "
-                             "worker links (0 disables)")
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = ClusterConfig(
-        workers=args.workers,
-        placement=args.placement,
-        ip=args.ip,
-        heartbeat_interval=args.heartbeat_interval,
-        respawn=args.respawn,
-        observer_flush_interval=args.flush_interval,
-        worker_telemetry=args.worker_telemetry,
-        shm_ring_bytes=args.shm_ring_bytes,
-        controller_name=args.name,
-    )
-    return run_host(ChildControllerHost(
-        name=args.name,
-        root_addr=NodeId.parse(args.join),
-        config=config,
-        capacity=args.capacity,
-        weight=args.weight,
-        flush_interval=args.flush_interval,
-    ))
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    # argv[1] is the root's spec: this host's keyword arguments.
+    sys.exit(run_host(ChildControllerHost(**json.loads(sys.argv[1]))))

@@ -23,7 +23,7 @@ the placement tier (:mod:`repro.cluster.tier`).  It
   specs.
 
 What this file says is only what a *worker* tier adds to the shared
-one: the argv of a worker, the observer-tree spawn order, the per-worker
+one: the boot spec of a worker, the observer-tree spawn order, the per-worker
 gauges, and that a respawned worker gets its predecessor's specs back.
 The federation root (:mod:`repro.cluster.federation`) is the same tier
 over whole child controllers.  In a federated deployment the controller
@@ -40,7 +40,6 @@ labelled counter and append a trace event when telemetry is attached.
 from __future__ import annotations
 
 import asyncio
-import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -82,6 +81,7 @@ class ClusterController(PlacementTier):
 
     child_kind = "worker"
     trace_source = "controller"
+    host_module = "repro.cluster.worker"
 
     def __init__(self, observer: Any, config: ClusterConfig | None = None) -> None:
         config = config or ClusterConfig()
@@ -136,29 +136,21 @@ class ClusterController(PlacementTier):
                 *(self.spawn_worker(f"w{i}") for i in range(self.config.workers))
             )
 
-    def child_argv(self, state: ShardState) -> list[str]:
-        assert self.addr is not None, "start() first"
+    def child_spec(self, state: ShardState) -> dict:
         config = self.config
-        argv = [
-            sys.executable, "-m", "repro.cluster.worker",
-            "--name", state.name,
-            "--controller", str(self.addr),
-            "--observer", self._upstreams.get(state.name, str(self._obs.addr)),
-            "--ip", config.ip,
-            "--heartbeat-interval", str(config.heartbeat_interval),
-        ]
-        if config.controller_name:
-            argv += ["--controller-name", config.controller_name]
-        if config.observer_flush_interval is not None:
-            argv += ["--flush-interval", str(config.observer_flush_interval)]
-        if config.worker_telemetry:
-            argv += ["--telemetry", "--trace-sample", str(config.worker_trace_sample)]
-        if config.shm_ring_bytes > 0:
-            argv += ["--shm-ring-bytes", str(config.shm_ring_bytes)]
-        pinned_port = self._proxy_ports.get(state.name, 0)
-        if pinned_port:
-            argv += ["--proxy-port", str(pinned_port)]
-        return argv
+        return {
+            "name": state.name,
+            "controller_addr": str(self.addr),
+            "observer_addr": self._upstreams.get(state.name, str(self._obs.addr)),
+            "ip": config.ip,
+            "heartbeat_interval": config.heartbeat_interval,
+            "flush_interval": config.observer_flush_interval,
+            "telemetry_enabled": config.worker_telemetry,
+            "trace_sample": config.worker_trace_sample,
+            "shm_ring_bytes": config.shm_ring_bytes,
+            "proxy_port": self._proxy_ports.get(state.name, 0),
+            "controller_name": config.controller_name,
+        }
 
     async def spawn_worker(self, name: str, upstream: str | None = None) -> WorkerState:
         """Launch one worker process and wait for its W_REGISTER.

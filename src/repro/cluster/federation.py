@@ -10,9 +10,10 @@ just one tier up.  What this file adds is what only a controller tier
 has:
 
 - children either get **spawned** locally (``python -m
-  repro.cluster.child``) or **join** over plain TCP from anywhere
-  (``ioverlay cluster --join``); a joiner is *adopted* — same state
-  machine, nothing to reap or respawn;
+  repro.cluster.child SPEC``, the child host's keyword arguments as one
+  JSON document) or **join** over plain TCP from anywhere (``ioverlay
+  cluster --join``); a joiner is *adopted* — same state machine,
+  nothing to reap or respawn;
 - the bootstrap handshake is two-phase: ``W_REGISTER`` (identity,
   declared worker count/capacity/weight) is answered with ``C_WELCOME``
   (the root observer endpoint to aggregate into, plus a pinned proxy
@@ -45,8 +46,6 @@ events bracket every reconfiguration.
 from __future__ import annotations
 
 import asyncio
-import sys
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -104,6 +103,7 @@ class RootController(PlacementTier):
     state_class = ControllerState
     child_kind = "controller"
     trace_source = "root"
+    host_module = "repro.cluster.child"
 
     def __init__(self, observer: Any, config: RootConfig | None = None) -> None:
         config = config or RootConfig()
@@ -165,25 +165,21 @@ class RootController(PlacementTier):
 
     # ------------------------------------------------------------------- children
 
-    def child_argv(self, state: ShardState) -> list[str]:
-        assert self.addr is not None, "start() first"
+    def child_spec(self, state: ShardState) -> dict:
         config = self.config
-        argv = [
-            sys.executable, "-m", "repro.cluster.child",
-            "--name", state.name,
-            "--join", str(self.addr),
-            "--ip", config.ip,
-            "--workers",
-            str(self._spawn_workers.get(state.name, config.workers_per_child)),
-            "--placement", config.child_placement,
-            "--heartbeat-interval", str(config.heartbeat_interval),
-            "--flush-interval", str(config.observer_flush_interval),
-        ]
-        if config.worker_telemetry:
-            argv += ["--worker-telemetry"]
-        if config.shm_ring_bytes > 0:
-            argv += ["--shm-ring-bytes", str(config.shm_ring_bytes)]
-        return argv
+        return {
+            "name": state.name,
+            "root_addr": str(self.addr),
+            "config": {
+                "workers": self._spawn_workers.get(state.name, config.workers_per_child),
+                "placement": config.child_placement,
+                "ip": config.ip,
+                "heartbeat_interval": config.heartbeat_interval,
+                "observer_flush_interval": config.observer_flush_interval,
+                "worker_telemetry": config.worker_telemetry,
+                "shm_ring_bytes": config.shm_ring_bytes,
+            },
+        }
 
     async def spawn_child(self, name: str, workers: int | None = None) -> ControllerState:
         """Launch one child controller locally and wait until it is ready."""
@@ -211,14 +207,15 @@ class RootController(PlacementTier):
 
     async def wait_joined(self, count: int, timeout: float = 60.0) -> None:
         """Wait until ``count`` child controllers are ready (remote joins)."""
-        deadline = time.monotonic() + timeout
-        while self.controller_count < count:
-            if time.monotonic() > deadline:
-                raise ClusterError(
-                    f"only {self.controller_count}/{count} controllers ready "
-                    f"after {timeout}s"
-                )
-            await asyncio.sleep(0.05)
+        # Imported here: the scenarios module loads the coding algorithms,
+        # and every worker imports this package at boot.
+        from repro.cluster.scenarios import wait_until
+
+        if not await wait_until(lambda: self.controller_count >= count, timeout):
+            raise ClusterError(
+                f"only {self.controller_count}/{count} controllers ready "
+                f"after {timeout}s"
+            )
 
     # ------------------------------------------------- bootstrap handshake
 

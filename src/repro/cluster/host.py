@@ -43,10 +43,10 @@ class ControlHost:
     #: order on the serve loop itself
     concurrent_requests = False
 
-    def __init__(self, name: str, supervisor_addr: NodeId,
+    def __init__(self, name: str, supervisor_addr: NodeId | str,
                  heartbeat_interval: float) -> None:
         self.name = name
-        self.supervisor_addr = supervisor_addr
+        self.supervisor_addr = NodeId.parse(supervisor_addr)
         self.heartbeat_interval = heartbeat_interval
         self._chan: ControlChannel | None = None
         self._tasks = TaskSet(f"{type(self).__name__} {name!r}")

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import time
-from typing import Callable
+import inspect
+from typing import Awaitable, Callable
 
 from repro.algorithms.coding.algorithm import CodedSourceAlgorithm, DecodingSinkAlgorithm
 from repro.algorithms.forwarding import CopyForwardAlgorithm
@@ -286,12 +286,41 @@ def burst_control_message(app: AppId, count: int, size: int) -> Message:
 
 
 async def wait_until(
-    predicate: Callable[[], bool], timeout: float = 30.0, interval: float = 0.05
+    predicate: Callable[[], bool | Awaitable[bool]],
+    timeout: float = 30.0,
+    interval: float = 0.05,
 ) -> bool:
-    """Poll ``predicate`` on the loop until true or ``timeout`` elapses."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
+    """Poll ``predicate`` until true or ``timeout`` elapses on the loop's clock.
+
+    ``predicate`` may return an awaitable (a ``node_info`` round trip,
+    say); it is awaited before being judged.
+    """
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while True:
+        met = predicate()
+        if inspect.isawaitable(met):
+            met = await met
+        if met or loop.time() >= deadline:
+            return bool(met)
         await asyncio.sleep(interval)
-    return predicate()
+
+
+async def poll_info(
+    tier, name: str, predicate: Callable[[dict], bool], timeout: float = 30.0
+) -> dict:
+    """Node ``name``'s ``cluster_info`` facts once ``predicate`` holds on them.
+
+    ``tier`` is a controller or a federation root.  Raises
+    ``AssertionError`` naming the last facts seen on timeout.
+    """
+    info: dict = {}
+
+    async def met() -> bool:
+        nonlocal info
+        info = (await tier.node_info(name)).get("info", {})
+        return predicate(info)
+
+    if not await wait_until(met, timeout, interval=0.1):
+        raise AssertionError(f"node {name!r}: condition never met; last info {info}")
+    return info

@@ -25,14 +25,17 @@ child controllers and places specs on *them* — same verbs
   downstream redial the same endpoint instead of needing a restart.
 
 An instantiation says only what differs: which children are eligible
-and what a spec pins (:meth:`_fleet`, :meth:`_pin`), how a child is
-launched (``child_argv``), what registration and heartbeats carry, and
-what happens to a dead child's orphans.
+and what a spec pins (:meth:`_fleet`, :meth:`_pin`), what a child boots
+from (:meth:`child_spec`: its host's constructor keyword arguments, sent
+as one JSON document on the command line), what registration and
+heartbeats carry, and what happens to a dead child's orphans.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -142,6 +145,9 @@ class PlacementTier(SupervisorCore):
     child_kind = "child"
     #: the ``node`` column this tier's trace events are recorded under
     trace_source = ""
+    #: the module a child runs (``python -m``); it boots the host from
+    #: the spec document on its command line
+    host_module = ""
 
     def __init__(self, observer: Any, config: TierConfig, policy: Any,
                  *, adopt_unknown: bool = False) -> None:
@@ -205,12 +211,24 @@ class PlacementTier(SupervisorCore):
         """``(worker, controller)`` a node spawned under ``state`` sits on."""
         raise NotImplementedError
 
+    def child_spec(self, state: ShardState) -> dict[str, Any]:
+        """The child host's constructor keyword arguments, as JSON values.
+
+        Node ids travel as ``"ip:port"`` strings; the host parses them.
+        """
+        raise NotImplementedError
+
     # ------------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
         """Bind the control server children register against."""
         await self.start_server()
         self.addr = NodeId(self.ip, self.port)
+
+    def child_argv(self, state: ShardState) -> list[str]:
+        assert self.addr is not None, "start() first"
+        return [sys.executable, "-m", self.host_module,
+                json.dumps(self.child_spec(state))]
 
     def child_env(self, state: ChildState) -> dict[str, str]:
         env = os.environ.copy()

@@ -1,7 +1,8 @@
 """The worker process: one event loop hosting a shard of the overlay.
 
 A :class:`WorkerHost` is what runs inside every fleet process (``python
--m repro.cluster.worker``):
+-m repro.cluster.worker SPEC``, where ``SPEC`` is the controller's JSON
+document of this class's keyword arguments):
 
 - a :class:`~repro.net.virtual.VirtualHost` carrying this worker's
   share of the nodes (co-hosted traffic stays on the zero-copy
@@ -23,7 +24,7 @@ of a mid-frame reset.
 
 from __future__ import annotations
 
-import argparse
+import json
 import os
 import sys
 
@@ -41,8 +42,8 @@ class WorkerHost(ControlHost):
     def __init__(
         self,
         name: str,
-        controller_addr: NodeId,
-        observer_addr: NodeId,
+        controller_addr: NodeId | str,
+        observer_addr: NodeId | str,
         ip: str = "127.0.0.1",
         heartbeat_interval: float = 0.5,
         flush_interval: float | None = None,
@@ -62,7 +63,7 @@ class WorkerHost(ControlHost):
         #: respawn-budget regression needs a worker that crash-loops on
         #: boot while still passing the registration handshake)
         self.exit_after_register = exit_after_register
-        self.observer_addr = observer_addr
+        self.observer_addr = NodeId.parse(observer_addr)
         self.ip = ip
         #: with a flush interval the proxy runs in aggregation mode: it
         #: absorbs and pre-reduces observer traffic, making this worker a
@@ -178,60 +179,6 @@ class WorkerHost(ControlHost):
 
 # ----------------------------------------------------------------- entry point
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster.worker",
-        description="One cluster worker process (spawned by the controller).",
-    )
-    parser.add_argument("--name", required=True, help="worker name in the fleet")
-    parser.add_argument("--controller", required=True, metavar="IP:PORT",
-                        help="controller control-channel endpoint")
-    parser.add_argument("--observer", required=True, metavar="IP:PORT",
-                        help="upstream observer endpoint")
-    parser.add_argument("--ip", default="127.0.0.1",
-                        help="bind address for hosted nodes and the proxy")
-    parser.add_argument("--heartbeat-interval", type=float, default=0.5)
-    parser.add_argument("--flush-interval", type=float, default=None,
-                        help="run the observer proxy as an aggregating tree "
-                             "node flushing roll-ups at this interval")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="enable metrics + lifecycle tracing for hosted nodes")
-    parser.add_argument("--trace-sample", type=int, default=1,
-                        help="head-sample lifecycle traces: record messages "
-                             "with seq %% N == 0")
-    parser.add_argument("--shm-ring-bytes", type=int, default=0,
-                        help="per-direction shared-memory ring capacity for "
-                             "links to co-machine peers (0 disables)")
-    parser.add_argument("--proxy-port", type=int, default=0,
-                        help="bind the observer proxy to this exact port "
-                             "(a respawn reuses its predecessor's port so "
-                             "downstream proxies can redial)")
-    parser.add_argument("--controller-name", default="",
-                        help="federated controller shard this worker belongs "
-                             "to (stamped on registrations and heartbeats)")
-    parser.add_argument("--exit-after-register", action="store_true",
-                        help=argparse.SUPPRESS)  # crash-on-boot test hook
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return run_host(WorkerHost(
-        name=args.name,
-        controller_addr=NodeId.parse(args.controller),
-        observer_addr=NodeId.parse(args.observer),
-        ip=args.ip,
-        heartbeat_interval=args.heartbeat_interval,
-        flush_interval=args.flush_interval,
-        telemetry_enabled=args.telemetry,
-        trace_sample=args.trace_sample,
-        shm_ring_bytes=args.shm_ring_bytes,
-        proxy_port=args.proxy_port,
-        controller_name=args.controller_name,
-        exit_after_register=args.exit_after_register,
-    ))
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    # argv[1] is the controller's spec: this host's keyword arguments.
+    sys.exit(run_host(WorkerHost(**json.loads(sys.argv[1]))))

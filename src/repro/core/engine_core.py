@@ -159,7 +159,8 @@ class EngineCore(ABC):
         self._out: dict[NodeId, OutLink] = {}
         #: every unfinished background task, in launch order
         self._tasks: dict[Any, None] = {}
-        self._sources: dict[AppId, Any] = {}
+        #: app -> (source task, the forwards it still owes a sender)
+        self._sources: dict[AppId, tuple[Any, list[PendingForward]]] = {}
         self._local_apps: set[AppId] = set()
         # switching context: which receiver port (or source) produced the
         # message the algorithm is currently processing
@@ -322,13 +323,16 @@ class EngineCore(ABC):
         if app in self._sources or not self._running:
             return
         self._local_apps.add(app)
-        self._sources[app] = self._launch(
-            self._source_loop(app, payload_size), name=f"{self._node_id}/source-{app}"
+        pending: list[PendingForward] = []
+        task = self._launch(
+            self._source_loop(app, payload_size, pending),
+            name=f"{self._node_id}/source-{app}",
         )
+        self._sources[app] = (task, pending)
 
     def stop_source(self, app: AppId) -> None:
         """Terminate a deployed source and tell downstreams it is gone."""
-        task = self._sources.pop(app, None)
+        task, _ = self._sources.pop(app, (None, None))
         self._local_apps.discard(app)
         if task is not None:
             task.cancel()
@@ -751,8 +755,8 @@ class EngineCore(ABC):
             return
         self._close_link(dest, outbound=True)
         owed = [msg for port in self._scheduler.ports for msg in port.discard_dest(dest)]
-        if self._source_pending is not None:
-            owed += drop_dest(self._source_pending, dest)
+        for _, pending in self._sources.values():
+            owed += drop_dest(pending, dest)
         for msg in (*undelivered, *link.queue.drain(), *owed):
             self._record_loss(msg, link.stats)
         link.queue.close()
@@ -897,11 +901,11 @@ class EngineCore(ABC):
         Returns the cancelled tasks so an awaiting backend can reap
         them; ``keep`` is the task running the shutdown itself.
         """
-        self._sources.clear()
         for dest in list(self._out):
             self._drop_downstream(dest)
         for port in self._scheduler.ports:
             self._drop_upstream(port.peer)
+        self._sources.clear()
         self._wake.set()
         self._send_space.set()
         tasks = [task for task in self._tasks if task is not keep]
@@ -912,8 +916,14 @@ class EngineCore(ABC):
 
     # --------------------------------------------------------------------- source
 
-    async def _source_loop(self, app: AppId, payload_size: int) -> None:
-        """Produce back-to-back data messages, flow-controlled by send buffers."""
+    async def _source_loop(
+        self, app: AppId, payload_size: int, pending: list[PendingForward]
+    ) -> None:
+        """Produce back-to-back data messages, flow-controlled by send buffers.
+
+        ``pending`` is this source's own list of owed forwards: another
+        source on the node parks on the same send space with its own.
+        """
         seq = 0
         while self._running and app in self._local_apps:
             for _ in range(self.SOURCE_BURST if self._out else 1):
@@ -927,17 +937,18 @@ class EngineCore(ABC):
                     msg._hop_t0 = self.now()  # first hop starts at the source
                     if self._ins.tracer.enabled:
                         self._ins.trace_msg(self.now(), EventType.SOURCE_EMIT, msg)
-                self._source_pending = []
+                pending.clear()
+                self._source_pending = pending
                 try:
                     self.algorithm.process(msg)
-                    while any(f.remaining for f in self._source_pending) and self._running:
-                        self._send_space.clear()
-                        await self._send_space.wait()
-                        for forward in self._source_pending:
-                            self._try_forward(forward)
-                        self._source_pending = [f for f in self._source_pending if f.remaining]
                 finally:
                     self._source_pending = None
+                while any(f.remaining for f in pending) and self._running:
+                    self._send_space.clear()
+                    await self._send_space.wait()
+                    for forward in pending:
+                        self._try_forward(forward)
+                    pending[:] = [f for f in pending if f.remaining]
             # Pace the producer: bounds event volume when sends are never
             # flow-controlled.
             if self._out or self.SOURCE_INTERVAL > 0:

@@ -81,8 +81,10 @@ class NodeId:
         return f"{self.ip}:{self.port}"
 
     @classmethod
-    def parse(cls, text: str) -> "NodeId":
-        """Parse ``"ip:port"`` into a :class:`NodeId`."""
+    def parse(cls, text: "str | NodeId") -> "NodeId":
+        """Parse ``"ip:port"`` into a :class:`NodeId` (a NodeId passes through)."""
+        if isinstance(text, NodeId):
+            return text
         ip, sep, port = text.rpartition(":")
         if not sep or not port.isdigit():
             raise CodecError(f"not an ip:port node id: {text!r}")

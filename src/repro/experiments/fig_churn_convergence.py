@@ -146,15 +146,6 @@ class LiveChurnRun:
     leaked_tasks: int
 
 
-async def _poll(predicate, timeout: float, interval: float = 0.1) -> bool:
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return predicate()
-
-
 async def _run_live(
     n_nodes: int,
     seed: int,
@@ -166,6 +157,7 @@ async def _run_live(
         SelfStabilizingRingAlgorithm,
         ideal_successors,
     )
+    from repro.cluster.scenarios import wait_until
     from repro.errors import UnknownNodeError
     from repro.net.chaos import ChaosCluster
     from repro.net.engine import NetEngineConfig
@@ -210,7 +202,9 @@ async def _run_live(
 
     loop = asyncio.get_running_loop()
     t0 = loop.time()
-    booted = await _poll(lambda: ring_converged(set(names)), convergence_timeout)
+    booted = await wait_until(
+        lambda: ring_converged(set(names)), convergence_timeout, interval=0.1
+    )
     bootstrap_seconds = loop.time() - t0
 
     # Replay the seeded churn schedule in wall time.
@@ -242,7 +236,9 @@ async def _run_live(
 
     t1 = loop.time()
     final = churn.final_alive()
-    converged = await _poll(lambda: ring_converged(final), convergence_timeout)
+    converged = await wait_until(
+        lambda: ring_converged(final), convergence_timeout, interval=0.1
+    )
     reconverge_seconds = loop.time() - t1
 
     await cluster.stop()

@@ -42,6 +42,7 @@ from repro.cluster.scenarios import (
     burst_control_message,
     butterfly_specs,
     chain_specs,
+    poll_info,
     wait_until,
 )
 from repro.core.ids import NodeId
@@ -155,17 +156,6 @@ async def _wait_alive(observer, placed, timeout: float = 60.0) -> None:
         )
 
 
-async def _poll_info(root, name, predicate, timeout: float = 60.0) -> dict:
-    deadline = time.monotonic() + timeout
-    info: dict = {}
-    while time.monotonic() < deadline:
-        info = (await root.node_info(name)).get("info", {})
-        if predicate(info):
-            return info
-        await asyncio.sleep(0.1)
-    raise AssertionError(f"node {name!r}: condition never met; last {info}")
-
-
 async def _federated_chain_digest(root, observer, length: int, app: int,
                                   count: int, size: int,
                                   prefix: str = "n") -> str:
@@ -175,9 +165,9 @@ async def _federated_chain_digest(root, observer, length: int, app: int,
     await _wait_alive(observer, placed)
     root.send_control(
         f"{prefix}0", BURST_CONTROL, param1=count, param2=size, app=app)
-    info = await _poll_info(
+    info = await poll_info(
         root, f"{prefix}{length - 1}",
-        lambda i: i.get("received", 0) >= count)
+        lambda i: i.get("received", 0) >= count, timeout=60.0)
     return info["digests"][str(app)]
 
 
@@ -222,8 +212,9 @@ async def _identity_butterfly() -> IdentityPoint:
         root.send_control("A", BURST_CONTROL, param1=count, param2=size, app=app)
         federated = {}
         for name in ("F", "G"):
-            info = await _poll_info(
-                root, name, lambda i: i.get("decoded", 0) >= generations)
+            info = await poll_info(
+                root, name, lambda i: i.get("decoded", 0) >= generations,
+                timeout=60.0)
             federated[name] = info["digest"]
     finally:
         await _stop_tree(observer, root)
@@ -308,8 +299,9 @@ async def _recovery(seed: int, length: int) -> RecoveryPoint:
         post_placed = await root.deploy(chain_specs(length, prefix="p"))
         await _wait_alive(observer, post_placed)
         root.send_control("p0", BURST_CONTROL, param1=count, param2=size, app=app)
-        info = await _poll_info(
-            root, f"p{length - 1}", lambda i: i.get("received", 0) >= count)
+        info = await poll_info(
+            root, f"p{length - 1}", lambda i: i.get("received", 0) >= count,
+            timeout=60.0)
         federated = info["digests"][str(app)]
     finally:
         await _stop_tree(observer, root)

@@ -162,9 +162,7 @@ async def _run_mode(
         )
         return all(int(r["info"].get("received", 0)) >= BURST_COUNT for r in infos)
 
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline and not await all_delivered():
-        await asyncio.sleep(0.1)
+    await wait_until(all_delivered, timeout=30.0, interval=0.1)
     # Steady-state tail: the burst is done, only the observability plane
     # is producing root traffic now — full snapshots every poll for the
     # funnel, near-empty deltas for the tree.

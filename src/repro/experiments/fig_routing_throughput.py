@@ -199,6 +199,7 @@ class VirtualLegResult:
 
 
 async def _run_virtual(total: int, size: int, timeout: float) -> VirtualLegResult:
+    from repro.cluster.scenarios import wait_until
     from repro.net.engine import NetEngineConfig
     from repro.net.virtual import VirtualHost
 
@@ -227,10 +228,10 @@ async def _run_virtual(total: int, size: int, timeout: float) -> VirtualLegResul
     sinks = {c: algorithms[sink] for c, (_, sink) in matrix.commodities.items()}
     loop = asyncio.get_running_loop()
     start = loop.time()
-    while loop.time() - start < timeout:
-        if all(alg.delivered.get(c, 0) >= total for c, alg in sinks.items()):
-            break
-        await asyncio.sleep(0.1)
+    await wait_until(
+        lambda: all(alg.delivered.get(c, 0) >= total for c, alg in sinks.items()),
+        timeout=timeout, interval=0.1,
+    )
     wall = loop.time() - start
     delivered = {c: alg.delivered.get(c, 0) for c, alg in sinks.items()}
     digests_ok = all(
@@ -346,10 +347,7 @@ async def _run_cluster(workers: int, total: int, size: int,
         counts = await delivered()
         return all(counts.get(c, 0) >= total for c in sink_of)
 
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    while loop.time() < deadline and not await all_delivered():
-        await asyncio.sleep(0.25)
+    await wait_until(all_delivered, timeout=timeout, interval=0.25)
     final = await delivered()
 
     def commodity_labels() -> list[str]:

@@ -635,6 +635,8 @@ class SwimCore:
         picked = self._nearest(dest, k - k // 2)
         # Top up with random picks; duplicates are just skipped, which
         # is far cheaper than random.sample's bookkeeping on this path.
+        # An insertion-ordered dict, not a set: the sample goes out in
+        # pick order, never in the salted hash order of the NodeIds.
         randrange = self.rng.randrange
         m = len(alive)
         for _ in range(k):
@@ -642,20 +644,21 @@ class SwimCore:
                 break
             n = alive[randrange(m)]
             if n != dest:
-                picked.add(n)
+                picked[n] = None
         return [_text(n) for n in picked]
 
-    def _nearest(self, dest: NodeId, k: int) -> set[NodeId]:
-        """The ``k`` alive members ring-nearest to ``dest`` (two-pointer)."""
+    def _nearest(self, dest: NodeId, k: int) -> dict[NodeId, None]:
+        """The ``k`` alive members ring-nearest to ``dest`` (two-pointer),
+        nearest first."""
         pos = self._pos_sorted
         m = len(pos)
         if not m or k <= 0:
-            return set()
+            return {}
         circle = self.circle
         target = self.embed(dest) % circle
         right = bisect_left(pos, (target, dest))
         left = right - 1
-        out: set[NodeId] = set()
+        out: dict[NodeId, None] = {}
         steps = 0
         while len(out) < k and steps < m:
             d_right = (pos[right % m][0] - target) % circle
@@ -668,7 +671,7 @@ class SwimCore:
                 left -= 1
             steps += 1
             if node != dest:
-                out.add(node)
+                out[node] = None
         return out
 
     def _queue_rumor(self, node: NodeId, state: int, inc: int) -> None:

@@ -173,11 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     cluster_parser.add_argument(
         "--shm-ring-bytes", type=int, default=1 << 20, metavar="BYTES",
         help="per-direction shared-memory ring size for cross-worker "
-             "links (default 1 MiB)",
-    )
-    cluster_parser.add_argument(
-        "--no-shm", action="store_true",
-        help="force plain TCP between workers (disable shm ring dialing)",
+             "links (default 1 MiB; 0 forces plain TCP)",
     )
     cluster_parser.add_argument(
         "--json", action="store_true", help="emit the cluster stats as JSON"
@@ -331,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
                 weight=args.weight,
                 flush_interval=args.flush_interval,
                 telemetry=args.telemetry,
-                shm_ring_bytes=0 if args.no_shm else args.shm_ring_bytes,
+                shm_ring_bytes=args.shm_ring_bytes,
             )
         if args.root:
             from repro.tools.federation_cmd import run_federation_root
@@ -347,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
                 child_placement=args.placement,
                 flush_interval=args.flush_interval,
                 telemetry=args.telemetry,
-                shm_ring_bytes=0 if args.no_shm else args.shm_ring_bytes,
+                shm_ring_bytes=args.shm_ring_bytes,
                 as_json=args.json,
             )
         from repro.tools.cluster_cmd import run_cluster
@@ -361,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
             fanout=args.fanout,
             flush_interval=args.flush_interval,
             telemetry=args.telemetry,
-            shm_ring_bytes=0 if args.no_shm else args.shm_ring_bytes,
+            shm_ring_bytes=args.shm_ring_bytes,
             as_json=args.json,
         )
 

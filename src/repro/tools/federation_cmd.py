@@ -7,9 +7,11 @@ fleet), optionally waits for ``--expect`` external joiners, then runs
 the same chain workload as the flat ``ioverlay cluster`` — except the
 placement happens in two stages (root -> controller -> worker) and the
 report shows the tree.  Join mode runs one child controller daemon
+(:class:`~repro.cluster.child.ChildControllerHost`, in this process)
 that dials a remote root's bootstrap endpoint and serves placements
-until signalled; it is a thin veneer over ``python -m
-repro.cluster.child`` so both spellings behave identically.
+until signalled; ``ioverlay cluster --join`` is the one way to join a
+root by hand (``python -m repro.cluster.child`` is the form a root
+spawns, booted from its JSON spec).
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from __future__ import annotations
 import asyncio
 import json as json_mod
 
+from repro.cluster.child import ChildControllerHost
+from repro.cluster.controller import ClusterConfig
 from repro.cluster.federation import RootConfig, RootController
+from repro.cluster.host import run_host
 from repro.cluster.scenarios import chain_specs, wait_until
 from repro.core.ids import NodeId
 from repro.net.observer_server import ObserverServer
@@ -161,7 +166,6 @@ def run_federation_root(
 def run_federation_join(
     join: str,
     name: str,
-    ip: str = "127.0.0.1",
     workers: int = 2,
     placement: str = "round-robin",
     capacity: float = 0.0,
@@ -171,19 +175,11 @@ def run_federation_join(
     shm_ring_bytes: int = 1 << 20,
 ) -> int:
     """Run one child controller daemon until signalled (SIGTERM/SIGINT)."""
-    from repro.cluster.child import main as child_main
-
-    argv = [
-        "--name", name,
-        "--join", join,
-        "--ip", ip,
-        "--workers", str(workers),
-        "--placement", placement,
-        "--capacity", str(capacity),
-        "--weight", str(weight),
-        "--flush-interval", str(flush_interval if flush_interval is not None else 0.2),
-        "--shm-ring-bytes", str(shm_ring_bytes),
-    ]
-    if telemetry:
-        argv += ["--worker-telemetry"]
-    return child_main(argv)
+    config = ClusterConfig(
+        workers=workers, placement=placement,
+        observer_flush_interval=flush_interval or 0.2,
+        worker_telemetry=telemetry, shm_ring_bytes=shm_ring_bytes,
+    )
+    return run_host(ChildControllerHost(
+        name, join, config, capacity=capacity, weight=weight
+    ))

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import asyncio
-import time
 
 from repro.cluster.controller import ClusterConfig, ClusterController
 from repro.cluster.protocol import CONTROL_SENDER, ControlChannel, control_frame
-from repro.cluster.scenarios import wait_until
+from repro.cluster.scenarios import poll_info, wait_until  # noqa: F401 - re-exported
 from repro.core.ids import CONTROL_APP, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
@@ -45,18 +44,6 @@ async def wait_all_alive(observer, placed, timeout: float = 30.0) -> None:
         f"only {len(observer.observer.alive)}/{len(placed)} placed nodes "
         f"booted at the observer within {timeout}s"
     )
-
-
-async def poll_info(controller, name, predicate, timeout: float = 30.0) -> dict:
-    """Poll a node's ``cluster_info`` until ``predicate(info)`` holds."""
-    deadline = time.monotonic() + timeout
-    info: dict = {}
-    while time.monotonic() < deadline:
-        info = (await controller.node_info(name)).get("info", {})
-        if predicate(info):
-            return info
-        await asyncio.sleep(0.1)
-    raise AssertionError(f"node {name!r}: condition never met; last info {info}")
 
 
 class RecordingObserver:

@@ -8,7 +8,11 @@ through the root policy while the survivors keep their identities.
 """
 
 import asyncio
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.cluster.scenarios import (
     build_local,
     burst_control_message,
     chain_specs,
+    poll_info,
     wait_until,
 )
 from repro.cluster.spec import NodeSpec
@@ -35,6 +40,7 @@ from repro.telemetry.tracing import EventType
 RELAY = "repro.cluster.scenarios:ClusterRelayAlgorithm"
 SINK = "repro.cluster.scenarios:DigestSinkAlgorithm"
 SOURCE = "repro.cluster.scenarios:BurstSourceAlgorithm"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def run(coro):
@@ -69,18 +75,6 @@ async def wait_all_alive(observer, placed, timeout=60.0):
         f"only {len(observer.observer.alive)}/{len(placed)} placed nodes "
         "booted at the root observer"
     )
-
-
-async def poll_info(root, name, predicate, timeout=60.0):
-    import time
-    deadline = time.monotonic() + timeout
-    info = {}
-    while time.monotonic() < deadline:
-        info = (await root.node_info(name)).get("info", {})
-        if predicate(info):
-            return info
-        await asyncio.sleep(0.1)
-    raise AssertionError(f"node {name!r}: condition never met; last info {info}")
 
 
 class TestTwoStagePlacement:
@@ -126,7 +120,7 @@ class TestTwoStagePlacement:
                     "src", BURST_CONTROL, param1=5, param2=64, app=3
                 )
                 info = await poll_info(
-                    root, "sink", lambda i: i.get("received", 0) >= 5
+                    root, "sink", lambda i: i.get("received", 0) >= 5, timeout=60.0
                 )
                 assert info["received"] == 5
                 relay_info = await root.node_info("src")
@@ -157,17 +151,17 @@ class TestTwoStagePlacement:
             await root.start()
             try:
                 # capacity comes from the child's own declaration, so
-                # spawn via explicit argv-level knobs: one small, one big
+                # spawn via explicit spec-level knobs: one small, one big
                 root._spawn_workers["small"] = 1
                 root._spawn_workers["big"] = 1
-                argv = root.child_argv
+                spec = root.child_spec
 
                 def patched(state):
-                    built = argv(state)
-                    built += ["--capacity", "2" if state.name == "small" else "8"]
+                    built = spec(state)
+                    built["capacity"] = 2.0 if state.name == "small" else 8.0
                     return built
 
-                root.child_argv = patched
+                root.child_spec = patched
                 await asyncio.gather(
                     root.spawn_child("small"), root.spawn_child("big")
                 )
@@ -206,7 +200,7 @@ class TestFederatedIdentity:
                 )
                 info = await poll_info(
                     root, f"n{length - 1}",
-                    lambda i: i.get("received", 0) >= count,
+                    lambda i: i.get("received", 0) >= count, timeout=60.0,
                 )
                 return info["digests"][str(app)]
             finally:
@@ -428,6 +422,56 @@ class TestHeartbeatsCarryControllerIdentity:
                     root.controllers["c0"].workers_alive,
                 )
             finally:
+                await stop_tree(observer, root)
+
+        run(scenario())
+
+
+def _children_running(pid: int, marker: str) -> list[int]:
+    """PIDs of ``pid``'s child processes whose command line has ``marker``."""
+    out = subprocess.run(
+        ["ps", "-o", "pid=,args=", "--ppid", str(pid)],
+        capture_output=True, text=True,
+    ).stdout
+    return [int(line.split()[0]) for line in out.splitlines() if marker in line]
+
+
+def _running(pids: list[int]) -> list[int]:
+    out = subprocess.run(["ps", "-o", "pid=", "-e"], capture_output=True, text=True)
+    return sorted(set(pids) & {int(p) for p in out.stdout.split()})
+
+
+class TestCliJoin:
+    def test_join_spelling_serves_the_root_and_exits_clean(self):
+        """``ioverlay cluster --join`` is the one way to join by hand: the
+        joiner is adopted with its declared capacity, and SIGTERM drains
+        it and its worker fleet with exit status 0."""
+
+        async def scenario():
+            observer = ObserverServer(NodeId("127.0.0.1", 0), poll_interval=0.2)
+            await observer.start()
+            root = RootController(observer, RootConfig())
+            await root.start()
+            proc = await asyncio.create_subprocess_exec(
+                sys.executable, "-m", "repro.tools.cli", "cluster",
+                "--join", str(root.addr), "--name", "cb",
+                "--workers", "1", "--capacity", "4",
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+            try:
+                await root.wait_joined(1)
+                state = root.controllers["cb"]
+                assert state.ready and state.alive
+                assert state.capacity == 4.0
+                workers = _children_running(proc.pid, "repro.cluster")
+                assert len(workers) == 1
+                proc.send_signal(signal.SIGTERM)
+                assert await asyncio.wait_for(proc.wait(), 30.0) == 0
+                assert _running(workers) == []
+            finally:
+                if proc.returncode is None:
+                    proc.kill()
+                    await proc.wait()
                 await stop_tree(observer, root)
 
         run(scenario())

@@ -22,15 +22,15 @@ def run(coro):
 
 def crash_on_boot(controller, name: str) -> None:
     """Make ``name``'s worker die right after a successful W_REGISTER."""
-    original = controller.child_argv
+    original = controller.child_spec
 
-    def argv(state) -> list[str]:
+    def spec(state) -> dict:
         built = original(state)
         if state.name == name:
-            built.append("--exit-after-register")
+            built["exit_after_register"] = True
         return built
 
-    controller.child_argv = argv
+    controller.child_spec = spec
 
 
 class TestRespawnPolicy:

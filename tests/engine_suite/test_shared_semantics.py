@@ -10,6 +10,8 @@ broadcast) only worked on one backend.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
 from repro.core.algorithm import Disposition
 from repro.core.ids import CONTROL_APP, NodeId
@@ -39,6 +41,18 @@ class RecordingSink(SinkAlgorithm):
     def on_measure_reply(self, peer, rtt, send_rate):
         self.measure_replies.append((peer, rtt, send_rate))
         return Disposition.DONE
+
+
+class AppCountingSink(SinkAlgorithm):
+    """Counts data messages per application."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_app: Counter[int] = Counter()
+
+    def on_data(self, msg):
+        self.by_app[msg.app] += 1
+        return super().on_data(msg)
 
 
 class HoldingSink(SinkAlgorithm):
@@ -323,7 +337,9 @@ def test_dropping_a_destination_counts_what_a_port_and_a_source_owed_it(cluster)
     relay.start_source(app=APP + 1, payload_size=500)
 
     def both_owe() -> bool:
-        source_owes = any(f.remaining for f in relay._source_pending or ())
+        source_owes = any(
+            f.remaining for _, pending in relay._sources.values() for f in pending
+        )
         return source_owes and relay._scheduler.pending_ports() > 0
 
     for _ in range(100):
@@ -340,3 +356,19 @@ def test_dropping_a_destination_counts_what_a_port_and_a_source_owed_it(cluster)
     relay.disconnect(sink.node_id)
     assert _lost_messages(relay) == lost + queued + in_hand + 2
     assert relay._scheduler.pending_ports() == 0
+
+
+def test_two_sources_on_one_node_each_keep_their_pending_forwards(cluster):
+    """Two sources parked on one capped uplink each wait on their own
+    owed forwards: neither clobbers the other's, both apps reach the
+    sink, and the node keeps running."""
+    src_alg, sink_alg = CopyForwardAlgorithm(), AppCountingSink()
+    src, sink = cluster.add_node(src_alg, up=50_000.0), cluster.add_node(sink_alg)
+    cluster.start()
+    src_alg.set_downstreams([sink.node_id])
+    cluster.connect(src, sink)
+    src.start_source(app=1, payload_size=1000)
+    src.start_source(app=2, payload_size=1000)
+    cluster.settle(3.0)
+    assert src.running, f"{cluster.backend} node died under two sources"
+    assert sink_alg.by_app[1] > 0 and sink_alg.by_app[2] > 0, sink_alg.by_app

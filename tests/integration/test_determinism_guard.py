@@ -148,3 +148,28 @@ def test_fig18_does_not_depend_on_the_hash_seed():
     first = _fig18_stdout("0")
     assert "sAware" in first
     assert first == _fig18_stdout("1")
+
+
+def _swim_point(hash_seed: str) -> str:
+    """A slotted SWIM convergence run, reported by a fresh interpreter."""
+    code = (
+        "from repro.experiments.fig_churn_convergence import run_slotted_point\n"
+        "p = run_slotted_point(n_nodes=300, topology='clusters', seed=1,\n"
+        "                      churn=False, max_rounds=200)\n"
+        "print(p.convergence_round, p.stats.packets)\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return done.stdout
+
+
+def test_swim_view_sample_does_not_depend_on_the_hash_seed():
+    """SWIM piggybacks a sample of its view on every packet; the sample
+    must go out in pick order, not in the salted hash order of a set of
+    NodeIds, or the same seed converges in a different round."""
+    first = _swim_point("0")
+    assert first.split()[0] != "None"  # the run converged
+    assert first == _swim_point("1")

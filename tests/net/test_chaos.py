@@ -10,6 +10,7 @@ import asyncio
 import pytest
 
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
+from repro.cluster.scenarios import wait_until
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
@@ -68,16 +69,6 @@ async def converged(cluster: ChaosCluster) -> None:
         assert engine._peers == {}
         assert engine._scheduler.ports == []
         assert engine._dialing == {}
-
-
-async def wait_until(predicate, timeout: float, interval: float = 0.05) -> bool:
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + timeout
-    while loop.time() < deadline:
-        if predicate():
-            return True
-        await asyncio.sleep(interval)
-    return predicate()
 
 
 # ------------------------------------------------------------------- scenarios
