@@ -194,19 +194,24 @@ class Algorithm:
 
     def process(self, msg: Message) -> Disposition | None:
         """Entry point called by the engine for every non-engine message."""
-        handler = self._handlers.get(msg._type, self.on_unhandled)
-        return handler(msg)
+        # ``or``, not a ``get`` default: that would bind ``on_unhandled``
+        # for every message, handled or not
+        return (self._handlers.get(msg._type) or self.on_unhandled)(msg)
 
     # --- the one engine call + conveniences --------------------------------------------
 
+    # The sends run per message (and destination) on every relay, so they
+    # read ``_services`` directly; the ``engine`` property is reached only
+    # while unbound, to raise its error.
+
     def send(self, msg: Message, dest: NodeId) -> None:
         """Forward/send a message to a downstream or peer node."""
-        self.engine.send(msg, dest)
+        (self._services or self.engine).send(msg, dest)
 
     def send_many(self, msg: Message, dests: Iterable[NodeId]) -> None:
         """Send (by reference) to every destination in ``dests``."""
         for dest in dests:
-            self.engine.send(msg, dest)
+            (self._services or self.engine).send(msg, dest)
 
     def disseminate(self, msg: Message, nodes: Iterable[NodeId], p: float = 1.0) -> int:
         """Send ``msg`` to each node with probability ``p`` (gossip).
@@ -222,7 +227,7 @@ class Algorithm:
             if node == self.node_id:
                 continue
             if p >= 1.0 or self.rng.random() < p:
-                self.engine.send(msg, node)
+                (self._services or self.engine).send(msg, node)
                 sent += 1
         return sent
 

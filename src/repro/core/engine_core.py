@@ -48,7 +48,9 @@ Every buffer is a :class:`~repro.core.buffer.BoundedQueue`, which never
 blocks, so it is the same on both backends.  The engine loop does park,
 so the backend hands the constructor an event factory: any
 level-triggered flag with the :class:`WakeEvent` surface (``SimEvent``
-in the simulator, ``asyncio.Event`` live).
+in the simulator, ``asyncio.Event`` live).  The simulator then swaps
+the engine's ``_wake`` for a flag whose ``set`` schedules the passes
+as one callback, so on virtual time the engine loop is not a task.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ from repro.telemetry.tracing import EventType
 #: a zero ``SOURCE_INTERVAL`` — nobody to talk to; do not spin
 IDLE_SOURCE_PACING = 0.01
 
-_DATA = MsgType.DATA  # read per message: a module global, not an enum attribute
+# read per message: module globals, not enum attributes
+_DATA = MsgType.DATA
+_HOLD = Disposition.HOLD
 
 
 class WakeEvent(Protocol):
@@ -264,27 +268,20 @@ class EngineCore(ABC):
         if not self._running:
             return
         link = self._out.get(dest)
-        if link is None and dest == self._node_id:  # never in _out: see _connect
-            self._control.put_force(msg)
-            self._wake.set()
-            return
-        if self._ins is not None and msg._type == _DATA:
-            self._data_sends += 1
         if link is None:
-            self._connect(dest, first=msg)
-        else:
-            self._stage(msg, link)
-
-    def _stage(self, msg: Message, link: OutLink) -> None:
-        """Enqueue one outbound message on a link's send queue.
-
-        Data respects the queue bound (deferring on overflow so the
-        switch retries next round); control traffic is forced past it.
-        """
-        if msg._type == _DATA:
+            if dest == self._node_id:  # never in _out: see _connect
+                self._control.put_force(msg)
+                self._wake.set()
+            else:  # the new link stages ``msg`` through here
+                self._connect(dest, first=msg)
+        # Data respects the queue bound (deferring on overflow so the
+        # switch retries next round); control is forced past it.
+        elif msg._type == _DATA:
+            if self._ins is not None:
+                self._data_sends += 1
             link.apps[msg._app] = None
             if not link.queue.put_nowait(msg):
-                self._defer_data(msg, link.dest)
+                self._defer_data(msg, dest)
         else:
             link.queue.put_force(msg)
 
@@ -410,7 +407,8 @@ class EngineCore(ABC):
         without work has nothing to re-look at, and a pass that moved
         nothing can only be unblocked by one of those events.  (A
         receiver may instead run the passes itself while the loop is
-        parked: see :meth:`_passes`.)
+        parked: see :meth:`_passes`.  The simulator has no loop task:
+        each wake-up there is one callback running the passes.)
         """
         self.algorithm.on_start()
         while self._running:
@@ -601,11 +599,21 @@ class EngineCore(ABC):
                     continue
             # Every forward a port holds owes a delivery (the retry just
             # pruned the done ones, and a drop prunes what it strikes), so
-            # a non-empty ``pending`` is exactly ``port.blocked``.
+            # a non-empty ``pending`` is exactly ``port.blocked``.  The
+            # take is settled here rather than through the buffer's size
+            # listener: the port's and the scheduler's gauges move before
+            # ``process`` can read them, and a receiving end waiting for
+            # room hears of it at the same point ``get_nowait`` would tell it.
             buffer, apps = port.buffer, port.apps
-            while port.credit > 0 and not port.pending and not buffer.is_empty:
-                msg = buffer.get_nowait()
-                port.note_bytes(-msg.size)
+            items = buffer._items
+            while port.credit > 0 and not port.pending and items:
+                msg = items.popleft()
+                size = msg.size
+                port.buffered_bytes -= size
+                scheduler._buffered -= 1
+                scheduler._buffered_bytes -= size
+                if buffer._space:
+                    buffer._fire_space()
                 port.switched += 1
                 moved += 1
                 if ins is not None:
@@ -617,7 +625,7 @@ class EngineCore(ABC):
                     disposition = process(msg)
                 finally:
                     self._current_port = None
-                if disposition is Disposition.HOLD:
+                if disposition is _HOLD:
                     port.held += 1
                 elif ins is not None and self._data_sends == sends_before:
                     ins.n_delivers += 1
@@ -716,9 +724,9 @@ class EngineCore(ABC):
         """
         if dest in self._out or dest == self._node_id or not self._running:
             return
-        link = self._add_downstream(dest)
+        self._add_downstream(dest)
         if first is not None:
-            self._stage(first, link)
+            self.send(first, dest)
         self._open_link(dest)
 
     def _add_downstream(self, dest: NodeId) -> OutLink:
@@ -886,8 +894,8 @@ class EngineCore(ABC):
         """An exception escaped an Algorithm hook (or the engine itself).
 
         Count and trace it, then fail the node loudly so neighbours see
-        its links drop and the domino teardown runs.  (The DES kernel
-        also re-raises it from ``run``.)
+        its links drop and the domino teardown runs.  (On the DES the
+        exception also leaves ``kernel.run`` as ``SimulationError``.)
         """
         logging.getLogger(__name__).error("%s: task %r failed", self._node_id, name, exc_info=exc)
         if self._ins is not None:

@@ -64,6 +64,15 @@ class ReceiverPort:
     it full keeps the message in hand until its ``on_space`` (back
     pressure); unit tests may use a plain ``CircularBuffer``.
 
+    Who keeps the gauges exact: every placement (a receiving end's
+    put), drain and clear reports through the buffer's listener
+    (message counts) and :meth:`note_bytes` (bytes).  The one mutation
+    that does not is the engine's switch take, which runs once per
+    message: ``EngineCore._switch_round`` pops the buffer's deque
+    itself and settles ``buffered_bytes`` and the scheduler's
+    ``_buffered`` / ``_buffered_bytes`` inline, before the algorithm
+    sees the message.
+
     ``pending`` holds messages produced while processing this port's
     traffic that could not be fully forwarded (some sender buffers were
     full).  While any forward is pending the port is *blocked*: no new
@@ -106,10 +115,10 @@ class ReceiverPort:
     #: metric still counts every skipped visit)
     stall_epoch: int = field(init=False, default=-1)
     #: payload+header bytes currently sitting in ``buffer``.  The size
-    #: listener only reports message *counts*, so the engines charge and
-    #: refund bytes explicitly at their enqueue/dequeue sites via
-    #: :meth:`note_bytes` — which keeps the per-port and scheduler-wide
-    #: byte gauges O(1) to read (no buffer scan).
+    #: listener only reports message *counts*, so the engines charge
+    #: bytes explicitly where they place via :meth:`note_bytes`, and the
+    #: switch take refunds them inline — which keeps the per-port and
+    #: scheduler-wide byte gauges O(1) to read (no buffer scan).
     buffered_bytes: int = field(init=False, default=0)
     #: applications whose data this port has switched, in first-seen
     #: order (an insertion-ordered set): the BROKEN_SOURCE domino asks
@@ -200,8 +209,10 @@ class SwitchScheduler:
         self._pass: list[ReceiverPort] = []
         self._cursor = 0
         # Incrementally maintained work counters: total messages sitting
-        # in receiver buffers (fed by buffer size listeners) and number
-        # of ports with a non-empty pending list (fed by ReceiverPort).
+        # in receiver buffers (fed by buffer size listeners, except for
+        # the engine's switch take, which settles them inline: see
+        # ReceiverPort) and number of ports with a non-empty pending
+        # list (fed by ReceiverPort).
         self._buffered = 0
         self._buffered_bytes = 0
         self._pending_ports = 0
@@ -227,9 +238,9 @@ class SwitchScheduler:
             port._pending_counted = False
         port.buffer.on_size_change = self._on_buffer_delta
         self._buffered += len(port.buffer)
-        # Byte accounting is explicit (note_bytes at the engine enqueue
-        # and dequeue sites), so a port arriving with charged bytes just
-        # folds them into the scheduler-wide gauge.
+        # Byte accounting is explicit (note_bytes where the engine
+        # places, inline at its switch take), so a port arriving with
+        # charged bytes just folds them into the scheduler-wide gauge.
         self._buffered_bytes += port.buffered_bytes
 
     def remove_port(self, peer: NodeId) -> ReceiverPort | None:
@@ -241,8 +252,9 @@ class SwitchScheduler:
                 self._pending_ports -= 1
                 port._pending_counted = False
             port.scheduler = None
-            # Every mutation since add_port flowed through the listener,
-            # so the buffer's current length is exactly its share.
+            # Every mutation since add_port flowed through the listener
+            # or the switch take's inline settlement, so the buffer's
+            # current length is exactly its share.
             port.buffer.on_size_change = None
             self._buffered -= len(port.buffer)
             self._buffered_bytes -= port.buffered_bytes

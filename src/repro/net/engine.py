@@ -124,6 +124,8 @@ class _Peer:
       send queue a message ends (:meth:`AsyncioEngine._flush_later`),
       when the transport takes more after pushing back (``on_writable``),
       and by its throttle timer; the core's ``_sent`` books each run.
+      Only an idle end listens to its send queue, so a put into a busy
+      one calls nothing.
 
     ``writer`` is the link endpoint — a :class:`StreamLink` over TCP, a
     loopback or a shm endpoint, or a chaos wrapper around the first.
@@ -150,7 +152,6 @@ class _Peer:
         self.held, self.unsent = [], []
         self.reserved, self.paused = 0, False
         self.state = _BUSY
-        self.out.queue.on_size_change = self._on_size_change
         engine._flush_later(self)  # what was staged while dialing
 
     # --- the receiving end --------------------------------------------------------
@@ -215,8 +216,14 @@ class _Peer:
     # --- the sending end ----------------------------------------------------------
 
     def _on_size_change(self, delta: int) -> None:
+        """The idle send queue's listener: the first put wakes the pump.
+
+        It is attached only while the end is IDLE and detaches itself
+        here, so the puts into a busy queue call nothing.
+        """
         if delta > 0 and self.state == _IDLE:
             self.state = _BUSY
+            self.out.queue.on_size_change = None
             self.engine._flush_later(self)
 
     def on_writable(self) -> None:
@@ -266,6 +273,8 @@ class _Peer:
             return
         # a throttled head the pushed-back transport could not take yet
         self.state, self.unsent = (_IDLE if writable else _BLOCKED), batch
+        if writable:
+            queue.on_size_change = self._on_size_change
 
     def close(self) -> None:
         """Detach from the transport and close it; what this end holds —

@@ -64,7 +64,8 @@ class _LoopbackPipe:
         if self.closed:
             raise ConnectionResetError("loopback connection closed")
         self.items.append(msg)
-        self.schedule()
+        if not self._due:  # one delivery per burst: skip the call once it is due
+            self.schedule()
 
     def schedule(self) -> None:
         if not self._due and not self.paused and self.receiver is not None:

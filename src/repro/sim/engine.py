@@ -12,12 +12,15 @@ The paper runs one receiver and one sender thread per connection.  Here
 a link's two ends are callbacks instead of tasks: a pump per downstream
 (:class:`_SenderLink`) and a receiving end per upstream
 (:class:`_ReceiverEnd`), woken by the same causes as those threads.
-A message-hop costs one latency timer, no task switch, and an engine
-has the same few tasks whatever its link count.
+The engine thread is no task either: a wake-up is one ready callback
+(:class:`_Wake`) that runs the core's passes and parks again.  A
+message-hop costs one latency timer, no task switch, and an engine has
+the same few tasks (report, bootstrap, watchdog) whatever its link
+count.
 
-The algorithm runs only inside the engine task (plus source tasks, which
-never interleave mid-``process``), preserving the paper's guarantee that
-algorithms need no thread-safe data structures.
+The algorithm runs only inside the engine's passes (plus source tasks,
+which never interleave mid-``process``), preserving the paper's
+guarantee that algorithms need no thread-safe data structures.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.stats import LinkStats
 from repro.core.switch import ReceiverPort
+from repro.errors import SimulationError
 from repro.sim.kernel import Kernel, Task
 from repro.sim.link import SimLink
 from repro.sim.sync import SimEvent
@@ -93,10 +97,10 @@ class _SenderLink:
     """The sending end of one outbound link: a pump, not a task.
 
     It runs where the paper's sender thread would wake: a put into its
-    idle send queue (through the queue's ``on_size_change``), its
-    throttle timer, and a freed window slot — the last synchronously,
-    inside the receiving end's take.  The core's ``_sent`` books each
-    message it puts on the wire.  ``in_flight_since`` is the virtual
+    idle send queue (through the queue's ``on_size_change``, which only
+    an idle pump listens to), its throttle timer, and a freed window
+    slot — the last synchronously, inside the receiving end's take.
+    The core's ``_sent`` books each message it puts on the wire.  ``in_flight_since`` is the virtual
     time the current delivery started (None when idle), which the
     watchdog reads to catch silently-stalled links.
     """
@@ -109,12 +113,14 @@ class _SenderLink:
         self.msg = self.timer = self.in_flight_since = None  # msg: off the queue, not on the wire
         self.state, self.sent_at = _BUSY, 0.0
         link.on_take = self._on_take
-        out.queue.on_size_change = self._on_size_change
         engine.kernel.call_soon(self._pump)
 
     def _on_size_change(self, delta: int) -> None:
+        """The idle send queue's listener, attached only while IDLE: the
+        first put wakes the pump and detaches it."""
         if delta > 0 and self.state == _IDLE:
             self.state = _BUSY
+            self.out.queue.on_size_change = None
             self.engine.kernel.call_soon(self._pump)
 
     def _pump(self) -> None:
@@ -136,6 +142,7 @@ class _SenderLink:
             if not self._deliver():
                 return
         self.state = _IDLE
+        queue.on_size_change = self._on_size_change
 
     def _deliver(self) -> bool:
         """Start the message in hand on the wire; True once it is there."""
@@ -290,6 +297,28 @@ class _ReceiverEnd:
         self._close() if self.msg is None else self._lose()
 
 
+class _Wake:
+    """The engine's wake-up flag: a parked engine resumes as one ready callback.
+
+    ``is_set`` is False exactly while the engine is parked.  ``set`` on
+    a parked engine does one ``call_soon(resume)``, so a wake-up takes
+    one ready-deque slot at the instant and in the order it happened,
+    and ``resume`` runs the core's passes and parks again: the engine
+    needs no task.  A ``set`` while the engine is running, or already
+    due, does nothing.
+    """
+
+    __slots__ = ("call_soon", "resume", "is_set")
+
+    def __init__(self, kernel: Kernel, resume: Any) -> None:
+        self.call_soon, self.resume, self.is_set = kernel.call_soon, resume, True
+
+    def set(self) -> None:
+        if not self.is_set:
+            self.is_set = True
+            self.call_soon(self.resume)
+
+
 class SimEngine(EngineCore):
     """One virtualized overlay node: engine + algorithm + connections."""
 
@@ -305,6 +334,7 @@ class SimEngine(EngineCore):
         self._fabric = fabric
         config = config or EngineConfig()
         super().__init__(node_id, algorithm, config, new_event=partial(SimEvent, kernel))
+        self._wake = _Wake(kernel, self._resume)
         self._senders: dict[NodeId, _SenderLink] = {}
         self._upstream_links: dict[NodeId, SimLink] = {}
         #: every live receiving end, superseded links' included
@@ -322,7 +352,7 @@ class SimEngine(EngineCore):
             raise RuntimeError(f"engine {self._node_id} already started")
         self._running = True
         self.algorithm.bind(self)
-        self._launch(self._boot_and_run(), name=f"{self._node_id}/engine")
+        self.kernel.call_soon(self._boot)
         self._launch(self._report_loop(), name=f"{self._node_id}/report")
         if self.config.inactivity_timeout is not None:
             self._launch(self._watchdog_loop(), name=f"{self._node_id}/watchdog")
@@ -386,12 +416,30 @@ class SimEngine(EngineCore):
     def _request_shutdown(self) -> None:
         self.terminate()
 
-    async def _boot_and_run(self) -> None:
+    def _boot(self) -> None:
         # Table 1: start the TCP server, bootstrap from observer, then loop.
         self._send_boot()
         if self.config.bootstrap_refresh is not None:
             self._launch(self._bootstrap_loop(), name=f"{self._node_id}/boot")
-        await self._engine_loop()
+        self._resume(boot=True)
+
+    def _resume(self, boot: bool = False) -> None:
+        """The engine loop's body for one wake-up: passes until none is
+        left, then park until ``_wake.set()``.
+
+        An exception out of an Algorithm hook fails the node as an
+        engine task's would (:meth:`_fail`, as task ``<node>/engine``)
+        and leaves ``kernel.run`` as :class:`SimulationError`.
+        """
+        try:
+            if boot:
+                self.algorithm.on_start()
+            while self._running and not self._passes():
+                pass
+        except Exception as exc:
+            self._fail(f"{self._node_id}/engine", exc)
+            raise SimulationError(f"{self._node_id}/engine crashed") from exc
+        self._wake.is_set = not self._running  # parked until the next set()
 
     # ----------------------------------------------------------------- connections
 

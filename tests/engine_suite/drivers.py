@@ -23,6 +23,7 @@ import asyncio
 from repro.core.bandwidth import BandwidthSpec
 from repro.net.engine import NetEngineConfig
 from repro.net.virtual import VirtualHost
+from repro.errors import SimulationError
 from repro.sim.engine import EngineConfig
 from repro.sim.network import NetworkConfig, SimNetwork
 
@@ -61,6 +62,22 @@ class SimCluster:
     def settle(self, seconds: float) -> None:
         """Advance time until the cluster has processed its backlog."""
         self.net.run(seconds)
+
+    def settle_through_crash(self, seconds: float) -> list[SimulationError]:
+        """``settle`` across an engine whose Algorithm hook raised.
+
+        The kernel reports such a crash by raising from ``run``; this
+        keeps running until a ``run`` completes and returns what was
+        raised on the way.
+        """
+        errors = []
+        for _ in range(200):
+            try:
+                self.net.run(seconds)
+                return errors
+            except SimulationError as exc:
+                errors.append(exc)
+        return errors
 
     def kill(self, engine) -> None:
         """Crash one node; peers observe BROKEN_LINK on their next send."""
@@ -113,6 +130,12 @@ class NetCluster:
 
     def settle(self, seconds: float) -> None:
         self.loop.run_until_complete(asyncio.sleep(seconds))
+
+    def settle_through_crash(self, seconds: float) -> list:
+        """``settle``: the event loop reports nothing when an engine's
+        Algorithm hook raises (telemetry and the links do)."""
+        self.settle(seconds)
+        return []
 
     def kill(self, engine) -> None:
         """Take one node down mid-run; its links tear and peers see

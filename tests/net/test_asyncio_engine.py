@@ -301,3 +301,36 @@ def test_a_landing_pass_first_flushes_what_an_earlier_pass_staged():
     pending, order = run(scenario())
     assert pending == 0
     assert order == list(range(8))
+
+
+def test_a_swapped_transport_wakes_for_a_later_send():
+    """The simultaneous-connect tie-break gives a link a fresh ``_Peer``
+    over the same send queue.  The old end was idle, so the queue's
+    listener is still the old end's: a send before the new end's first
+    run must not be lost to it, and once the new end goes idle the
+    listener is its own and a later send arrives."""
+    from repro.net.virtual import loopback_pair
+
+    async def scenario():
+        host, a, b, c = await _loopback_relay()
+        try:
+            old = a._peers[b.node_id]
+            queue = a._out[b.node_id].queue
+            assert queue.on_size_change == old._on_size_change  # idle, listening
+            ours, theirs = loopback_pair()
+            a._adopt_connection(old, ours)
+            b._adopt_connection(b._peers[a.node_id], theirs)
+            new = a._peers[b.node_id]
+            assert new is not old and new.out is old.out
+            a.send(_burst(a, 1)[0], b.node_id)  # before the new end's first run
+            await asyncio.sleep(0.05)
+            first = c.algorithm.received
+            listener = queue.on_size_change == new._on_size_change
+            await asyncio.sleep(0.1)
+            a.send(_burst(a, 1, first=1)[0], b.node_id)
+            await asyncio.sleep(0.05)
+            return first, listener, c.algorithm.received
+        finally:
+            await host.stop()
+
+    assert run(scenario()) == (1, True, 2)

@@ -261,9 +261,10 @@ def test_superseded_link_counts_the_message_in_hand():
 
 @pytest.mark.parametrize("watchdog", [False, True])
 def test_engine_tasks_do_not_grow_with_links(watchdog):
-    """A SimEngine's live kernel tasks are its engine, report and
-    bootstrap loops (plus the watchdog when configured) whatever its
-    link count: a link's two ends are callbacks, not tasks."""
+    """A SimEngine's live kernel tasks are its report and bootstrap
+    loops (plus the watchdog when configured) whatever its link count:
+    a link's two ends are callbacks, not tasks, and so is the engine's
+    wake-up."""
     config = EngineConfig(inactivity_timeout=5.0 if watchdog else None)
     net = SimNetwork(NetworkConfig(engine=config))
     hub_alg = CopyForwardAlgorithm()
@@ -280,7 +281,7 @@ def test_engine_tasks_do_not_grow_with_links(watchdog):
     net.run(2.0)
     engine = net.engine(hub)
     assert len(engine.upstreams()) == 3 and len(engine.downstreams()) == 4
-    expected = {f"{hub}/engine", f"{hub}/report", f"{hub}/boot"}
+    expected = {f"{hub}/report", f"{hub}/boot"}
     if watchdog:
         expected.add(f"{hub}/watchdog")
     live = {t.name for t in net.kernel.live_tasks if t.name.startswith(f"{hub}/")}

@@ -130,7 +130,7 @@ def test_core_owns_the_switching_semantics():
     """Sanity: the semantics, the link table and the task set live in the core."""
     owned = core_owned_methods()
     for essential in (
-        "send", "_stage", "_engine_loop", "_passes", "_fail", "_drain_control",
+        "send", "_engine_loop", "_passes", "_fail", "_drain_control",
         "_engine_process",
         "_switch_round", "_retry_pending", "_try_forward", "_defer_data",
         "_handle_probe", "_apply_bandwidth", "_status_report", "_source_loop",
