@@ -18,9 +18,9 @@ the placement tier (:mod:`repro.cluster.tier`).  It
   channel EOF or a reaped process all confirm a worker dead.  Death
   marks every hosted node down at the observer — the node-level failure
   domino at surviving peers has already fired through their ordinary
-  transport teardown — and, with ``respawn=True``, relaunches the
-  worker under the core's consecutive-respawn budget and re-places its
-  specs.
+  transport teardown — and, given ``respawn=RespawnPolicy(...)``,
+  relaunches the worker under that consecutive-respawn budget and
+  re-places its specs.
 
 What this file says is only what a *worker* tier adds to the shared
 one: the boot spec of a worker, the observer-tree spawn order, the per-worker

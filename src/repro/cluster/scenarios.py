@@ -41,6 +41,7 @@ from repro.core.algorithm import Algorithm, Disposition
 from repro.core.ids import AppId, NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
+from repro.errors import ClusterError
 from repro.net.virtual import VirtualHost
 
 #: ``CONTROL.type`` value that triggers a deterministic burst
@@ -204,6 +205,9 @@ class DecodingDigestSinkAlgorithm(_ClusterTracing, DecodingSinkAlgorithm):
 
 # ------------------------------------------------------------------ topologies
 
+#: data message payload size in bytes of the CLI's chain runs
+CHAIN_PAYLOAD = 1000
+
 
 def chain_specs(length: int, prefix: str = "n") -> list[NodeSpec]:
     """A forwarding chain of ``length`` nodes, specs ordered sinks-first.
@@ -257,22 +261,20 @@ async def build_local(
     specs: list[NodeSpec],
     observer_addr: NodeId | None = None,
     ip: str = "127.0.0.1",
-) -> tuple[VirtualHost, dict[str, object]]:
+) -> VirtualHost:
     """Instantiate the same specs in ONE VirtualHost (the baseline run).
 
-    Uses the identical spec -> algorithm construction path as the
-    workers, so a digest mismatch against the cluster run can only come
-    from the transport, never from differing wiring.
+    Each node is named after its spec.  Uses the identical spec ->
+    algorithm construction path as the workers, so a digest mismatch
+    against the cluster run can only come from the transport, never from
+    differing wiring.
     """
     host = VirtualHost(observer_addr=observer_addr, ip=ip)
-    engines: dict[str, object] = {}
     for spec in specs:
-        wire = resolve_refs(spec.kwargs, lambda name: engines[name].node_id)
+        wire = resolve_refs(spec.kwargs, lambda name: host[name])
         algorithm = build_algorithm(spec.algorithm, wire)
-        engine = host.add_node(algorithm)
-        await host.start_node(engine)
-        engines[spec.name] = engine
-    return host, engines
+        await host.start_node(host.add_node(algorithm, spec.name))
+    return host
 
 
 def burst_control_message(app: AppId, count: int, size: int) -> Message:
@@ -304,6 +306,24 @@ async def wait_until(
         if met or loop.time() >= deadline:
             return bool(met)
         await asyncio.sleep(interval)
+
+
+async def require(what: str, missing: Callable[[], list], timeout: float = 30.0) -> None:
+    """Wait until ``missing()`` comes back empty: a fleet's readiness gate.
+
+    Raises :class:`~repro.errors.ClusterError` naming ``what`` and what
+    is still missing on timeout, so a half-started fleet fails instead
+    of being measured.
+    """
+    if not await wait_until(lambda: not missing(), timeout):
+        raise ClusterError(f"{what}: still missing {missing()} after {timeout}s")
+
+
+async def require_alive(observer, placed: dict, timeout: float = 30.0) -> None:
+    """Wait until every ``placed`` node is alive at ``observer`` (a server)."""
+    await require("nodes alive at the observer", lambda: [
+        name for name, p in placed.items() if p.node_id not in observer.observer.alive
+    ], timeout)
 
 
 async def poll_info(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.ids import NodeId
-from repro.errors import ClusterError
+from repro.errors import ClusterError, UnknownNodeError
 
 #: wire prefix marking a string kwarg as a placed node identity
 NODE_REF_PREFIX = "noderef:"
@@ -93,7 +93,7 @@ def resolve_refs(kwargs: dict[str, Any], lookup: Callable[[str], NodeId]) -> dic
         if isinstance(value, str) and value.startswith("@"):
             try:
                 node = lookup(value[1:])
-            except KeyError:
+            except (KeyError, UnknownNodeError):
                 raise ClusterError(
                     f"spec references {value!r} which is not placed yet "
                     "(build topologies sinks-first)"

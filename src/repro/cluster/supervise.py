@@ -125,8 +125,7 @@ class SupervisorCore:
         heartbeat_timeout: float = 3.0,
         register_timeout: float = 20.0,
         request_timeout: float = 20.0,
-        respawn: bool = False,
-        respawn_policy: RespawnPolicy | None = None,
+        respawn: RespawnPolicy | None = None,
         adopt_unknown: bool = False,
     ) -> None:
         self.ip = ip
@@ -134,8 +133,8 @@ class SupervisorCore:
         self.heartbeat_timeout = heartbeat_timeout
         self.register_timeout = register_timeout
         self.request_timeout = request_timeout
+        #: the budget a dead spawned child relaunches under (None: never)
         self.respawn = respawn
-        self.respawn_policy = respawn_policy or RespawnPolicy()
         #: accept registrations from children this supervisor did not
         #: launch (the federation root adopts remote ``--join`` daemons)
         self.adopt_unknown = adopt_unknown
@@ -476,12 +475,12 @@ class SupervisorCore:
             state.chan.close()
             state.chan = None
         orphans = await self.on_child_dead(state, reason)
-        if self.respawn and not state.adopted and self._running:
+        if self.respawn is not None and not state.adopted and self._running:
             self._tasks.launch(self._respawn(state.name, orphans), f"respawn-{state.name}")
 
     async def _respawn(self, name: str, orphans: list) -> None:
         """Relaunch a dead child under the consecutive-respawn budget."""
-        policy = self.respawn_policy
+        policy = self.respawn
         while self._running:
             state = self.children[name]
             if state.spawned_at and time.monotonic() - state.spawned_at >= policy.min_uptime:

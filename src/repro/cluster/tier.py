@@ -62,15 +62,9 @@ class TierConfig:
     heartbeat_timeout: float = 3.0
     register_timeout: float = 20.0
     request_timeout: float = 20.0
-    #: relaunch a dead (locally spawned) child
-    respawn: bool = False
-    #: consecutive early-death respawns tolerated before abandoning the
-    #: child (exponential backoff between attempts; see RespawnPolicy)
-    respawn_max: int = 5
-    respawn_backoff: float = 0.25
-    respawn_backoff_max: float = 5.0
-    #: surviving this long resets a child's respawn streak
-    respawn_min_uptime: float = 5.0
+    #: relaunch a dead (locally spawned) child under this budget and
+    #: backoff; ``None`` leaves dead children dead
+    respawn: RespawnPolicy | None = None
     telemetry: Telemetry | None = None
     #: enable metrics + lifecycle tracing inside each worker process so
     #: the aggregation tree has telemetry to roll up
@@ -158,12 +152,6 @@ class PlacementTier(SupervisorCore):
             register_timeout=config.register_timeout,
             request_timeout=config.request_timeout,
             respawn=config.respawn,
-            respawn_policy=RespawnPolicy(
-                max_consecutive=config.respawn_max,
-                backoff_base=config.respawn_backoff,
-                backoff_max=config.respawn_backoff_max,
-                min_uptime=config.respawn_min_uptime,
-            ),
             adopt_unknown=adopt_unknown,
         )
         self.observer = observer

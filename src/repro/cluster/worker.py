@@ -31,7 +31,6 @@ import sys
 from repro.cluster.host import ControlHost, run_host
 from repro.cluster.spec import build_algorithm
 from repro.core.ids import NodeId
-from repro.errors import ClusterError
 from repro.net.proxy import ObserverProxy
 from repro.net.virtual import VirtualHost
 
@@ -81,8 +80,8 @@ class WorkerHost(ControlHost):
         self.proxy_port = proxy_port
         self.telemetry = None
         self.proxy: ObserverProxy | None = None
+        #: this worker's nodes, by spec name
         self.host: VirtualHost | None = None
-        self._engines: dict[str, object] = {}  # spec name -> AsyncioEngine
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -111,7 +110,7 @@ class WorkerHost(ControlHost):
         if self.host is not None:
             # The engines' graceful path: peers observe a clean close and
             # run their own teardown; no BROKEN_LINK is raised locally.
-            for engine in self.host.nodes:
+            for engine in self.host.engines():
                 for dest in engine.downstreams():
                     engine.disconnect(dest)
             await self.host.stop()
@@ -119,15 +118,14 @@ class WorkerHost(ControlHost):
             await self.proxy.stop()
 
     def gauges(self) -> dict:
-        return {"nodes": len(self._engines), "controller": self.controller_name}
+        nodes = len(self.host) if self.host is not None else 0
+        return {"nodes": nodes, "controller": self.controller_name}
 
     # ------------------------------------------------------------ request verbs
 
     async def spawn(self, fields: dict) -> dict:
         assert self.host is not None
         name = str(fields["name"])
-        if name in self._engines:
-            raise ClusterError(f"node {name!r} already hosted here")
         algorithm = build_algorithm(
             str(fields["algorithm"]), dict(fields.get("kwargs", {}))
         )
@@ -141,27 +139,20 @@ class WorkerHost(ControlHost):
         config = NetEngineConfig(
             telemetry=self.telemetry, shm_ring_bytes=self.shm_ring_bytes
         )
-        engine = self.host.add_node(algorithm, config=config)
+        engine = self.host.add_node(algorithm, name, config)
         await self.host.start_node(engine)
-        self._engines[name] = engine
         return {"name": name, "node": str(engine.node_id)}
-
-    def _engine(self, fields: dict):
-        name = str(fields["name"])
-        try:
-            return name, self._engines[name]
-        except KeyError:
-            raise ClusterError(f"no node {name!r} hosted here") from None
 
     async def stop_node(self, fields: dict) -> dict:
         assert self.host is not None
-        name, engine = self._engine(fields)
-        del self._engines[name]
-        await self.host.stop_node(engine)
+        name = str(fields["name"])
+        await self.host.stop_node(name)
         return {"name": name, "ok": True}
 
     async def node_info(self, fields: dict) -> dict:
-        name, engine = self._engine(fields)
+        assert self.host is not None
+        name = str(fields["name"])
+        engine = self.host.engine(name)
         algorithm = engine.algorithm
         # Duck-typed scenario hook: algorithms may expose application
         # facts (digests, counters) for cross-process verification.

@@ -289,9 +289,10 @@ def _run_parity_sim(seed: int) -> ParityRun:
 def _run_parity_net(seed: int) -> ParityRun:
     import asyncio
 
-    from repro.net.chaos import ChaosCluster, ChaosController
+    from repro.net.chaos import ChaosController
     from repro.net.engine import NetEngineConfig
     from repro.net.resilience import ResilienceConfig
+    from repro.net.virtual import VirtualHost
 
     def config() -> NetEngineConfig:
         return NetEngineConfig(resilience=ResilienceConfig(
@@ -301,16 +302,14 @@ def _run_parity_net(seed: int) -> ParityRun:
         ))
 
     async def scenario() -> ParityRun:
-        cluster = ChaosCluster(ChaosController(seed=seed))
+        host = VirtualHost(chaos=ChaosController(seed=seed))
         src_alg = _ParitySource()
         sinks = [_ParitySink() for _ in range(PARITY_SINKS)]
-        src = await cluster.add_node(src_alg, "src", config())
-        engines = [
-            await cluster.add_node(alg, f"sink{i}", config())
-            for i, alg in enumerate(sinks)
-        ]
+        src = host.add_node(src_alg, "src", config())
+        engines = [host.add_node(alg, f"sink{i}", config()) for i, alg in enumerate(sinks)]
+        await host.start()
         src_alg.set_downstreams([engine.node_id for engine in engines])
-        _parity_schedule().arm(cluster)
+        _parity_schedule().arm(host)
         src.start_source(app=1, payload_size=PARITY_PAYLOAD)
         await asyncio.sleep(PARITY_HORIZON)
         before = [alg.received for alg in sinks]
@@ -318,7 +317,7 @@ def _run_parity_net(seed: int) -> ParityRun:
         served = [alg.received > count + 5 for alg, count in zip(sinks, before)]
         run = _parity_run("asyncio+chaos", sinks, src_alg,
                           engines[0].node_id, served)
-        await cluster.stop()
+        await host.stop()
         return run
 
     return asyncio.run(scenario())

@@ -14,8 +14,8 @@ Two legs, one protocol:
 
 * **Live leg** — full :class:`~repro.net.engine.AsyncioEngine` nodes
   running :class:`~repro.algorithms.stabilize.SelfStabilizingRingAlgorithm`
-  on a :class:`~repro.net.chaos.ChaosCluster` (localhost sockets), with
-  the same churn schedule lowered to a
+  on a :class:`~repro.net.virtual.VirtualHost` with a chaos controller
+  (localhost sockets), with the same churn schedule lowered to a
   :class:`~repro.sim.failure.FailureSchedule` and replayed in wall-clock
   time.  Convergence is judged against the ground-truth oracle
   (:func:`~repro.algorithms.stabilize.ring.ideal_successors`), and the
@@ -133,7 +133,7 @@ def run_slotted_curves(
 
 @dataclass
 class LiveChurnRun:
-    """Outcome of the wall-clock ChaosCluster leg."""
+    """Outcome of the wall-clock VirtualHost leg."""
 
     n_start: int
     n_final: int
@@ -159,10 +159,11 @@ async def _run_live(
     )
     from repro.cluster.scenarios import wait_until
     from repro.errors import UnknownNodeError
-    from repro.net.chaos import ChaosCluster
+    from repro.net.chaos import ChaosController
     from repro.net.engine import NetEngineConfig
+    from repro.net.virtual import VirtualHost
 
-    cluster = ChaosCluster()
+    cluster = VirtualHost(chaos=ChaosController())
     next_seed = [seed]
 
     async def add_node(name: str) -> SelfStabilizingRingAlgorithm:
@@ -173,9 +174,9 @@ async def _run_live(
             ),
             seed=next_seed[0],
         )
-        await cluster.add_node(
+        await cluster.start_node(cluster.add_node(
             algorithm, name, NetEngineConfig(report_interval=1000.0)
-        )
+        ))
         return algorithm
 
     names = [f"n{i}" for i in range(n_nodes)]
@@ -223,7 +224,7 @@ async def _run_live(
     joined_at = {event.name: event.at for event in churn.joins()}
     seniority = names + list(joined_at)
 
-    async def join(_: ChaosCluster, name: str) -> None:
+    async def join(_: VirtualHost, name: str) -> None:
         # The joiner's one contact: the senior-most node alive when it arrives.
         alive = churn.alive_after(joined_at[name])
         contact = next(node for node in seniority if node in alive and node != name)
@@ -269,7 +270,7 @@ def run_live_churn(
     period: float = 0.25,
     convergence_timeout: float = 25.0,
 ) -> LiveChurnRun:
-    """Run the live ChaosCluster leg (its own event loop)."""
+    """Run the live VirtualHost leg (its own event loop)."""
     return asyncio.run(
         _run_live(n_nodes, seed, duration, period, convergence_timeout)
     )
@@ -308,7 +309,7 @@ class ChurnConvergenceResult:
         tables.append(curve)
         if self.live is not None:
             live = Table(
-                "Churn convergence — live ChaosCluster leg",
+                "Churn convergence — live VirtualHost leg",
                 ["metric", "value"],
             )
             run = self.live

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 
 from repro.cluster.controller import ClusterConfig, ClusterController
-from repro.cluster.scenarios import build_local, chain_specs, wait_until
+from repro.cluster.scenarios import build_local, chain_specs, require_alive
 from repro.cluster.spec import NodeSpec
 from repro.core.ids import NodeId
 from repro.experiments.common import Table
@@ -100,17 +100,17 @@ async def _run_baseline(chains: int, chain_len: int, duration: float,
     specs = _sharded_chain_specs(chains, chain_len, workers=1)
     nodes = len(specs)
     t0 = time.monotonic()
-    host, engines = await build_local(specs)
+    host = await build_local(specs)
     startup = time.monotonic() - t0
-    sinks = [engines[f"c{i}n{chain_len - 1}"].algorithm for i in range(chains)]
+    sinks = [host.engine(f"c{i}n{chain_len - 1}").algorithm for i in range(chains)]
     for i in range(chains):
-        engines[f"c{i}n0"].start_source(app=i + 1, payload_size=PAYLOAD)
+        host.engine(f"c{i}n0").start_source(app=i + 1, payload_size=PAYLOAD)
     await asyncio.sleep(warmup)
     before = sum(sink.received for sink in sinks)
     await asyncio.sleep(duration)
     delivered = sum(sink.received for sink in sinks) - before
     for i in range(chains):
-        engines[f"c{i}n0"].stop_source(i + 1)
+        host.engine(f"c{i}n0").stop_source(i + 1)
     await host.stop()
     return ScalePoint(
         label="single-process", workers=0, nodes=nodes,
@@ -127,31 +127,31 @@ async def _run_fleet(workers: int, chains: int, chain_len: int,
     specs = _sharded_chain_specs(chains, chain_len, workers)
     nodes = len(specs)
     t0 = time.monotonic()
-    await controller.start()
-    placed = await controller.deploy(specs)
-    startup = time.monotonic() - t0
-    await wait_until(
-        lambda: all(p.node_id in observer.observer.alive for p in placed.values())
-    )
+    try:
+        await controller.start()
+        placed = await controller.deploy(specs)
+        startup = time.monotonic() - t0
+        await require_alive(observer, placed)
 
-    sink_names = [f"c{i}n{chain_len - 1}" for i in range(chains)]
+        sink_names = [f"c{i}n{chain_len - 1}" for i in range(chains)]
 
-    async def delivered() -> int:
-        infos = await asyncio.gather(
-            *(controller.node_info(name) for name in sink_names)
-        )
-        return sum(int(reply["info"].get("received", 0)) for reply in infos)
+        async def delivered() -> int:
+            infos = await asyncio.gather(
+                *(controller.node_info(name) for name in sink_names)
+            )
+            return sum(int(reply["info"].get("received", 0)) for reply in infos)
 
-    for i in range(chains):
-        controller.deploy_source(f"c{i}n0", app=i + 1, payload_size=PAYLOAD)
-    await asyncio.sleep(warmup)
-    before = await delivered()
-    await asyncio.sleep(duration)
-    count = await delivered() - before
-    for i in range(chains):
-        observer.observer.terminate_source(controller.node_id(f"c{i}n0"), i + 1)
-    await controller.stop()
-    await observer.stop()
+        for i in range(chains):
+            controller.deploy_source(f"c{i}n0", app=i + 1, payload_size=PAYLOAD)
+        await asyncio.sleep(warmup)
+        before = await delivered()
+        await asyncio.sleep(duration)
+        count = await delivered() - before
+        for i in range(chains):
+            observer.observer.terminate_source(controller.node_id(f"c{i}n0"), i + 1)
+    finally:
+        await controller.stop()
+        await observer.stop()
     return ScalePoint(
         label=f"{workers} worker{'s' if workers > 1 else ''}", workers=workers,
         nodes=nodes, aggregate=count * PAYLOAD / duration,

@@ -173,9 +173,9 @@ async def _federated_chain_digest(root, observer, length: int, app: int,
 
 async def _local_chain_digest(length: int, app: int, count: int,
                               size: int) -> str:
-    host, engines = await build_local(chain_specs(length))
-    engines["n0"].algorithm.on_control(burst_control_message(app, count, size))
-    sink = engines[f"n{length - 1}"].algorithm
+    host = await build_local(chain_specs(length))
+    host.engine("n0").algorithm.on_control(burst_control_message(app, count, size))
+    sink = host.engine(f"n{length - 1}").algorithm
     ok = await wait_until(lambda: sink.received >= count, timeout=30.0)
     assert ok, f"baseline sink got {sink.received}/{count}"
     digest = sink.digest(app)
@@ -219,9 +219,9 @@ async def _identity_butterfly() -> IdentityPoint:
     finally:
         await _stop_tree(observer, root)
 
-    host, engines = await build_local(butterfly_specs())
-    engines["A"].algorithm.on_control(burst_control_message(app, count, size))
-    sinks = {name: engines[name].algorithm for name in ("F", "G")}
+    host = await build_local(butterfly_specs())
+    host.engine("A").algorithm.on_control(burst_control_message(app, count, size))
+    sinks = {name: host.engine(name).algorithm for name in ("F", "G")}
     ok = await wait_until(
         lambda: all(s.decoded_generations >= generations for s in sinks.values()),
         timeout=30.0,

@@ -32,7 +32,13 @@ import time
 from dataclasses import dataclass
 
 from repro.cluster.controller import ClusterConfig, ClusterController
-from repro.cluster.scenarios import BURST_CONTROL, chain_specs, wait_until
+from repro.cluster.scenarios import (
+    BURST_CONTROL,
+    chain_specs,
+    require,
+    require_alive,
+    wait_until,
+)
 from repro.cluster.spec import NodeSpec
 from repro.core.ids import NodeId
 from repro.experiments.common import Table
@@ -137,52 +143,52 @@ async def _run_mode(
         worker_telemetry=True,
         worker_trace_sample=TRACE_SAMPLE,
     ))
-    await controller.start()
-    specs = _workload(chains, chain_len)
-    placed = await controller.deploy(specs)
-    nodes = len(specs)
-    sink_names = [f"c{i}n{chain_len - 1}" for i in range(chains)]
-    await wait_until(
-        lambda: all(p.node_id in observer.observer.alive for p in placed.values())
-    )
-    # Coverage first: every node must have a status at the root before
-    # the window opens, through whichever plane this mode uses.
-    await wait_until(lambda: len(observer.observer.statuses) >= nodes)
+    try:
+        await controller.start()
+        placed = await controller.deploy(_workload(chains, chain_len))
+        sink_names = [f"c{i}n{chain_len - 1}" for i in range(chains)]
+        await require_alive(observer, placed)
+        # Coverage first: every node must have a status at the root before
+        # the window opens, through whichever plane this mode uses.
+        await require("statuses at the root", lambda: [
+            name for name, p in placed.items() if p.node_id not in observer.observer.statuses
+        ])
 
-    bytes0, frames0, t0 = observer.bytes_in, observer.frames_in, time.monotonic()
-    for i in range(chains):
-        controller.send_control(
-            f"c{i}n0", BURST_CONTROL, param1=BURST_COUNT, param2=BURST_SIZE,
-            app=i + 1,
-        )
+        bytes0, frames0, t0 = observer.bytes_in, observer.frames_in, time.monotonic()
+        for i in range(chains):
+            controller.send_control(
+                f"c{i}n0", BURST_CONTROL, param1=BURST_COUNT, param2=BURST_SIZE,
+                app=i + 1,
+            )
 
-    async def all_delivered() -> bool:
+        async def all_delivered() -> bool:
+            infos = await asyncio.gather(
+                *(controller.node_info(name) for name in sink_names)
+            )
+            return all(int(r["info"].get("received", 0)) >= BURST_COUNT for r in infos)
+
+        await wait_until(all_delivered, timeout=30.0, interval=0.1)
+        # Steady-state tail: the burst is done, only the observability plane
+        # is producing root traffic now — full snapshots every poll for the
+        # funnel, near-empty deltas for the tree.
+        await asyncio.sleep(settle)
+        seconds = time.monotonic() - t0
+        bytes_in = observer.bytes_in - bytes0
+        frames_in = observer.frames_in - frames0
+
         infos = await asyncio.gather(
             *(controller.node_info(name) for name in sink_names)
         )
-        return all(int(r["info"].get("received", 0)) >= BURST_COUNT for r in infos)
-
-    await wait_until(all_delivered, timeout=30.0, interval=0.1)
-    # Steady-state tail: the burst is done, only the observability plane
-    # is producing root traffic now — full snapshots every poll for the
-    # funnel, near-empty deltas for the tree.
-    await asyncio.sleep(settle)
-    seconds = time.monotonic() - t0
-    bytes_in = observer.bytes_in - bytes0
-    frames_in = observer.frames_in - frames0
-
-    infos = await asyncio.gather(
-        *(controller.node_info(name) for name in sink_names)
-    )
-    delivered = sum(int(r["info"].get("received", 0)) for r in infos)
-    digests = {
-        name: str(reply["info"].get("digests", {}))
-        for name, reply in zip(sink_names, infos)
-    }
-    statuses = len(observer.observer.statuses)
-    agg_frames = observer.observer.agg_frames
-    await controller.stop()
-    await observer.stop()
+        delivered = sum(int(r["info"].get("received", 0)) for r in infos)
+        digests = {
+            name: str(reply["info"].get("digests", {}))
+            for name, reply in zip(sink_names, infos)
+        }
+        statuses = len(observer.observer.statuses)
+        agg_frames = observer.observer.agg_frames
+    finally:
+        await controller.stop()
+        await observer.stop()
     return ModePoint(
         label=label, seconds=seconds, bytes_in=bytes_in, frames_in=frames_in,
         agg_frames=agg_frames, statuses=statuses, delivered=delivered,

@@ -206,7 +206,6 @@ async def _run_virtual(total: int, size: int, timeout: float) -> VirtualLegResul
     matrix = routing_grid()
     host = VirtualHost()
     algorithms: dict[str, BackpressureRoutingAlgorithm] = {}
-    engines: dict[str, object] = {}
     for name in matrix.node_names():
         inject = {
             c: {"count": 2, "size": size, "total": total}
@@ -214,16 +213,14 @@ async def _run_virtual(total: int, size: int, timeout: float) -> VirtualLegResul
             if source == name
         }
         algorithms[name] = BackpressureRoutingAlgorithm(inject=inject or None)
-        engines[name] = host.add_node(
-            algorithms[name], config=NetEngineConfig(report_interval=5.0)
-        )
+        host.add_node(algorithms[name], name, NetEngineConfig(report_interval=5.0))
     await host.start()
     # node identities exist only after start on the asyncio backend
     for commodity, (_, sink) in matrix.commodities.items():
         for alg in algorithms.values():
-            alg.set_sink(commodity, engines[sink].node_id)
+            alg.set_sink(commodity, host[sink])
     for src, dst in matrix.edges:
-        assert await engines[src].connect(engines[dst].node_id)
+        assert await host.engine(src).connect(host[dst])
 
     sinks = {c: algorithms[sink] for c, (_, sink) in matrix.commodities.items()}
     loop = asyncio.get_running_loop()
@@ -313,7 +310,7 @@ def _grid_specs(matrix: RoutingMatrix, total: int, size: int) -> list:
 async def _run_cluster(workers: int, total: int, size: int,
                        timeout: float) -> ClusterLegResult:
     from repro.cluster.controller import ClusterConfig, ClusterController
-    from repro.cluster.scenarios import wait_until
+    from repro.cluster.scenarios import require, require_alive, wait_until
     from repro.core.ids import NodeId
     from repro.net.observer_server import ObserverServer
 
@@ -326,13 +323,6 @@ async def _run_cluster(workers: int, total: int, size: int,
         observer_fanout=1,
         observer_flush_interval=0.2,
     ))
-    await controller.start()
-    placed = await controller.deploy(_grid_specs(matrix, total, size))
-    await wait_until(
-        lambda: all(p.node_id in observer.observer.alive for p in placed.values()),
-        timeout=timeout,
-    )
-
     sink_of = {c: sink for c, (_, sink) in matrix.commodities.items()}
 
     async def delivered() -> dict[int, int]:
@@ -347,9 +337,6 @@ async def _run_cluster(workers: int, total: int, size: int,
         counts = await delivered()
         return all(counts.get(c, 0) >= total for c in sink_of)
 
-    await wait_until(all_delivered, timeout=timeout, interval=0.25)
-    final = await delivered()
-
     def commodity_labels() -> list[str]:
         family = observer.observer.cluster_metrics().get(
             "ioverlay_routing_delivered_total"
@@ -361,16 +348,23 @@ async def _run_cluster(workers: int, total: int, size: int,
             for series in family["series"]
         })
 
-    await wait_until(
-        lambda: len(commodity_labels()) >= len(sink_of), timeout=timeout,
-    )
-    labels = commodity_labels()
-    routing_families = sorted(
-        name for name in observer.observer.cluster_metrics()
-        if name.startswith("ioverlay_routing_")
-    )
-    await controller.stop()
-    await observer.stop()
+    try:
+        await controller.start()
+        placed = await controller.deploy(_grid_specs(matrix, total, size))
+        await require_alive(observer, placed, timeout)
+        await wait_until(all_delivered, timeout=timeout, interval=0.25)
+        final = await delivered()
+        await require("commodity labels at the root", lambda: [
+            c for c in sink_of if str(c) not in commodity_labels()
+        ], timeout)
+        labels = commodity_labels()
+        routing_families = sorted(
+            name for name in observer.observer.cluster_metrics()
+            if name.startswith("ioverlay_routing_")
+        )
+    finally:
+        await controller.stop()
+        await observer.stop()
     return ClusterLegResult(
         workers=workers, total=total, delivered=final,
         commodities_at_root=labels,

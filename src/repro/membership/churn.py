@@ -11,8 +11,8 @@ the experiment can judge protocol views against reality.
 A :class:`ChurnSchedule` is backend-agnostic: :meth:`to_failure_schedule`
 lowers it onto the existing declarative
 :class:`~repro.sim.failure.FailureSchedule`, which arms against the DES
-kernel (virtual time) or — via :class:`~repro.net.chaos.ChaosCluster` —
-against real sockets (wall time), both now join/leave-capable.
+kernel (virtual time) or a :class:`~repro.net.virtual.VirtualHost` of
+asyncio engines (wall time), both join/leave-capable.
 
 :func:`adversarial_edges` builds the worst-case *initial knowledge*
 topologies self-stabilization must escape from (Berns: convergence must

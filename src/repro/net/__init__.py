@@ -1,6 +1,6 @@
 """The live asyncio engine: real TCP sockets on localhost or wide-area."""
 
-from repro.net.chaos import ChaosCluster, ChaosController
+from repro.net.chaos import ChaosController
 from repro.net.engine import AsyncioEngine, NetEngineConfig
 from repro.net.observer_server import ObserverServer
 from repro.net.proxy import ObserverProxy
@@ -10,11 +10,11 @@ from repro.net.resilience import (
     ObserverOutbox,
     ResilienceConfig,
 )
+from repro.net.virtual import VirtualHost
 
 __all__ = [
     "AsyncioEngine",
     "BackoffPolicy",
-    "ChaosCluster",
     "ChaosController",
     "LinkHealth",
     "NetEngineConfig",
@@ -22,4 +22,5 @@ __all__ = [
     "ObserverProxy",
     "ObserverServer",
     "ResilienceConfig",
+    "VirtualHost",
 ]

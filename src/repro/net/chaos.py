@@ -28,32 +28,22 @@ down, a supervised redial creates a clean connection and traffic may
 resume.  Convergence after a fault therefore means *reconnected or torn
 down*, never a permanent churn loop.
 
-:class:`ChaosCluster` builds a localhost fleet of
-:class:`~repro.net.engine.AsyncioEngine` nodes sharing one controller,
-with the fault verbs a :class:`~repro.sim.failure.FailureSchedule`
-replays: ``schedule.arm(cluster)`` runs the same declarative schedule
-object that drives the simulator, so robustness experiments run
-unchanged on either backend.
+:class:`~repro.net.virtual.VirtualHost` built with ``chaos=`` runs a
+localhost fleet of engines sharing one controller, with the fault verbs
+a :class:`~repro.sim.failure.FailureSchedule` replays:
+``schedule.arm(host)`` runs the same declarative schedule object that
+drives the simulator, so robustness experiments run unchanged on either
+backend.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-from typing import Callable
 
-from repro.core.algorithm import Algorithm
 from repro.core.ids import NodeId
 from repro.errors import UnknownNodeError
-from repro.net.engine import AsyncioEngine, NetEngineConfig
-from repro.net.tasks import TaskSet
-from repro.sim.failure import LEAVE_GRACE, FailureSchedule, NodeFactory, announce_leave
 
-__all__ = [
-    "ChaosController",
-    "ChaosCluster",
-    "FailureSchedule",  # re-export: the schedule is backend-agnostic
-]
+__all__ = ["ChaosController"]
 
 
 class _LinkChaos:
@@ -284,107 +274,3 @@ class ChaosController:
         """Truncate the next frame written on ``src -> dst``, then reset."""
         self.n_truncations += 1
         self.link(src, dst).truncate_armed = True
-
-
-class ChaosCluster:
-    """A localhost fleet of asyncio engines wired through one controller.
-
-    Provides just enough of :class:`~repro.sim.network.SimNetwork`'s
-    surface (``engine()``, ``net[name]``, the fault verbs) that failure
-    experiments written against the simulator run on real sockets too.
-    """
-
-    #: each engine carries its own telemetry; the cluster traces no churn
-    telemetry = None
-
-    def __init__(
-        self,
-        chaos: ChaosController | None = None,
-        observer_addr: NodeId | None = None,
-        host: str = "127.0.0.1",
-    ) -> None:
-        self.chaos = chaos if chaos is not None else ChaosController()
-        self.observer_addr = observer_addr
-        self.host = host
-        self._engines: dict[str, AsyncioEngine] = {}
-        self._names: dict[NodeId, str] = {}
-        self._handles: list[asyncio.TimerHandle] = []
-        #: schedule actions in flight (kills, joins, graceful leaves)
-        self._tasks = TaskSet(type(self).__name__)
-
-    # ---------------------------------------------------------------- topology
-
-    async def add_node(
-        self,
-        algorithm: Algorithm,
-        name: str | None = None,
-        config: NetEngineConfig | None = None,
-    ) -> AsyncioEngine:
-        config = config if config is not None else NetEngineConfig()
-        config.chaos = self.chaos
-        engine = AsyncioEngine(
-            NodeId(self.host, 0),
-            algorithm,
-            observer_addr=self.observer_addr,
-            config=config,
-        )
-        await engine.start()
-        if name is None:
-            name = f"n{len(self._engines)}"
-        self._engines[name] = engine
-        self._names[engine.node_id] = name
-        return engine
-
-    def engine(self, node: NodeId | str) -> AsyncioEngine:
-        name = node if isinstance(node, str) else self._names.get(node)
-        engine = self._engines.get(name) if name is not None else None
-        if engine is None:
-            raise UnknownNodeError(f"no node {node!r} in cluster")
-        return engine
-
-    def __getitem__(self, name: NodeId | str) -> NodeId:
-        return name if isinstance(name, NodeId) else self.engine(name).node_id
-
-    def engines(self) -> list[AsyncioEngine]:
-        return list(self._engines.values())
-
-    async def stop(self) -> None:
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
-        # Actions already in flight run to their end first.  Cancelled,
-        # a join could strand a half-started engine (asyncio leaves a
-        # server listening when ``start_server`` is cancelled); left
-        # running, it would add an engine after the loop below.
-        await self._tasks.settle()
-        for engine in list(self._engines.values()):
-            await engine.stop()
-
-    # ------------------------------------------------------------- fault verbs
-    # The verbs a FailureSchedule replays (repro.sim.failure); schedule
-    # times are wall seconds after the call, so after ``arm()``.
-
-    def schedule(self, at: float, callback: Callable[..., None], *args) -> None:
-        self._handles.append(asyncio.get_running_loop().call_later(at, callback, *args))
-
-    def kill_node(self, node: NodeId | str) -> None:
-        self._tasks.launch(self.engine(node).stop(), f"kill {node}")
-
-    def leave_node(self, node: NodeId | str) -> None:
-        """Announce departure (when the algorithm can), then stop."""
-        if announce_leave(self.engine(node).algorithm):
-            self.schedule(LEAVE_GRACE, self.kill_node, node)
-        else:
-            self.kill_node(node)
-
-    def join_node(self, name: str, node_factory: NodeFactory) -> None:
-        self._tasks.launch(node_factory(self, name), f"join {name}")
-
-    def cut_link(self, src: NodeId | str, dst: NodeId | str) -> None:
-        self.chaos.cut_link(self[src], self[dst])
-
-    def stall_link(self, src: NodeId | str, dst: NodeId | str) -> None:
-        self.chaos.stall_link(self[src], self[dst])
-
-    def kill_source(self, node: NodeId | str, app: int) -> None:
-        self.engine(node).stop_source(app)

@@ -4,8 +4,8 @@ The control plane's two halves — the supervisor
 (:mod:`repro.cluster.supervise`) and the host (:mod:`repro.cluster.host`)
 — the observer plane's endpoints (:mod:`repro.net.observer_link`
 under :class:`~repro.net.observer_server.ObserverServer` and
-:class:`~repro.net.proxy.ObserverProxy`), the chaos harness's schedule
-actions (:class:`~repro.net.chaos.ChaosCluster`) and each shm link's
+:class:`~repro.net.proxy.ObserverProxy`), a virtual host's schedule
+actions (:class:`~repro.net.virtual.VirtualHost`) and each shm link's
 socket listener (:class:`~repro.net.shm.ShmEndpoint`) run their
 background work through one :class:`TaskSet` each, in the manner of
 ``EngineCore._launch`` / ``_teardown``: finished tasks drop out on their

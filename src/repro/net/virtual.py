@@ -20,21 +20,36 @@ closing either side hands the remote end ``on_lost`` and fails later
 writes with ``ConnectionError``, driving the exact ``_peer_failed``
 teardown a dead socket would.  Dialing a co-hosted node that is not
 running raises ``ConnectionRefusedError`` like a closed port.
+
+The host is also the in-process fleet a
+:class:`~repro.sim.failure.FailureSchedule` replays on: nodes carry
+names, and the fault verbs (``kill_node``, ``leave_node``,
+``join_node``, ``cut_link``, ``stall_link``, ``kill_source``) fire on
+the loop clock through ``schedule.arm(host)``, as they do on the
+simulator's :class:`~repro.sim.network.SimNetwork`.  Given a
+:class:`~repro.net.chaos.ChaosController`, the host skips loopback and
+every link runs over a localhost socket through the chaos wrapper, so
+link faults can be injected; without one, the link verbs raise
+:class:`~repro.errors.ConfigurationError`, and ``arm`` refuses a
+schedule holding them up front.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 from collections import deque
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.core.algorithm import Algorithm
 from repro.core.ids import NodeId
 from repro.core.message import Message
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.net.engine import AsyncioEngine, NetEngineConfig
+from repro.errors import ConfigurationError, UnknownNodeError
+from repro.net.chaos import ChaosController
+from repro.net.engine import AsyncioEngine, NetEngineConfig
+from repro.net.tasks import TaskSet
+from repro.sim.failure import LEAVE_GRACE, NodeFactory, announce_leave
 
 #: default in-flight window (messages) per loopback direction — the
 #: analog of a socket's send buffer, sized like the engines' buffers.
@@ -166,14 +181,13 @@ class LoopbackResolver:
     destination is not on this host.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
-        self._window = window
-        self._engines: dict[NodeId, "AsyncioEngine"] = {}
+    def __init__(self) -> None:
+        self._engines: dict[NodeId, AsyncioEngine] = {}
         #: loopback connections brokered (the scaling experiment's proof
         #: that co-hosted traffic is not secretly using sockets)
         self.dials = 0
 
-    def register(self, engine: "AsyncioEngine") -> None:
+    def register(self, engine: AsyncioEngine) -> None:
         self._engines[engine.node_id] = engine
 
     def unregister(self, node_id: NodeId) -> None:
@@ -196,7 +210,7 @@ class LoopbackResolver:
             return None
         if not engine.running:
             raise ConnectionRefusedError(f"co-hosted node {dest} is not running")
-        ours, theirs = loopback_pair(self._window)
+        ours, theirs = loopback_pair()
         self.dials += 1
         engine.accept_transport(src, theirs)
         return ours
@@ -208,65 +222,95 @@ class VirtualHost:
     Every node is a complete :class:`AsyncioEngine` — own algorithm,
     switch, bounded buffers, observer link and (real) server socket for
     off-host peers — but connections between co-hosted nodes are
-    zero-copy loopback channels.  Usage::
+    zero-copy loopback channels.  Nodes are named (``n0``, ``n1`` ...
+    unless given a name) and found by name or identity.  Usage::
 
         host = VirtualHost(observer_addr=obs.addr)
         engines = [host.add_node(MyAlgorithm()) for _ in range(200)]
         await host.start()
         ...
         await host.stop()
+
+    With a :class:`~repro.net.chaos.ChaosController` no node is reachable
+    over loopback: every link is a localhost socket through the chaos
+    wrapper, so the controller's faults apply to it.
     """
+
+    #: each engine carries its own telemetry; the host traces no churn
+    telemetry = None
 
     def __init__(
         self,
         observer_addr: NodeId | None = None,
-        window: int = DEFAULT_WINDOW,
         ip: str = "127.0.0.1",
+        chaos: ChaosController | None = None,
     ) -> None:
-        self.resolver = LoopbackResolver(window)
+        self.resolver = LoopbackResolver()
+        self.chaos = chaos
         self._observer_addr = observer_addr
         self._ip = ip
-        self._nodes: list["AsyncioEngine"] = []
+        #: name -> engine, in add order
+        self._engines: dict[str, AsyncioEngine] = {}
+        self._serial = itertools.count()  # default names: n0, n1 ... never reused
+        self._handles: list[asyncio.TimerHandle] = []
+        #: schedule actions in flight (kills, joins, graceful leaves)
+        self._tasks = TaskSet(type(self).__name__)
 
-    @property
-    def nodes(self) -> list["AsyncioEngine"]:
+    def engines(self) -> list[AsyncioEngine]:
         """The hosted engines, in add order."""
-        return list(self._nodes)
+        return list(self._engines.values())
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._engines)
 
     def add_node(
         self,
         algorithm: Algorithm,
-        port: int = 0,
-        config: "NetEngineConfig | None" = None,
-    ) -> "AsyncioEngine":
-        """Create (but do not start) one co-hosted node.
+        name: str | None = None,
+        config: NetEngineConfig | None = None,
+    ) -> AsyncioEngine:
+        """Create (but do not start) one co-hosted node named ``name``.
 
-        ``port=0`` lets each node's server pick an ephemeral port; the
-        node's final identity is known after :meth:`start`.  A provided
-        ``config`` is copied with the host's loopback resolver installed.
+        Its server picks an ephemeral port, so the node's final identity
+        is known after :meth:`start`.  A provided ``config`` is copied
+        with the host's loopback resolver (or chaos controller) installed.
         """
-        from repro.net.engine import AsyncioEngine, NetEngineConfig
-
-        config = replace(config, loopback=self.resolver) if config is not None \
-            else NetEngineConfig(loopback=self.resolver)
+        if name is None:
+            name = f"n{next(self._serial)}"
+        if name in self._engines:
+            raise ConfigurationError(f"node {name!r} already hosted here")
+        link = {"loopback": self.resolver} if self.chaos is None else {"chaos": self.chaos}
         engine = AsyncioEngine(
-            NodeId(self._ip, port), algorithm,
-            observer_addr=self._observer_addr, config=config,
+            NodeId(self._ip, 0), algorithm, observer_addr=self._observer_addr,
+            config=NetEngineConfig(**link) if config is None else replace(config, **link),
         )
-        self._nodes.append(engine)
+        self._engines[name] = engine
         return engine
+
+    def _name(self, node: NodeId | str) -> str:
+        if isinstance(node, str):
+            if node in self._engines:
+                return node
+        else:
+            for name, engine in self._engines.items():
+                if engine.node_id == node:
+                    return name
+        raise UnknownNodeError(f"no node {node!r} on this host")
+
+    def engine(self, node: NodeId | str) -> AsyncioEngine:
+        """The engine named ``node``, or carrying identity ``node``."""
+        return self._engines[self._name(node)]
+
+    def __getitem__(self, node: NodeId | str) -> NodeId:
+        return node if isinstance(node, NodeId) else self.engine(node).node_id
 
     async def start(self) -> None:
         """Start every node and publish their final identities for loopback."""
-        for engine in self._nodes:
+        for engine in self.engines():
             if not engine.running:
-                await engine.start()
-                self.resolver.register(engine)
+                await self.start_node(engine)
 
-    async def start_node(self, engine: "AsyncioEngine") -> None:
+    async def start_node(self, engine: AsyncioEngine) -> None:
         """Start one previously added node (dynamic placement path).
 
         The cluster worker places nodes one at a time while the host is
@@ -274,23 +318,65 @@ class VirtualHost:
         once this returns, and co-hosted dials to it go over loopback.
         """
         await engine.start()
-        self.resolver.register(engine)
+        if self.chaos is None:
+            self.resolver.register(engine)
 
-    async def stop_node(self, engine: "AsyncioEngine") -> None:
+    async def stop_node(self, node: NodeId | str) -> None:
         """Gracefully stop and unlist one co-hosted node."""
+        engine = self._engines.pop(self._name(node))
         self.resolver.unregister(engine.node_id)
-        if engine in self._nodes:
-            self._nodes.remove(engine)
         await engine.stop()
 
     async def stop(self) -> None:
-        """Stop every node (reverse add order)."""
-        for engine in reversed(self._nodes):
+        """Stop every node (reverse add order), once the actions in flight end."""
+        for handle in self._handles:
+            handle.cancel()
+        self._handles.clear()
+        # Actions already in flight run to their end first.  Cancelled,
+        # a join could strand a half-started engine (asyncio leaves a
+        # server listening when ``start_server`` is cancelled); left
+        # running, it would add an engine after the loop below.
+        await self._tasks.settle()
+        for engine in reversed(self.engines()):
             self.resolver.unregister(engine.node_id)
             await engine.stop()
 
-    async def connect_chain(self, engines: Iterable["AsyncioEngine"] | None = None) -> None:
+    async def connect_chain(self, engines: Iterable[AsyncioEngine] | None = None) -> None:
         """Connect consecutive nodes into a forwarding chain (fig5 shape)."""
-        chain = list(engines) if engines is not None else self._nodes
+        chain = list(engines) if engines is not None else self.engines()
         for left, right in zip(chain, chain[1:]):
             await left.connect(right.node_id)
+
+    # ------------------------------------------------------------- fault verbs
+    # The verbs a FailureSchedule replays (repro.sim.failure); schedule
+    # times are loop seconds after the call, so after ``arm()``.
+
+    def schedule(self, at: float, callback: Callable[..., None], *args) -> None:
+        self._handles.append(asyncio.get_running_loop().call_later(at, callback, *args))
+
+    def kill_node(self, node: NodeId | str) -> None:
+        self._tasks.launch(self.engine(node).stop(), f"kill {node}")
+
+    def leave_node(self, node: NodeId | str) -> None:
+        """Announce departure (when the algorithm can), then stop."""
+        if announce_leave(self.engine(node).algorithm):
+            self.schedule(LEAVE_GRACE, self.kill_node, node)
+        else:
+            self.kill_node(node)
+
+    def join_node(self, name: str, node_factory: NodeFactory) -> None:
+        self._tasks.launch(node_factory(self, name), f"join {name}")
+
+    def _faults(self) -> ChaosController:
+        if self.chaos is None:
+            raise ConfigurationError("link faults need VirtualHost(chaos=ChaosController())")
+        return self.chaos
+
+    def cut_link(self, src: NodeId | str, dst: NodeId | str) -> None:
+        self._faults().cut_link(self[src], self[dst])
+
+    def stall_link(self, src: NodeId | str, dst: NodeId | str) -> None:
+        self._faults().stall_link(self[src], self[dst])
+
+    def kill_source(self, node: NodeId | str, app: int) -> None:
+        self.engine(node).stop_source(app)

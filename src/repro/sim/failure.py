@@ -7,8 +7,8 @@ declarative fault timeline: node kills, link cuts (loud), link stalls
 (silent — only traffic-inactivity detection catches them), source
 kills, and churn.  :meth:`FailureSchedule.arm` replays it on either
 *fleet*: the simulator's :class:`~repro.sim.network.SimNetwork`
-(absolute virtual times) or the real-socket
-:class:`~repro.net.chaos.ChaosCluster` (wall seconds after ``arm()``).
+(absolute virtual times) or the asyncio
+:class:`~repro.net.virtual.VirtualHost` (loop seconds after ``arm()``).
 
 Churn support: schedules may also *grow* the deployment.  A
 ``join_node`` event asks a caller-supplied ``node_factory(fleet, name)``
@@ -29,7 +29,7 @@ from repro.core.ids import NodeId
 from repro.errors import ConfigurationError, UnknownNodeError
 
 if TYPE_CHECKING:
-    from repro.net.chaos import ChaosCluster
+    from repro.net.virtual import VirtualHost
     from repro.sim.network import SimNetwork
 
 FailureKind = Literal[
@@ -41,7 +41,7 @@ FailureKind = Literal[
 LEAVE_GRACE = 0.05
 
 #: a join event's factory: create + start one node named ``name``.  On a
-#: ChaosCluster it returns an awaitable, which the cluster runs as a task.
+#: VirtualHost it returns an awaitable, which the host runs as a task.
 NodeFactory = Callable[[Any, str], Any]
 
 
@@ -108,7 +108,7 @@ class FailureSchedule:
         return self
 
     def arm(
-        self, fleet: SimNetwork | ChaosCluster, node_factory: NodeFactory | None = None
+        self, fleet: SimNetwork | VirtualHost, node_factory: NodeFactory | None = None
     ) -> None:
         """Schedule every event on ``fleet``'s clock.
 
@@ -117,18 +117,26 @@ class FailureSchedule:
         :class:`~repro.errors.UnknownNodeError` for a target that is gone,
         and ``telemetry`` (plus ``now`` when that is set) for the churn
         trace.  ``node_factory`` is required when the schedule contains
-        ``join_node`` events.
+        ``join_node`` events.  Link faults on a fleet whose ``chaos`` is
+        None (a loopback-only VirtualHost) are refused here, not when
+        they fire: a fault the fleet cannot inject must not leave a
+        fault-free run behind.
         """
-        if node_factory is None and any(e.kind == "join_node" for e in self.events):
+        kinds = {e.kind for e in self.events}
+        if node_factory is None and "join_node" in kinds:
             raise ConfigurationError(
                 "schedule contains join_node events: arm(fleet, node_factory=...)"
+            )
+        if getattr(fleet, "chaos", True) is None and kinds & {"cut_link", "stall_link"}:
+            raise ConfigurationError(
+                "schedule contains link faults: arm on VirtualHost(chaos=ChaosController())"
             )
         for event in sorted(self.events, key=lambda e: e.at):
             fleet.schedule(event.at, self._fire, fleet, event, node_factory)
 
     @staticmethod
     def _fire(
-        fleet: SimNetwork | ChaosCluster,
+        fleet: SimNetwork | VirtualHost,
         event: FailureEvent,
         node_factory: NodeFactory | None,
     ) -> None:

@@ -445,7 +445,8 @@ class Kernel:
 
         Returns the virtual time at which the run stopped.  If any task
         crashed with an exception, the first crash is re-raised so test
-        failures surface immediately instead of as silent hangs.
+        failures surface immediately instead of as silent hangs; each
+        crash is raised once, and a later run carries on past it.
         ``max_events`` is a debugging guard against zero-latency livelock
         (an unbounded cascade of same-timestamp events).
         """
@@ -503,10 +504,10 @@ class Kernel:
             else:
                 callback()
             if halt:
-                task = halt[0]
+                task = halt.pop(0)
                 if task._exception is None:  # run_until_complete's task is done
-                    del halt[0]
                     return self.now
+                halt[:] = [other for other in halt if other is not task]
                 raise SimulationError(f"task {task.name!r} crashed") from task._exception
         if until is not None and self.now < until:
             self.now = until

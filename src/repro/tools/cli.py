@@ -90,20 +90,8 @@ def main(argv: list[str] | None = None) -> int:
         help="total simulated seconds (default 20)",
     )
     metrics_parser.add_argument(
-        "--buffer", type=int, default=5,
-        help="engine buffer capacity in messages (default 5)",
-    )
-    metrics_parser.add_argument(
         "--out", default=".",
         help="directory for metrics.prom / metrics.json / trace.json",
-    )
-    metrics_parser.add_argument(
-        "--no-tracing", action="store_true",
-        help="collect metrics only, skip the lifecycle tracer",
-    )
-    metrics_parser.add_argument(
-        "--trace-capacity", type=int, default=65536,
-        help="lifecycle-event ring buffer size (default 65536)",
     )
     metrics_parser.add_argument("--seed", type=int, default=0)
 
@@ -118,14 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     vhost_parser.add_argument(
         "--duration", type=float, default=3.0,
         help="wall-clock seconds to run the source (default 3)",
-    )
-    vhost_parser.add_argument(
-        "--payload", type=int, default=1000,
-        help="data message payload size in bytes (default 1000)",
-    )
-    vhost_parser.add_argument(
-        "--window", type=int, default=64,
-        help="in-flight window per loopback direction, in messages (default 64)",
     )
     vhost_parser.add_argument(
         "--json", action="store_true", help="emit the packing stats as JSON"
@@ -146,10 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     cluster_parser.add_argument(
         "--duration", type=float, default=3.0,
         help="wall-clock seconds to run the source (default 3)",
-    )
-    cluster_parser.add_argument(
-        "--payload", type=int, default=1000,
-        help="data message payload size in bytes (default 1000)",
     )
     cluster_parser.add_argument(
         "--placement", default="round-robin",
@@ -197,11 +173,6 @@ def main(argv: list[str] | None = None) -> int:
              "before deploying (root mode)",
     )
     federation.add_argument(
-        "--controller-placement", default="capacity",
-        choices=("capacity", "weighted"),
-        help="stage-one policy: root -> child controller (default capacity)",
-    )
-    federation.add_argument(
         "--join", metavar="IP:PORT", default=None,
         help="run as a child controller daemon joining a remote root's "
              "bootstrap endpoint (serves placements until signalled)",
@@ -243,14 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     observe_parser.add_argument(
         "--port", type=int, default=0,
         help="listen port (default 0 = ephemeral, printed on startup)",
-    )
-    observe_parser.add_argument(
-        "--poll-interval", type=float, default=1.0,
-        help="seconds between status polls (default 1)",
-    )
-    observe_parser.add_argument(
-        "--lease-timeout", type=float, default=None,
-        help="expire nodes silent for this many seconds (default: disabled)",
     )
     observe_parser.add_argument(
         "--duration", type=float, default=None,
@@ -295,10 +258,7 @@ def main(argv: list[str] | None = None) -> int:
 
         run_metrics(
             duration=args.duration,
-            buffer_capacity=args.buffer,
             out_dir=args.out,
-            tracing=not args.no_tracing,
-            trace_capacity=args.trace_capacity,
             seed=args.seed,
         )
         return 0
@@ -309,8 +269,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_virtualhost(
             nodes=args.nodes,
             duration=args.duration,
-            payload=args.payload,
-            window=args.window,
             as_json=args.json,
         )
 
@@ -338,8 +296,6 @@ def main(argv: list[str] | None = None) -> int:
                 expect=args.expect,
                 nodes=args.nodes,
                 duration=args.duration,
-                payload=args.payload,
-                placement=args.controller_placement,
                 child_placement=args.placement,
                 flush_interval=args.flush_interval,
                 telemetry=args.telemetry,
@@ -352,7 +308,6 @@ def main(argv: list[str] | None = None) -> int:
             workers=args.workers,
             nodes=args.nodes,
             duration=args.duration,
-            payload=args.payload,
             placement=args.placement,
             fanout=args.fanout,
             flush_interval=args.flush_interval,
@@ -376,8 +331,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_observe(
             ip=args.ip,
             port=args.port,
-            poll_interval=args.poll_interval,
-            lease_timeout=args.lease_timeout,
             duration=args.duration,
             as_json=args.json,
         )

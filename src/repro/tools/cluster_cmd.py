@@ -16,13 +16,13 @@ import asyncio
 import json as json_mod
 
 from repro.cluster.controller import ClusterConfig, ClusterController
-from repro.cluster.scenarios import chain_specs, wait_until
+from repro.cluster.scenarios import CHAIN_PAYLOAD, chain_specs, require_alive
 from repro.core.ids import NodeId
 from repro.net.observer_server import ObserverServer
 from repro.tools.signals import install_shutdown_handlers
 
 
-async def _run(workers: int, nodes: int, duration: float, payload: int,
+async def _run(workers: int, nodes: int, duration: float,
                placement: str, report_interval: float,
                fanout: int, flush_interval: float | None,
                telemetry: bool, shm_ring_bytes: int) -> dict:
@@ -35,61 +35,60 @@ async def _run(workers: int, nodes: int, duration: float, payload: int,
         worker_telemetry=telemetry,
         shm_ring_bytes=shm_ring_bytes,
     ))
-    await controller.start()
-    specs = chain_specs(nodes)
-    placed = await controller.deploy(specs)
-    await wait_until(
-        lambda: all(p.node_id in observer.observer.alive for p in placed.values()),
-        timeout=30.0,
-    )
-
-    stop = asyncio.Event()
-    install_shutdown_handlers(stop)
-    app, source, sink = 1, "n0", f"n{nodes - 1}"
-    controller.deploy_source(source, app=app, payload_size=payload)
     try:
-        await asyncio.wait_for(stop.wait(), timeout=duration)
-    except asyncio.TimeoutError:
-        pass
-    observer.observer.terminate_source(controller.node_id(source), app)
-    await asyncio.sleep(report_interval)  # let the pipeline drain
+        await controller.start()
+        specs = chain_specs(nodes)
+        placed = await controller.deploy(specs)
+        await require_alive(observer, placed)
 
-    sink_reply = await controller.node_info(sink)
-    sink_info = sink_reply["info"]
-    # The fleet's data plane is attributable: sum per-transport link
-    # counts over every node so the report says what carried the bytes.
-    transports: dict[str, int] = {}
-    for name in placed:
-        for kind, links in (await controller.node_info(name)).get(
-                "transports", {}).items():
-            transports[kind] = transports.get(kind, 0) + links
-    stats = {
-        "workers": workers,
-        "nodes": nodes,
-        "placement": placement,
-        "duration_s": duration,
-        "placement_map": {
-            name: p.worker for name, p in sorted(placed.items())
-        },
-        "nodes_per_worker": {
-            name: len(state.placed) for name, state in controller.workers.items()
-        },
-        "delivered_messages": int(sink_info.get("received", 0)),
-        "end_to_end_rate": sink_info.get("received", 0) * payload / duration,
-        "transport_links": transports,
-        "worker_gauges": {
-            name: {"rss_kb": state.rss_kb, "loop_lag_ms": state.loop_lag_ms,
-                   "nodes": state.node_count}
-            for name, state in controller.workers.items()
-        },
-        "statuses_reported": len(observer.observer.statuses),
-        "observer_frames_in": observer.frames_in,
-        "observer_bytes_in": observer.bytes_in,
-        "aggregation_frames": observer.observer.agg_frames,
-        "interrupted": stop.is_set(),
-    }
-    await controller.stop()
-    await observer.stop()
+        stop = asyncio.Event()
+        install_shutdown_handlers(stop)
+        app, source, sink = 1, "n0", f"n{nodes - 1}"
+        controller.deploy_source(source, app=app, payload_size=CHAIN_PAYLOAD)
+        try:
+            await asyncio.wait_for(stop.wait(), timeout=duration)
+        except asyncio.TimeoutError:
+            pass
+        observer.observer.terminate_source(controller.node_id(source), app)
+        await asyncio.sleep(report_interval)  # let the pipeline drain
+
+        sink_reply = await controller.node_info(sink)
+        sink_info = sink_reply["info"]
+        # The fleet's data plane is attributable: sum per-transport link
+        # counts over every node so the report says what carried the bytes.
+        transports: dict[str, int] = {}
+        for name in placed:
+            for kind, links in (await controller.node_info(name)).get(
+                    "transports", {}).items():
+                transports[kind] = transports.get(kind, 0) + links
+        stats = {
+            "workers": workers,
+            "nodes": nodes,
+            "placement": placement,
+            "duration_s": duration,
+            "placement_map": {
+                name: p.worker for name, p in sorted(placed.items())
+            },
+            "nodes_per_worker": {
+                name: len(state.placed) for name, state in controller.workers.items()
+            },
+            "delivered_messages": int(sink_info.get("received", 0)),
+            "end_to_end_rate": sink_info.get("received", 0) * CHAIN_PAYLOAD / duration,
+            "transport_links": transports,
+            "worker_gauges": {
+                name: {"rss_kb": state.rss_kb, "loop_lag_ms": state.loop_lag_ms,
+                       "nodes": state.node_count}
+                for name, state in controller.workers.items()
+            },
+            "statuses_reported": len(observer.observer.statuses),
+            "observer_frames_in": observer.frames_in,
+            "observer_bytes_in": observer.bytes_in,
+            "aggregation_frames": observer.observer.agg_frames,
+            "interrupted": stop.is_set(),
+        }
+    finally:
+        await controller.stop()
+        await observer.stop()
     return stats
 
 
@@ -97,7 +96,6 @@ def run_cluster(
     workers: int = 2,
     nodes: int = 20,
     duration: float = 3.0,
-    payload: int = 1000,
     placement: str = "round-robin",
     report_interval: float = 0.5,
     fanout: int = 0,
@@ -114,7 +112,7 @@ def run_cluster(
         return 2
     if fanout > 0 and flush_interval is None:
         flush_interval = 0.5  # a tree of pure relays would reduce nothing
-    stats = asyncio.run(_run(workers, nodes, duration, payload,
+    stats = asyncio.run(_run(workers, nodes, duration,
                              placement, report_interval,
                              fanout, flush_interval, telemetry,
                              shm_ring_bytes))

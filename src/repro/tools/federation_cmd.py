@@ -23,92 +23,89 @@ from repro.cluster.child import ChildControllerHost
 from repro.cluster.controller import ClusterConfig
 from repro.cluster.federation import RootConfig, RootController
 from repro.cluster.host import run_host
-from repro.cluster.scenarios import chain_specs, wait_until
+from repro.cluster.scenarios import CHAIN_PAYLOAD, chain_specs, require_alive
 from repro.core.ids import NodeId
 from repro.net.observer_server import ObserverServer
 from repro.tools.signals import install_shutdown_handlers
 
 
 async def _run_root(children: int, workers_per_child: int, expect: int,
-                    nodes: int, duration: float, payload: int,
-                    placement: str, child_placement: str,
+                    nodes: int, duration: float, child_placement: str,
                     report_interval: float, flush_interval: float | None,
                     telemetry: bool, shm_ring_bytes: int) -> dict:
     observer = ObserverServer(NodeId("127.0.0.1", 0), poll_interval=report_interval)
     await observer.start()
     root = RootController(observer, RootConfig(
-        placement=placement,
         workers_per_child=workers_per_child,
         child_placement=child_placement,
         observer_flush_interval=flush_interval or 0.2,
         worker_telemetry=telemetry,
         shm_ring_bytes=shm_ring_bytes,
     ))
-    await root.start()
-    if expect > 0:
-        print(f"root bootstrap at {root.addr} — waiting for {expect} "
-              f"external controller(s); join with:\n"
-              f"  ioverlay cluster --join {root.addr} --name <controller>")
-    await asyncio.gather(*(root.spawn_child(f"c{i}") for i in range(children)))
-    if expect > 0:
-        await root.wait_joined(children + expect, timeout=120.0)
-
-    specs = chain_specs(nodes)
-    placed = await root.deploy(specs)
-    await wait_until(
-        lambda: all(p.node_id in observer.observer.alive for p in placed.values()),
-        timeout=60.0,
-    )
-
-    stop = asyncio.Event()
-    install_shutdown_handlers(stop)
-    app, source, sink = 1, "n0", f"n{nodes - 1}"
-    root.deploy_source(source, app=app, payload_size=payload)
     try:
-        await asyncio.wait_for(stop.wait(), timeout=duration)
-    except asyncio.TimeoutError:
-        pass
-    observer.observer.terminate_source(root.node_id(source), app)
-    await asyncio.sleep(report_interval)  # let the pipeline drain
+        await root.start()
+        if expect > 0:
+            print(f"root bootstrap at {root.addr} — waiting for {expect} "
+                  f"external controller(s); join with:\n"
+                  f"  ioverlay cluster --join {root.addr} --name <controller>")
+        await asyncio.gather(*(root.spawn_child(f"c{i}") for i in range(children)))
+        if expect > 0:
+            await root.wait_joined(children + expect, timeout=120.0)
 
-    sink_info = (await root.node_info(sink))["info"]
-    shards: dict[str, dict[str, int]] = {}
-    for name, p in placed.items():
-        shard = shards.setdefault(p.controller, {})
-        shard[p.worker] = shard.get(p.worker, 0) + 1
-    stats = {
-        "controllers": len(root.controllers),
-        "workers_per_child": workers_per_child,
-        "nodes": nodes,
-        "placement": placement,
-        "child_placement": child_placement,
-        "duration_s": duration,
-        "placement_map": {
-            name: f"{p.controller}/{p.worker}"
-            for name, p in sorted(placed.items())
-        },
-        "shard_sizes": {
-            ctl: sum(counts.values()) for ctl, counts in sorted(shards.items())
-        },
-        "shard_workers": {ctl: dict(sorted(counts.items()))
-                          for ctl, counts in sorted(shards.items())},
-        "delivered_messages": int(sink_info.get("received", 0)),
-        "end_to_end_rate": sink_info.get("received", 0) * payload / duration,
-        "controller_gauges": {
-            name: {"nodes": state.node_count,
-                   "workers_alive": state.workers_alive,
-                   "rss_kb": state.rss_kb}
-            for name, state in root.controllers.items()
-        },
-        "controller_deaths": root.controller_deaths,
-        "shards_redeployed": root.shards_redeployed,
-        "statuses_reported": len(observer.observer.statuses),
-        "observer_frames_in": observer.frames_in,
-        "aggregation_frames": observer.observer.agg_frames,
-        "interrupted": stop.is_set(),
-    }
-    await root.stop()
-    await observer.stop()
+        specs = chain_specs(nodes)
+        placed = await root.deploy(specs)
+        await require_alive(observer, placed, timeout=60.0)
+
+        stop = asyncio.Event()
+        install_shutdown_handlers(stop)
+        app, source, sink = 1, "n0", f"n{nodes - 1}"
+        root.deploy_source(source, app=app, payload_size=CHAIN_PAYLOAD)
+        try:
+            await asyncio.wait_for(stop.wait(), timeout=duration)
+        except asyncio.TimeoutError:
+            pass
+        observer.observer.terminate_source(root.node_id(source), app)
+        await asyncio.sleep(report_interval)  # let the pipeline drain
+
+        sink_info = (await root.node_info(sink))["info"]
+        shards: dict[str, dict[str, int]] = {}
+        for name, p in placed.items():
+            shard = shards.setdefault(p.controller, {})
+            shard[p.worker] = shard.get(p.worker, 0) + 1
+        stats = {
+            "controllers": len(root.controllers),
+            "workers_per_child": workers_per_child,
+            "nodes": nodes,
+            "placement": root.config.placement,
+            "child_placement": child_placement,
+            "duration_s": duration,
+            "placement_map": {
+                name: f"{p.controller}/{p.worker}"
+                for name, p in sorted(placed.items())
+            },
+            "shard_sizes": {
+                ctl: sum(counts.values()) for ctl, counts in sorted(shards.items())
+            },
+            "shard_workers": {ctl: dict(sorted(counts.items()))
+                              for ctl, counts in sorted(shards.items())},
+            "delivered_messages": int(sink_info.get("received", 0)),
+            "end_to_end_rate": sink_info.get("received", 0) * CHAIN_PAYLOAD / duration,
+            "controller_gauges": {
+                name: {"nodes": state.node_count,
+                       "workers_alive": state.workers_alive,
+                       "rss_kb": state.rss_kb}
+                for name, state in root.controllers.items()
+            },
+            "controller_deaths": root.controller_deaths,
+            "shards_redeployed": root.shards_redeployed,
+            "statuses_reported": len(observer.observer.statuses),
+            "observer_frames_in": observer.frames_in,
+            "aggregation_frames": observer.observer.agg_frames,
+            "interrupted": stop.is_set(),
+        }
+    finally:
+        await root.stop()
+        await observer.stop()
     return stats
 
 
@@ -118,8 +115,6 @@ def run_federation_root(
     expect: int = 0,
     nodes: int = 20,
     duration: float = 3.0,
-    payload: int = 1000,
-    placement: str = "capacity",
     child_placement: str = "round-robin",
     report_interval: float = 0.5,
     flush_interval: float | None = None,
@@ -134,8 +129,8 @@ def run_federation_root(
         print("need at least 2 nodes for a chain")
         return 2
     stats = asyncio.run(_run_root(
-        children, workers_per_child, expect, nodes, duration, payload,
-        placement, child_placement, report_interval, flush_interval,
+        children, workers_per_child, expect, nodes, duration,
+        child_placement, report_interval, flush_interval,
         telemetry, shm_ring_bytes,
     ))
     if as_json:

@@ -80,10 +80,7 @@ def pick_showcase_trace(telemetry: Telemetry) -> str | None:
 
 def run_metrics(
     duration: float = 20.0,
-    buffer_capacity: int = 5,
     out_dir: str = ".",
-    tracing: bool = True,
-    trace_capacity: int = 65536,
     payload_size: int = 5000,
     seed: int = 0,
     echo=print,
@@ -92,10 +89,8 @@ def run_metrics(
 
     Returns the paths written, keyed by export kind.
     """
-    telemetry = Telemetry(trace_capacity=trace_capacity, tracing=tracing)
-    deployment = build_seven_node_copy(
-        buffer_capacity=buffer_capacity, seed=seed, telemetry=telemetry
-    )
+    telemetry = Telemetry()
+    deployment = build_seven_node_copy(seed=seed, telemetry=telemetry)
     net = deployment.net
     nodes = deployment.nodes
 
@@ -115,29 +110,26 @@ def run_metrics(
     os.makedirs(out_dir, exist_ok=True)
     prom_path = os.path.join(out_dir, "metrics.prom")
     json_path = os.path.join(out_dir, "metrics.json")
-    paths = {"prometheus": prom_path, "json": json_path}
+    trace_path = os.path.join(out_dir, "trace.json")
+    paths = {"prometheus": prom_path, "json": json_path, "chrome": trace_path}
     write_prometheus(net.observer.cluster_metrics(), prom_path)
     with open(json_path, "w", encoding="utf-8") as handle:
         handle.write(to_json(telemetry.snapshot()))
-    if tracing:
-        trace_path = os.path.join(out_dir, "trace.json")
-        dump_chrome_trace(telemetry.tracer.events(), trace_path)
-        paths["chrome"] = trace_path
+    dump_chrome_trace(telemetry.tracer.events(), trace_path)
 
     echo(f"simulated {net.now:.1f}s on the seven-node copy topology")
     echo("")
     echo("== cluster metrics (observer aggregate) ==")
     echo(render_metrics(net.observer))
-    if tracing:
-        echo("")
-        echo(f"recorded {telemetry.tracer.recorded} lifecycle events "
-             f"({telemetry.tracer.dropped} rotated out of the ring)")
-        showcase = pick_showcase_trace(telemetry)
-        if showcase is not None:
-            label = {str(node): name for name, node in nodes.items()}
-            route = route_to_sink(telemetry.tracer.events_for(showcase))
-            hops = [label.get(n, n) for n in route]
-            echo(f"message {showcase} path: {' -> '.join(hops)}")
+    echo("")
+    echo(f"recorded {telemetry.tracer.recorded} lifecycle events "
+         f"({telemetry.tracer.dropped} rotated out of the ring)")
+    showcase = pick_showcase_trace(telemetry)
+    if showcase is not None:
+        label = {str(node): name for name, node in nodes.items()}
+        route = route_to_sink(telemetry.tracer.events_for(showcase))
+        hops = [label.get(n, n) for n in route]
+        echo(f"message {showcase} path: {' -> '.join(hops)}")
     echo("")
     for kind, path in paths.items():
         echo(f"wrote {kind}: {path}")

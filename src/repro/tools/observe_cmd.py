@@ -18,15 +18,14 @@ from repro.net.observer_server import ObserverServer
 from repro.tools.signals import install_shutdown_handlers
 
 
-async def _run(ip: str, port: int, poll_interval: float,
-               lease_timeout: float | None, duration: float | None) -> dict:
-    server = ObserverServer(
-        NodeId(ip, port), poll_interval=poll_interval, lease_timeout=lease_timeout
-    )
+#: seconds between status polls
+POLL_INTERVAL = 1.0
+
+
+async def _run(ip: str, port: int, duration: float | None) -> dict:
+    server = ObserverServer(NodeId(ip, port), poll_interval=POLL_INTERVAL)
     await server.start()
-    print(f"observer listening on {server.addr} "
-          f"(poll every {poll_interval}s"
-          + (f", lease timeout {lease_timeout}s)" if lease_timeout else ")"),
+    print(f"observer listening on {server.addr} (poll every {POLL_INTERVAL}s)",
           flush=True)
     stop = asyncio.Event()
     install_shutdown_handlers(stop)
@@ -51,12 +50,10 @@ async def _run(ip: str, port: int, poll_interval: float,
 def run_observe(
     ip: str = "127.0.0.1",
     port: int = 0,
-    poll_interval: float = 1.0,
-    lease_timeout: float | None = None,
     duration: float | None = None,
     as_json: bool = False,
 ) -> int:
-    summary = asyncio.run(_run(ip, port, poll_interval, lease_timeout, duration))
+    summary = asyncio.run(_run(ip, port, duration))
     if as_json:
         print(json_mod.dumps(summary, indent=2))
     else:

@@ -14,6 +14,7 @@ import json as json_mod
 import time
 
 from repro.algorithms.forwarding import CopyForwardAlgorithm, SinkAlgorithm
+from repro.cluster.scenarios import CHAIN_PAYLOAD
 from repro.core.ids import NodeId
 from repro.net.engine import NetEngineConfig
 from repro.net.observer_server import ObserverServer
@@ -21,11 +22,10 @@ from repro.net.virtual import VirtualHost
 from repro.tools.signals import install_shutdown_handlers
 
 
-async def _run(nodes: int, duration: float, payload: int,
-               window: int, report_interval: float) -> dict:
+async def _run(nodes: int, duration: float, report_interval: float) -> dict:
     observer = ObserverServer(NodeId("127.0.0.1", 0), poll_interval=report_interval)
     await observer.start()
-    host = VirtualHost(observer_addr=observer.addr, window=window)
+    host = VirtualHost(observer_addr=observer.addr)
     algorithms = [CopyForwardAlgorithm() for _ in range(nodes - 1)] + [SinkAlgorithm()]
     config = NetEngineConfig(report_interval=report_interval)
     engines = [host.add_node(alg, config=config) for alg in algorithms]
@@ -42,7 +42,7 @@ async def _run(nodes: int, duration: float, payload: int,
     # graceful teardown below (clean EOFs at peers, observer notified).
     stop = asyncio.Event()
     install_shutdown_handlers(stop)
-    engines[0].start_source(app=1, payload_size=payload)
+    engines[0].start_source(app=1, payload_size=CHAIN_PAYLOAD)
     try:
         await asyncio.wait_for(stop.wait(), timeout=duration)
     except asyncio.TimeoutError:
@@ -53,7 +53,7 @@ async def _run(nodes: int, duration: float, payload: int,
     stats = {
         "nodes": nodes,
         "duration_s": duration,
-        "payload_bytes": payload,
+        "payload_bytes": CHAIN_PAYLOAD,
         "startup_ms_per_node": startup * 1000.0 / nodes,
         "delivered_messages": sink.received,
         "delivered_bytes": sink.received_bytes,
@@ -69,15 +69,13 @@ async def _run(nodes: int, duration: float, payload: int,
 def run_virtualhost(
     nodes: int = 100,
     duration: float = 3.0,
-    payload: int = 1000,
-    window: int = 64,
     report_interval: float = 0.5,
     as_json: bool = False,
 ) -> int:
     if nodes < 2:
         print("need at least 2 nodes for a chain")
         return 2
-    stats = asyncio.run(_run(nodes, duration, payload, window, report_interval))
+    stats = asyncio.run(_run(nodes, duration, report_interval))
     if as_json:
         print(json_mod.dumps(stats, indent=2))
         return 0

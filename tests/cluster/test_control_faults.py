@@ -24,6 +24,7 @@ from repro.cluster.federation import RootConfig, RootController
 from repro.cluster.protocol import REPLIES, control_frame
 from repro.cluster.scenarios import SINK, wait_until
 from repro.cluster.spec import NodeSpec
+from repro.cluster.supervise import RespawnPolicy
 from repro.cluster.worker import WorkerHost
 from repro.core.ids import NodeId
 from repro.core.message import Message
@@ -200,7 +201,7 @@ class TestOneTaskOwner:
     def test_finished_supervisor_tasks_are_pruned(self):
         async def scenario():
             observer, controller = await start_fleet(
-                workers=1, respawn=True, respawn_min_uptime=0.0
+                workers=1, respawn=RespawnPolicy(min_uptime=0.0)
             )
             try:
                 for _ in range(3):

@@ -6,6 +6,7 @@ import signal
 import time
 
 from repro.cluster.scenarios import chain_specs, wait_until
+from repro.cluster.supervise import RespawnPolicy
 from repro.telemetry import Telemetry
 from repro.telemetry.tracing import EventType
 
@@ -128,7 +129,7 @@ class TestRespawn:
             telemetry = Telemetry()
             observer, controller = await start_fleet(
                 workers=2, heartbeat_interval=0.2, heartbeat_timeout=1.5,
-                respawn=True, telemetry=telemetry,
+                respawn=RespawnPolicy(), telemetry=telemetry,
             )
             placed = await controller.deploy(chain_specs(6))
             victim_names = set(controller.workers["w1"].placed)

@@ -207,11 +207,11 @@ class TestFederatedIdentity:
                 await stop_tree(observer, root)
 
         async def local_digest() -> str:
-            host, engines = await build_local(chain_specs(length))
-            engines["n0"].algorithm.on_control(
+            host = await build_local(chain_specs(length))
+            host.engine("n0").algorithm.on_control(
                 burst_control_message(app, count, size)
             )
-            sink = engines[f"n{length - 1}"].algorithm
+            sink = host.engine(f"n{length - 1}").algorithm
             ok = await wait_until(lambda: sink.received >= count, timeout=30.0)
             assert ok
             digest = sink.digest(app)

@@ -27,9 +27,9 @@ def run(coro):
 
 async def local_chain_digest(length: int, app: int, count: int, size: int) -> str:
     """The single-process VirtualHost baseline digest for a chain burst."""
-    host, engines = await build_local(chain_specs(length))
-    source = engines["n0"].algorithm
-    sink = engines[f"n{length - 1}"].algorithm
+    host = await build_local(chain_specs(length))
+    source = host.engine("n0").algorithm
+    sink = host.engine(f"n{length - 1}").algorithm
     source.on_control(burst_control_message(app, count, size))
     ok = await wait_until(lambda: sink.received >= count, timeout=30.0)
     assert ok, f"baseline sink got {sink.received}/{count}"
@@ -40,9 +40,9 @@ async def local_chain_digest(length: int, app: int, count: int, size: int) -> st
 
 async def local_butterfly_digests(app: int, count: int, size: int) -> dict[str, str]:
     """Baseline digests at both butterfly receivers (decoded originals)."""
-    host, engines = await build_local(butterfly_specs())
-    source = engines["A"].algorithm
-    sinks = {name: engines[name].algorithm for name in ("F", "G")}
+    host = await build_local(butterfly_specs())
+    source = host.engine("A").algorithm
+    sinks = {name: host.engine(name).algorithm for name in ("F", "G")}
     generations = count // 2  # the coded source packs k=2 originals per generation
     source.on_control(burst_control_message(app, count, size))
     ok = await wait_until(

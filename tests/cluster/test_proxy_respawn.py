@@ -15,6 +15,7 @@ import signal
 
 from repro.cluster.scenarios import SINK, wait_until
 from repro.cluster.spec import NodeSpec
+from repro.cluster.supervise import RespawnPolicy
 from repro.core.ids import NodeId
 
 from tests.cluster.helpers import start_fleet, stop_fleet, wait_all_alive
@@ -33,7 +34,7 @@ class TestMidTreeProxyRespawn:
                 workers=3,
                 heartbeat_interval=0.2,
                 heartbeat_timeout=1.5,
-                respawn=True,
+                respawn=RespawnPolicy(),
                 observer_fanout=1,
                 observer_flush_interval=0.2,
                 worker_telemetry=True,

@@ -58,9 +58,10 @@ class TestRespawnBudget:
         async def scenario():
             telemetry = Telemetry()
             observer, controller = await start_fleet(
-                workers=1, respawn=True, telemetry=telemetry,
-                respawn_max=2, respawn_backoff=0.05, respawn_backoff_max=0.2,
-                respawn_min_uptime=60.0,
+                workers=1, telemetry=telemetry, respawn=RespawnPolicy(
+                    max_consecutive=2, backoff_base=0.05, backoff_max=0.2,
+                    min_uptime=60.0,
+                ),
             )
             try:
                 # Flip w0 to crash-on-boot, then kill the healthy
@@ -99,9 +100,10 @@ class TestRespawnBudget:
     def test_healthy_uptime_resets_the_streak(self):
         async def scenario():
             observer, controller = await start_fleet(
-                workers=1, respawn=True,
-                respawn_max=1, respawn_backoff=0.01,
-                respawn_min_uptime=0.0,  # any uptime counts as healthy
+                workers=1, respawn=RespawnPolicy(
+                    max_consecutive=1, backoff_base=0.01,
+                    min_uptime=0.0,  # any uptime counts as healthy
+                ),
             )
             try:
                 for _ in range(3):  # would exhaust a max=1 budget if streaks
@@ -137,9 +139,10 @@ class TestStopIdempotence:
 
         async def scenario():
             observer, controller = await start_fleet(
-                workers=1, respawn=True,
-                # long backoff: the stop lands while the respawn waits
-                respawn_backoff=30.0, respawn_min_uptime=60.0,
+                workers=1, respawn=RespawnPolicy(
+                    # long backoff: the stop lands while the respawn waits
+                    backoff_base=30.0, min_uptime=60.0,
+                ),
             )
             # The first respawn fires immediately (streak 1 has no
             # backoff) and dies on boot; the second is the one that

@@ -200,3 +200,55 @@ class TestControllerPlacement:
         )
         with pytest.raises(ClusterError):
             make_controller_placement("gravity")
+
+
+class TestReadinessGate:
+    """A fleet that never finishes starting raises instead of being measured."""
+
+    def test_a_node_never_alive_is_named_and_the_fleet_is_stopped(self, monkeypatch):
+        import asyncio
+
+        from repro.cluster import controller as controller_mod
+        from repro.cluster.spec import PlacedNode
+        from repro.experiments.fig_routing_throughput import _run_cluster
+        from repro.net import observer_server
+
+        stopped, missing = [], []
+
+        class Observer:
+            def __init__(self, addr, poll_interval):
+                self.observer = type("Plane", (), {"alive": set()})()
+
+            async def start(self):
+                pass
+
+            async def stop(self):
+                stopped.append("observer")
+
+        class Controller:
+            def __init__(self, observer, config):
+                self.observer = observer
+
+            async def start(self):
+                pass
+
+            async def deploy(self, specs):
+                placed = {
+                    s.name: PlacedNode(s, "w0", NodeId("127.0.0.1", 1000 + i))
+                    for i, s in enumerate(specs)
+                }
+                # every node but the first registers at the observer
+                self.observer.observer.alive.update(
+                    p.node_id for p in list(placed.values())[1:])
+                missing.append(next(iter(placed)))
+                return placed
+
+            async def stop(self):
+                stopped.append("controller")
+
+        monkeypatch.setattr(observer_server, "ObserverServer", Observer)
+        monkeypatch.setattr(controller_mod, "ClusterController", Controller)
+        with pytest.raises(ClusterError, match="nodes alive at the observer") as excinfo:
+            asyncio.run(_run_cluster(workers=1, total=2, size=64, timeout=0.2))
+        assert f"missing {missing}" in str(excinfo.value)
+        assert sorted(stopped) == ["controller", "observer"]

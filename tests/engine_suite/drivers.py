@@ -66,18 +66,15 @@ class SimCluster:
     def settle_through_crash(self, seconds: float) -> list[SimulationError]:
         """``settle`` across an engine whose Algorithm hook raised.
 
-        The kernel reports such a crash by raising from ``run``; this
-        keeps running until a ``run`` completes and returns what was
-        raised on the way.
+        The kernel reports such a crash once, by raising from ``run``;
+        this settles on past it and returns what was raised.
         """
-        errors = []
-        for _ in range(200):
-            try:
-                self.net.run(seconds)
-                return errors
-            except SimulationError as exc:
-                errors.append(exc)
-        return errors
+        try:
+            self.net.run(seconds)
+        except SimulationError as exc:
+            self.net.run(seconds)
+            return [exc]
+        return []
 
     def kill(self, engine) -> None:
         """Crash one node; peers observe BROKEN_LINK on their next send."""
@@ -140,7 +137,7 @@ class NetCluster:
     def kill(self, engine) -> None:
         """Take one node down mid-run; its links tear and peers see
         BROKEN_LINK, the same signal a process crash produces."""
-        self.loop.run_until_complete(self.host.stop_node(engine))
+        self.loop.run_until_complete(self.host.stop_node(engine.node_id))
 
     def add_late_node(self, algorithm):
         """Add (and start) a node while the cluster is already running."""

@@ -62,8 +62,9 @@ def test_algorithm_exception_is_counted_traced_and_fails_the_node(make_cluster, 
     errors = cluster.settle_through_crash(0.2)
 
     if backend_name == "sim":
-        assert errors and all(type(error) is SimulationError for error in errors)
-        assert isinstance(errors[0].__cause__, RuntimeError)
+        [error] = errors
+        assert type(error) is SimulationError
+        assert isinstance(error.__cause__, RuntimeError)
     else:
         assert errors == []
     assert not relay.running

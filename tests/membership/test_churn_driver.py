@@ -15,7 +15,7 @@ from repro.membership.churn import (
     adversarial_edges,
 )
 from repro.membership.swim import SwimMembershipAlgorithm
-from repro.net.chaos import ChaosCluster
+from repro.net.virtual import VirtualHost
 from repro.sim.network import NetworkConfig, SimNetwork
 
 
@@ -146,7 +146,7 @@ def test_churn_replays_on_sim_network():
 
 def test_chaos_arm_requires_node_factory_for_joins():
     async def scenario():
-        cluster = ChaosCluster()
+        cluster = VirtualHost()
         schedule = ChurnSchedule(
             events=[], initial=()
         ).to_failure_schedule().join_node(0.5, "late")

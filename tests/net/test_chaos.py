@@ -14,10 +14,11 @@ from repro.cluster.scenarios import wait_until
 from repro.core.ids import NodeId
 from repro.core.message import Message
 from repro.core.msgtypes import MsgType
-from repro.errors import UnknownNodeError
-from repro.net.chaos import ChaosCluster, ChaosController
+from repro.errors import ConfigurationError, UnknownNodeError
+from repro.net.chaos import ChaosController
 from repro.net.engine import NetEngineConfig
 from repro.net.resilience import ResilienceConfig
+from repro.net.virtual import VirtualHost
 from repro.sim.failure import FailureSchedule
 from repro.telemetry import Telemetry
 from repro.telemetry.tracing import EventType
@@ -61,7 +62,7 @@ def run_converging(coro):
     return asyncio.run(wrapper())
 
 
-async def converged(cluster: ChaosCluster) -> None:
+async def converged(cluster: VirtualHost) -> None:
     """Stop the fleet and assert per-engine state drained."""
     await cluster.stop()
     for engine in cluster.engines():
@@ -81,10 +82,11 @@ def test_stall_detected_via_inactivity_probe_ladder(seed):
 
     async def scenario():
         telemetry = Telemetry()
-        cluster = ChaosCluster(ChaosController(seed=seed))
+        cluster = VirtualHost(chaos=ChaosController(seed=seed))
         src_alg, sink_alg = CopyForwardAlgorithm(), BrokenLinkRecorder()
-        src = await cluster.add_node(src_alg, "src", watch_config(seed))
-        sink = await cluster.add_node(sink_alg, "sink", watch_config(seed, telemetry))
+        src = cluster.add_node(src_alg, "src", watch_config(seed))
+        sink = cluster.add_node(sink_alg, "sink", watch_config(seed, telemetry))
+        await cluster.start()
         src_alg.set_downstreams([sink.node_id])
         src.start_source(app=1, payload_size=1000)
         await wait_until(lambda: sink_alg.received > 5, timeout=2.0)
@@ -125,10 +127,11 @@ def test_stall_and_loud_cut_produce_identical_teardown(seed):
     confirmed stall equal those from a mid-stream reset."""
 
     async def outcome(fault):
-        cluster = ChaosCluster(ChaosController(seed=seed))
+        cluster = VirtualHost(chaos=ChaosController(seed=seed))
         src_alg, sink_alg = CopyForwardAlgorithm(), BrokenLinkRecorder()
-        src = await cluster.add_node(src_alg, "src", watch_config(seed))
-        sink = await cluster.add_node(sink_alg, "sink", watch_config(seed))
+        src = cluster.add_node(src_alg, "src", watch_config(seed))
+        sink = cluster.add_node(sink_alg, "sink", watch_config(seed))
+        await cluster.start()
         src_alg.set_downstreams([sink.node_id])
         src.start_source(app=1, payload_size=1000)
         await wait_until(lambda: sink_alg.received > 5, timeout=2.0)
@@ -153,9 +156,10 @@ def test_stall_and_loud_cut_produce_identical_teardown(seed):
 def test_connection_refusal_exhausts_retry_budget(seed):
     async def scenario():
         chaos = ChaosController(seed=seed)
-        cluster = ChaosCluster(chaos)
-        a = await cluster.add_node(SinkAlgorithm(), "a", watch_config(seed))
-        b = await cluster.add_node(SinkAlgorithm(), "b", watch_config(seed))
+        cluster = VirtualHost(chaos=chaos)
+        a = cluster.add_node(SinkAlgorithm(), "a", watch_config(seed))
+        b = cluster.add_node(SinkAlgorithm(), "b", watch_config(seed))
+        await cluster.start()
         chaos.refuse_connect(b.node_id)
         ok = await a.connect(b.node_id)
         assert not ok
@@ -171,10 +175,11 @@ def test_connection_refusal_exhausts_retry_budget(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_midstream_reset_fails_loudly_then_recovers(seed):
     async def scenario():
-        cluster = ChaosCluster(ChaosController(seed=seed))
+        cluster = VirtualHost(chaos=ChaosController(seed=seed))
         src_alg, sink_alg = BrokenLinkRecorder(), BrokenLinkRecorder()
-        src = await cluster.add_node(src_alg, "src", watch_config(seed))
-        sink = await cluster.add_node(sink_alg, "sink", watch_config(seed))
+        src = cluster.add_node(src_alg, "src", watch_config(seed))
+        sink = cluster.add_node(sink_alg, "sink", watch_config(seed))
+        await cluster.start()
         src_alg.add_downstream(sink.node_id)
         src.start_source(app=1, payload_size=1000)
         await wait_until(lambda: sink_alg.received > 5, timeout=2.0)
@@ -200,10 +205,11 @@ def test_truncated_frame_tears_the_link_down(seed):
     """Half a frame then reset: the receiver's mid-frame EOF path cleans up."""
 
     async def scenario():
-        cluster = ChaosCluster(ChaosController(seed=seed))
+        cluster = VirtualHost(chaos=ChaosController(seed=seed))
         src_alg, sink_alg = CopyForwardAlgorithm(), BrokenLinkRecorder()
-        src = await cluster.add_node(src_alg, "src", watch_config(seed))
-        sink = await cluster.add_node(sink_alg, "sink", watch_config(seed))
+        src = cluster.add_node(src_alg, "src", watch_config(seed))
+        sink = cluster.add_node(sink_alg, "sink", watch_config(seed))
+        await cluster.start()
         src_alg.set_downstreams([sink.node_id])
         assert await src.connect(sink.node_id)
         await asyncio.sleep(0.05)
@@ -239,10 +245,11 @@ def test_truncation_inside_a_burst_write_fails_the_link_and_counts_the_burst(see
     in ``_peer_failed`` on both sides and every frame of it is counted."""
 
     async def scenario():
-        cluster = ChaosCluster(ChaosController(seed=seed))
+        cluster = VirtualHost(chaos=ChaosController(seed=seed))
         src_alg, sink_alg = BrokenLinkRecorder(), BrokenLinkRecorder()
-        src = await cluster.add_node(src_alg, "src", quiet_config(seed))
-        sink = await cluster.add_node(sink_alg, "sink", quiet_config(seed))
+        src = cluster.add_node(src_alg, "src", quiet_config(seed))
+        sink = cluster.add_node(sink_alg, "sink", quiet_config(seed))
+        await cluster.start()
         assert await src.connect(sink.node_id)
         await asyncio.sleep(0.05)
         cluster.chaos.truncate_next(src.node_id, sink.node_id)
@@ -268,13 +275,14 @@ def test_cut_with_a_burst_in_hand_counts_the_frames_beyond_the_buffer(seed):
     the link is reset: buffer *and* in-hand frames are counted lost."""
 
     async def scenario():
-        cluster = ChaosCluster(ChaosController(seed=seed))
+        cluster = VirtualHost(chaos=ChaosController(seed=seed))
         src_alg, sink_alg = BrokenLinkRecorder(), BrokenLinkRecorder()
-        src = await cluster.add_node(src_alg, "src", quiet_config(seed))
+        src = cluster.add_node(src_alg, "src", quiet_config(seed))
         # The sink is parked, neither reading nor writing, so it is its
         # watchdog's probe that runs into the reset.
-        sink = await cluster.add_node(sink_alg, "sink", NetEngineConfig(
+        sink = cluster.add_node(sink_alg, "sink", NetEngineConfig(
             buffer_capacity=4, resilience=ResilienceConfig(seed=seed, **FAST)))
+        await cluster.start()
         sink._switch_round = lambda: False  # the switch stalls: the buffer fills
         assert await src.connect(sink.node_id)
         stage_burst(src, sink.node_id, 30)
@@ -302,9 +310,10 @@ def test_cut_with_a_burst_in_hand_counts_the_frames_beyond_the_buffer(seed):
 def test_delayed_accept_is_survived_by_the_dialer(seed):
     async def scenario():
         chaos = ChaosController(seed=seed)
-        cluster = ChaosCluster(chaos)
-        a = await cluster.add_node(SinkAlgorithm(), "a", watch_config(seed))
-        b = await cluster.add_node(SinkAlgorithm(), "b", watch_config(seed))
+        cluster = VirtualHost(chaos=chaos)
+        a = cluster.add_node(SinkAlgorithm(), "a", watch_config(seed))
+        b = cluster.add_node(SinkAlgorithm(), "b", watch_config(seed))
+        await cluster.start()
         chaos.set_accept_delay(b.node_id, 0.3)
         loop = asyncio.get_running_loop()
         t0 = loop.time()
@@ -325,12 +334,13 @@ def test_failure_schedule_runs_against_the_cluster(seed):
     """The sim's declarative FailureSchedule drives real sockets too."""
 
     async def scenario():
-        cluster = ChaosCluster(ChaosController(seed=seed))
+        cluster = VirtualHost(chaos=ChaosController(seed=seed))
         src_alg = CopyForwardAlgorithm()
         sink_a, sink_b = BrokenLinkRecorder(), BrokenLinkRecorder()
-        src = await cluster.add_node(src_alg, "src", watch_config(seed))
-        a = await cluster.add_node(sink_a, "a", watch_config(seed))
-        b = await cluster.add_node(sink_b, "b", watch_config(seed))
+        src = cluster.add_node(src_alg, "src", watch_config(seed))
+        a = cluster.add_node(sink_a, "a", watch_config(seed))
+        b = cluster.add_node(sink_b, "b", watch_config(seed))
+        await cluster.start()
         src_alg.set_downstreams([a.node_id, b.node_id])
         src.start_source(app=1, payload_size=1000)
         await wait_until(lambda: sink_a.received > 3 and sink_b.received > 3,
@@ -364,14 +374,15 @@ def test_stop_settles_a_join_and_a_leave_fired_just_before_it():
     included — is stopped, and no task is left behind."""
 
     async def scenario():
-        cluster = ChaosCluster(ChaosController(seed=1))
-        await cluster.add_node(Announcer(), "a", quiet_config(1))
-        await cluster.add_node(SinkAlgorithm(), "b", quiet_config(1))
+        cluster = VirtualHost(chaos=ChaosController(seed=1))
+        cluster.add_node(Announcer(), "a", quiet_config(1))
+        cluster.add_node(SinkAlgorithm(), "b", quiet_config(1))
+        await cluster.start()
         joining = asyncio.Event()
 
         async def join(cl, name):
             joining.set()
-            await cl.add_node(SinkAlgorithm(), name, quiet_config(1))
+            await cl.start_node(cl.add_node(SinkAlgorithm(), name, quiet_config(1)))
 
         FailureSchedule().join_node(0.0, "late").leave_node(0.0, "a").arm(
             cluster, node_factory=join)
@@ -385,8 +396,9 @@ def test_stop_settles_a_join_and_a_leave_fired_just_before_it():
 
 def test_schedule_tolerates_unknown_targets():
     async def scenario():
-        cluster = ChaosCluster(ChaosController(seed=1))
-        await cluster.add_node(SinkAlgorithm(), "solo", watch_config(1))
+        cluster = VirtualHost(chaos=ChaosController(seed=1))
+        cluster.add_node(SinkAlgorithm(), "solo", watch_config(1))
+        await cluster.start()
         # cut_link against a never-connected pair mirrors the sim's
         # UnknownNodeError contract ...
         with pytest.raises(UnknownNodeError):
@@ -396,5 +408,27 @@ def test_schedule_tolerates_unknown_targets():
         schedule.arm(cluster)
         await asyncio.sleep(0.1)  # must not raise
         await converged(cluster)
+
+    run_converging(scenario())
+
+
+@pytest.mark.parametrize("fault", ["cut_link", "stall_link"])
+def test_link_faults_are_refused_at_arm_time_without_chaos(fault):
+    """A loopback-only host cannot inject link faults: arming such a
+    schedule raises, rather than leaving a fault-free run behind."""
+    host = VirtualHost()
+    host.add_node(SinkAlgorithm(), "a")
+    host.add_node(SinkAlgorithm(), "b")
+    schedule = getattr(FailureSchedule(), fault)(0.5, "a", "b")
+    with pytest.raises(ConfigurationError, match="ChaosController"):
+        schedule.arm(host)
+
+    async def scenario():
+        # node faults need no chaos, and still fire on the same host
+        await host.start()
+        FailureSchedule().kill_node(0.0, "a").arm(host)
+        assert await wait_until(lambda: not host.engine("a").running, 5.0)
+        assert host.engine("b").running
+        await host.stop()
 
     run_converging(scenario())

@@ -66,6 +66,31 @@ def test_task_exception_propagates():
     assert isinstance(excinfo.value.__cause__, ValueError)
 
 
+def test_a_crash_is_raised_once_and_later_runs_carry_on():
+    kernel = Kernel()
+    ticks = []
+
+    async def boom():
+        await kernel.sleep(0.5)
+        raise ValueError("kaput")
+
+    async def ticker():
+        while True:
+            await kernel.sleep(1)
+            ticks.append(kernel.now)
+
+    kernel.spawn(boom())
+    kernel.spawn(ticker())
+    with pytest.raises(SimulationError) as excinfo:
+        kernel.run(until=kernel.now + 10)
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    assert kernel.now == 0.5
+    for end in (10.5, 20.5, 30.5):
+        before = len(ticks)
+        assert kernel.run(until=kernel.now + 10) == end
+        assert len(ticks) - before == 10
+
+
 def test_cancel_waiting_task():
     kernel = Kernel()
     progress = []
